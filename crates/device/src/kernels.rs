@@ -10,7 +10,7 @@
 //! bit-deterministic and independent of the launch geometry — the property
 //! tests rely on this.
 
-use htapg_core::{Error, Result};
+use htapg_core::{DataType, Error, Result};
 
 use crate::memory::{BufferId, SimDevice};
 use crate::simt::{Executor, KernelCost, LaunchConfig};
@@ -34,23 +34,228 @@ pub fn reduce_segments(n: usize) -> usize {
 }
 
 /// Pairwise (tree) summation of a slice — the deterministic order a
-/// shared-memory tree reduction produces.
+/// shared-memory tree reduction produces: split at `mid = n / 2`, sum each
+/// half, add. The recursion ends in leaves of at most 8 values written out
+/// in exactly that association, so the result is bit-identical to
+/// recursing down to single values, at a fraction of the calls.
 pub fn tree_sum(values: &[f64]) -> f64 {
-    match values.len() {
-        0 => 0.0,
-        1 => values[0],
-        n => {
-            let mid = n / 2;
-            tree_sum(&values[..mid]) + tree_sum(&values[mid..])
-        }
+    let n = values.len();
+    if n <= 8 {
+        return leaf_sum(values);
+    }
+    let (lo, hi) = values.split_at(n / 2);
+    if n <= 16 {
+        // Both halves are leaves: add them without another call.
+        leaf_sum(lo) + leaf_sum(hi)
+    } else {
+        tree_sum(lo) + tree_sum(hi)
     }
 }
 
-fn as_f64s(bytes: &[u8]) -> Result<Vec<f64>> {
+/// [`tree_sum`] of at most 8 values, in the same association.
+#[inline(always)]
+fn leaf_sum(values: &[f64]) -> f64 {
+    match *values {
+        [] => 0.0,
+        [a] => a,
+        [a, b] => a + b,
+        [a, b, c] => a + (b + c),
+        [a, b, c, d] => (a + b) + (c + d),
+        [a, b, c, d, e] => (a + b) + (c + (d + e)),
+        [a, b, c, d, e, f] => (a + (b + c)) + (d + (e + f)),
+        [a, b, c, d, e, f, g] => (a + (b + c)) + ((d + e) + (f + g)),
+        [a, b, c, d, e, f, g, h] => ((a + b) + (c + d)) + ((e + f) + (g + h)),
+        _ => unreachable!("a tree_sum leaf holds at most 8 values"),
+    }
+}
+
+/// Decode packed little-endian `W`-byte values into `out`, one per chunk:
+/// a plain loop, monomorphized per element type, with no call per value.
+pub fn decode_le<T, const W: usize>(bytes: &[u8], out: &mut [T], decode: impl Fn([u8; W]) -> T) {
+    for (o, c) in out.iter_mut().zip(bytes.chunks_exact(W)) {
+        *o = decode(c.try_into().expect("chunks_exact yields W bytes"));
+    }
+}
+
+/// A block decoder for one column type: `width` bytes per value, and a
+/// loop that decodes a whole block of them (called once per block, so the
+/// indirection is per block, never per value).
+#[derive(Clone, Copy)]
+pub struct Decoder<T> {
+    pub width: usize,
+    pub decode: fn(&[u8], &mut [T]),
+}
+
+/// Packed little-endian `f64`: the layout of every device column buffer.
+const F64_LE: Decoder<f64> =
+    Decoder { width: 8, decode: |b, out| decode_le(b, out, f64::from_le_bytes) };
+
+/// The `f64` decoder of a numeric column type; `None` for `Bool`/`Text`.
+pub fn f64_decoder(ty: DataType) -> Option<Decoder<f64>> {
+    Some(match ty {
+        DataType::Float64 => F64_LE,
+        DataType::Int64 => Decoder {
+            width: 8,
+            decode: |b, out| decode_le(b, out, |x| i64::from_le_bytes(x) as f64),
+        },
+        DataType::Int32 | DataType::Date => Decoder {
+            width: 4,
+            decode: |b, out| decode_le(b, out, |x| i32::from_le_bytes(x) as f64),
+        },
+        DataType::Bool | DataType::Text(_) => return None,
+    })
+}
+
+/// The canonical segmented reduction, fed in row order: rows are cut into
+/// segments of `seg_len` ([`reduce_seg_len`] for the flat reduction, the
+/// fragment size for sharded ones), each segment reduces to its
+/// [`tree_sum`] partial, and [`finish`](Self::finish) tree-sums the
+/// partials. Input arrives as column blocks of any size — packed
+/// little-endian bytes or `f64` slices — and blocks need not align with
+/// segments: the one scratch holds the current segment across blocks.
+///
+/// With a `keep` predicate, each segment's partial sums only its matching
+/// values, kept in row order (the fused filter+sum). Compaction happens in
+/// the scratch without branches, so the reduction reads each value once
+/// and allocates nothing per segment.
+pub struct SegmentReducer<K> {
+    seg_len: usize,
+    keep: Option<K>,
+    /// `scratch[..kept]` holds the kept values of the current segment's
+    /// first `seg_rows` rows.
+    scratch: Vec<f64>,
+    seg_rows: usize,
+    kept: usize,
+    total_rows: usize,
+    partials: Vec<f64>,
+}
+
+impl SegmentReducer<fn(f64) -> bool> {
+    /// An unfiltered reducer.
+    pub fn new(seg_len: usize) -> Self {
+        Self::with_filter(seg_len, None)
+    }
+}
+
+impl<K: Fn(f64) -> bool + Copy> SegmentReducer<K> {
+    pub fn with_filter(seg_len: usize, keep: Option<K>) -> Self {
+        let seg_len = seg_len.max(1);
+        SegmentReducer {
+            seg_len,
+            keep,
+            scratch: Vec::new(),
+            seg_rows: 0,
+            kept: 0,
+            total_rows: 0,
+            partials: Vec::new(),
+        }
+    }
+
+    /// Rows fed so far.
+    pub fn rows(&self) -> usize {
+        self.total_rows
+    }
+
+    /// Feed the next rows as a block of packed values read by `dec` (a
+    /// trailing partial value is ignored).
+    pub fn push_bytes(&mut self, bytes: &[u8], dec: Decoder<f64>) {
+        let mut rest = &bytes[..bytes.len() - bytes.len() % dec.width];
+        while !rest.is_empty() {
+            let rows = (self.seg_len - self.seg_rows).min(rest.len() / dec.width);
+            let (run, tail) = rest.split_at(rows * dec.width);
+            (dec.decode)(run, self.slots(rows));
+            self.take(rows);
+            rest = tail;
+        }
+    }
+
+    /// Feed the next rows as decoded values. Whole unfiltered segments are
+    /// reduced in place, without a copy.
+    pub fn push_f64s(&mut self, values: &[f64]) {
+        let mut rest = values;
+        while !rest.is_empty() {
+            let rows = (self.seg_len - self.seg_rows).min(rest.len());
+            let (run, tail) = rest.split_at(rows);
+            if self.keep.is_none() && rows == self.seg_len {
+                self.partials.push(tree_sum(run));
+                self.total_rows += rows;
+            } else {
+                self.slots(rows).copy_from_slice(run);
+                self.take(rows);
+            }
+            rest = tail;
+        }
+    }
+
+    /// Scratch for the current segment's next `rows` values, grown on
+    /// first use: a segment may be far longer than the whole input.
+    fn slots(&mut self, rows: usize) -> &mut [f64] {
+        let end = self.kept + rows;
+        if self.scratch.len() < end {
+            self.scratch.resize(end, 0.0);
+        }
+        &mut self.scratch[self.kept..end]
+    }
+
+    /// Account for `rows` values just written at `scratch[kept..]`: compact
+    /// them under `keep`, and close the segment once it is full.
+    fn take(&mut self, rows: usize) {
+        match &self.keep {
+            None => self.kept += rows,
+            Some(keep) => {
+                // A local copy: the scratch stores below cannot alias it,
+                // so the predicate stays in registers across the loop.
+                let keep = *keep;
+                let seg = &mut self.scratch[..self.kept + rows];
+                let mut kept = self.kept;
+                for i in self.kept..seg.len() {
+                    let v = seg[i];
+                    seg[kept] = v;
+                    kept += keep(v) as usize;
+                }
+                self.kept = kept;
+            }
+        }
+        self.seg_rows += rows;
+        self.total_rows += rows;
+        if self.seg_rows == self.seg_len {
+            self.close_segment();
+        }
+    }
+
+    fn close_segment(&mut self) {
+        self.partials.push(tree_sum(&self.scratch[..self.kept]));
+        self.seg_rows = 0;
+        self.kept = 0;
+    }
+
+    /// The per-segment partials in row order, a trailing short segment
+    /// included.
+    pub(crate) fn partials(mut self) -> Vec<f64> {
+        if self.seg_rows > 0 {
+            self.close_segment();
+        }
+        self.partials
+    }
+
+    /// The tree sum of the partials: the reduction's result (0 for no rows).
+    pub fn finish(self) -> f64 {
+        tree_sum(&self.partials())
+    }
+}
+
+/// Rows of a packed `f64` buffer.
+fn f64_rows(bytes: &[u8]) -> Result<usize> {
     if !bytes.len().is_multiple_of(8) {
         return Err(Error::Internal("buffer is not a packed f64 column".into()));
     }
-    Ok(bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect())
+    Ok(bytes.len() / 8)
+}
+
+fn as_f64s(bytes: &[u8]) -> Result<Vec<f64>> {
+    let mut values = vec![0.0; f64_rows(bytes)?];
+    (F64_LE.decode)(bytes, &mut values);
+    Ok(values)
 }
 
 /// Sum a device-resident packed `f64` column with the two-pass Harris-style
@@ -58,8 +263,14 @@ fn as_f64s(bytes: &[u8]) -> Result<Vec<f64>> {
 /// final) to the device ledger.
 pub fn reduce_sum_f64(device: &SimDevice, buf: BufferId) -> Result<f64> {
     let ex = Executor::new(device);
-    let values = device.with_buffer(buf, as_f64s)??;
-    let n = values.len();
+    let (n, partials) = device.with_buffer(buf, |bytes| {
+        let n = f64_rows(bytes)?;
+        // Pass 1: REDUCE_GRID blocks × REDUCE_BLOCK threads; each block
+        // reduces a contiguous segment into one partial.
+        let mut reducer = SegmentReducer::new(reduce_seg_len(n));
+        reducer.push_bytes(bytes, F64_LE);
+        Ok((n, reducer.partials()))
+    })??;
     if n == 0 {
         // Even an empty reduction launches.
         ex.charge_launch(
@@ -67,14 +278,6 @@ pub fn reduce_sum_f64(device: &SimDevice, buf: BufferId) -> Result<f64> {
             KernelCost { work_items: 1, cycles_per_item: 1.0, bytes: 0 },
         )?;
         return Ok(0.0);
-    }
-    // Pass 1: REDUCE_GRID blocks × REDUCE_BLOCK threads; each block reduces
-    // a contiguous segment into one partial.
-    let segments = REDUCE_GRID as usize;
-    let seg_len = n.div_ceil(segments);
-    let mut partials = Vec::with_capacity(segments);
-    for seg in values.chunks(seg_len.max(1)) {
-        partials.push(tree_sum(seg));
     }
     ex.charge_launch(
         LaunchConfig::new(REDUCE_GRID, REDUCE_BLOCK),
@@ -143,20 +346,11 @@ fn segment_partials(
         if lo_row > hi_row || hi_row * 8 > bytes.len() {
             return Err(Error::Internal("segment range beyond device buffer".into()));
         }
-        let mut out = Vec::with_capacity(seg_hi - seg_lo);
-        let mut seg = Vec::with_capacity(seg_len);
-        for row_lo in (lo_row..hi_row).step_by(seg_len) {
-            let row_hi = (row_lo + seg_len).min(hi_row);
-            seg.clear();
-            for c in bytes[row_lo * 8..row_hi * 8].chunks_exact(8) {
-                let v = f64::from_le_bytes(c.try_into().unwrap());
-                if pred.is_none_or(|p| p(v)) {
-                    seg.push(v);
-                }
-            }
-            out.push(tree_sum(&seg));
-        }
-        Ok(out)
+        // `lo_row` starts a segment, so the reducer's cuts are the
+        // canonical ones.
+        let mut reducer = SegmentReducer::with_filter(seg_len, pred);
+        reducer.push_bytes(&bytes[lo_row * 8..hi_row * 8], F64_LE);
+        Ok(reducer.partials())
     })??;
     let rows = (hi_row - lo_row) as u64;
     stream.charge_launch(
@@ -241,19 +435,12 @@ fn fragment_partials(
         return Err(Error::Internal("fragment size must be positive".into()));
     }
     let ex = Executor::new(device);
-    let values = device.with_buffer(buf, as_f64s)??;
-    let n = values.len();
-    let mut out = Vec::with_capacity(n.div_ceil(frag_rows));
-    let mut seg = Vec::with_capacity(frag_rows);
-    for frag in values.chunks(frag_rows) {
-        seg.clear();
-        for &v in frag {
-            if pred.is_none_or(|p| p(v)) {
-                seg.push(v);
-            }
-        }
-        out.push(tree_sum(&seg));
-    }
+    let (n, out) = device.with_buffer(buf, |bytes| {
+        let n = f64_rows(bytes)?;
+        let mut reducer = SegmentReducer::with_filter(frag_rows, pred);
+        reducer.push_bytes(bytes, F64_LE);
+        Ok((n, reducer.partials()))
+    })??;
     ex.charge_launch(
         LaunchConfig::new(REDUCE_GRID.min(out.len().max(1) as u32), REDUCE_BLOCK),
         KernelCost {

@@ -39,6 +39,83 @@ fn reduction_is_accurate_and_deterministic() {
     });
 }
 
+/// The recursive definition of the canonical tree order — split at
+/// `n / 2`, down to single values — kept as the oracle of the unrolled
+/// [`tree_sum`].
+fn tree_sum_recursive(values: &[f64]) -> f64 {
+    match values.len() {
+        0 => 0.0,
+        1 => values[0],
+        n => tree_sum_recursive(&values[..n / 2]) + tree_sum_recursive(&values[n / 2..]),
+    }
+}
+
+/// A value from the whole range a reduction must keep bit-exact:
+/// magnitudes from 1e-20 to 1e20, signed zeros, subnormals and (when
+/// `inf`) infinities of either sign.
+fn arb_mixed_f64(rng: &mut Prng, inf: bool) -> f64 {
+    let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+    match rng.gen_range(0u32..16) {
+        0 => sign * 0.0,
+        1 => sign * f64::from_bits(rng.gen_range(1u64..1 << 52)),
+        2 if inf => sign * f64::INFINITY,
+        _ => sign * rng.next_f64() * 10f64.powi(rng.gen_range(-20i32..=20)),
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn unrolled_tree_sum_matches_the_recursive_oracle() {
+    check_cases("unrolled_tree_sum_matches_the_recursive_oracle", 6, 0xDE71_CE08, |case, rng| {
+        let pool: Vec<f64> = (0..100_000).map(|_| arb_mixed_f64(rng, case % 3 == 2)).collect();
+        // Every length up to 4096, each from a random offset.
+        for len in 0..=4096 {
+            let at = rng.gen_range(0..=pool.len() - len);
+            let s = &pool[at..at + len];
+            assert_eq!(tree_sum(s).to_bits(), tree_sum_recursive(s).to_bits(), "len {len}");
+        }
+        for _ in 0..4 {
+            let len = rng.gen_range(0..=pool.len());
+            let s = &pool[..len];
+            assert_eq!(tree_sum(s).to_bits(), tree_sum_recursive(s).to_bits(), "len {len}");
+        }
+    });
+}
+
+#[test]
+fn in_place_kernels_match_the_recursive_oracle() {
+    // The simulated reductions read their buffers in place through the
+    // segment reducer; their partials must still be tree sums of the
+    // canonical segments (whole, filtered, and per fragment).
+    check_cases("in_place_kernels_match_the_recursive_oracle", 24, 0xDE71_CE09, |case, rng| {
+        let values: Vec<f64> =
+            (0..rng.gen_range(0usize..20_000)).map(|_| arb_mixed_f64(rng, case % 3 == 2)).collect();
+        let n = values.len();
+        let device = SimDevice::with_defaults();
+        let buf = upload_f64(&device, &values);
+        let seg = kernels::reduce_seg_len(n);
+        let partials: Vec<f64> = values.chunks(seg).map(tree_sum_recursive).collect();
+        let want = tree_sum_recursive(&partials);
+        assert_eq!(kernels::reduce_sum_f64(&device, buf).unwrap().to_bits(), want.to_bits());
+        let keep = |v: f64| v >= 0.0;
+        let kept: Vec<f64> = values
+            .chunks(seg)
+            .map(|c| {
+                tree_sum_recursive(&c.iter().copied().filter(|&v| keep(v)).collect::<Vec<_>>())
+            })
+            .collect();
+        let got = kernels::filter_sum_f64(&device, buf, keep).unwrap();
+        assert_eq!(got.to_bits(), tree_sum_recursive(&kept).to_bits());
+        let frag = rng.gen_range(1usize..3000);
+        let frags: Vec<f64> = values.chunks(frag).map(tree_sum_recursive).collect();
+        let got = kernels::reduce_fragment_partials_f64(&device, buf, frag).unwrap();
+        assert_eq!(bits(&got), bits(&frags));
+    });
+}
+
 #[test]
 fn gather_matches_model() {
     check_cases("gather_matches_model", 64, 0xDE71_CE02, |_, rng| {

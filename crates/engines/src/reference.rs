@@ -313,13 +313,16 @@ impl ReferenceEngine {
         })
     }
 
-    /// Snapshot sum (convenience for the HTAP driver and tests).
+    /// Snapshot sum (convenience for the HTAP driver and tests). Summing a
+    /// non-numeric column is a typed error, never a silent `0.0`.
     pub fn sum_column_as_of(&self, rel: RelationId, attr: AttrId, ts: Timestamp) -> Result<f64> {
+        let ty = self.schema(rel)?.ty(attr)?;
+        if !ty.is_numeric() {
+            return Err(Error::NonNumericAggregate { attr, got: ty.name() });
+        }
         let mut sum = 0.0;
         self.scan_column_as_of(rel, attr, ts, &mut |_, v| {
-            if let Ok(x) = v.as_f64() {
-                sum += x;
-            }
+            sum += v.as_f64().expect("column type checked numeric above");
         })?;
         Ok(sum)
     }
@@ -354,18 +357,25 @@ impl ReferenceEngine {
     /// call [`StorageEngine::maintain`] first). Transient launch faults are
     /// retried with virtual backoff charged to the device ledger.
     pub fn sum_column_device(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        let device = self.device.clone();
         self.rels.read(rel, |r| {
-            // Device answers are still scans as far as the advisor is
-            // concerned — keep the delegation evidence flowing.
-            r.stats.record_scan(attr);
-            let col = self.cache.lookup(rel, attr, r.version)?.ok_or_else(|| {
-                Error::Internal(format!("no fresh device replica of attr {attr}"))
-            })?;
-            with_retry(&RetryPolicy::default(), device.ledger(), || {
-                kernels::reduce_sum_f64(&device, col.buf)
-            })
+            self.device_sum_at(rel, attr, r)?
+                .ok_or_else(|| Error::Internal(format!("no fresh device replica of attr {attr}")))
         })
+    }
+
+    /// The device sum of `attr` at `r`'s version, within the caller's
+    /// registry read; `None` when no fresh replica is resident.
+    fn device_sum_at(&self, rel: RelationId, attr: AttrId, r: &RefRelation) -> Result<Option<f64>> {
+        // Device answers are still scans as far as the advisor is
+        // concerned — keep the delegation evidence flowing.
+        r.stats.record_scan(attr);
+        let Some(col) = self.cache.lookup(rel, attr, r.version)? else {
+            return Ok(None);
+        };
+        with_retry(&RetryPolicy::default(), self.device.ledger(), || {
+            kernels::reduce_sum_f64(&self.device, col.buf)
+        })
+        .map(Some)
     }
 
     /// Sum a column wherever it can be answered: on the device when a
@@ -374,30 +384,30 @@ impl ReferenceEngine {
     /// current snapshot. Graceful degradation — a faulty device costs
     /// speed, never availability or correctness.
     pub fn sum_column_auto(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        let ready = self.rels.read(rel, |r| {
-            if self.cache.contains(rel, attr, r.version) {
-                return Ok(true);
-            }
-            match self.cache.stale_info(rel, attr, r.version) {
-                Some(info) if info.stale_rows > 0 && Self::merge_beats_reupload(&info) => {
-                    match self.cache.merge_deltas(rel, attr, r.version, DeltaTransport::Pcie) {
-                        Ok(_) => Ok(true),
-                        // Faulted or raced merge: the replica is untouched
-                        // at its old version; answer on the host.
-                        Err(_) => Ok(false),
+        // Freshness check and kernel run under one registry read: a commit
+        // in between would bump the version and strand the lookup.
+        let device_sum = self.rels.read(rel, |r| {
+            let ready = self.cache.contains(rel, attr, r.version)
+                || match self.cache.stale_info(rel, attr, r.version) {
+                    // A faulted or raced merge leaves the replica untouched
+                    // at its old version; answer on the host.
+                    Some(info) if info.stale_rows > 0 && Self::merge_beats_reupload(&info) => {
+                        self.cache.merge_deltas(rel, attr, r.version, DeltaTransport::Pcie).is_ok()
                     }
-                }
-                _ => Ok(false),
+                    _ => false,
+                };
+            if !ready {
+                return Ok(None);
+            }
+            match self.device_sum_at(rel, attr, r) {
+                Err(e) if e.is_transient() => Ok(None), // fall through to the host
+                other => other,
             }
         })?;
-        if ready {
-            match self.sum_column_device(rel, attr) {
-                Ok(sum) => return Ok(sum),
-                Err(e) if e.is_transient() => {} // fall through to the host
-                Err(e) => return Err(e),
-            }
+        match device_sum {
+            Some(sum) => Ok(sum),
+            None => self.sum_column_as_of(rel, attr, self.mgr.now()),
         }
-        self.sum_column_as_of(rel, attr, self.mgr.now())
     }
 
     /// Engine-side merge-vs-reupload heuristic, mirroring the planner's
@@ -970,6 +980,20 @@ mod tests {
         // A fresh scan sees the new values.
         let new_sum = e.sum_column_f64(rel, 1).unwrap();
         assert_eq!(new_sum, 50.0 * 1e6);
+    }
+
+    #[test]
+    fn snapshot_sum_of_a_text_column_is_a_typed_error() {
+        let e = ReferenceEngine::new();
+        let s = Schema::of(&[("name", DataType::Text(8)), ("v", DataType::Float64)]);
+        let rel = e.create_relation(s).unwrap();
+        e.insert(rel, &vec![Value::Text("a".into()), Value::Float64(1.5)]).unwrap();
+        let ts = e.txn_manager().now();
+        assert!(matches!(
+            e.sum_column_as_of(rel, 0, ts),
+            Err(Error::NonNumericAggregate { attr: 0, got: "text" })
+        ));
+        assert_eq!(e.sum_column_as_of(rel, 1, ts).unwrap(), 1.5);
     }
 
     #[test]

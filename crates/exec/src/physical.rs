@@ -1,16 +1,17 @@
 //! Physical-plan interpreter: executes a routed [`PhysicalPlan`] against
-//! any [`StorageEngine`], using the persistent morsel pool for host routes
-//! and the engine's device hooks for device routes.
+//! any [`StorageEngine`], on the host for host routes and through the
+//! engine's device hooks for device routes.
 //!
 //! **Bit-identity across routes** is the module's invariant and what the
 //! planner property tests pin: every route reduces in the *canonical
 //! order* — the device kernels' two-pass tree reduction
 //! ([`htapg_device::kernels::reduce_seg_len`] segmentation, per-segment
 //! [`htapg_device::kernels::tree_sum`], then a tree sum of the partials).
-//! [`canonical_sum`] replicates it on the host; the pooled variant folds
-//! per-segment partials in morsel order, so thread count cannot perturb
-//! the result; the naive volcano oracle ([`volcano_sum`]) feeds the same
-//! reduction from tuple-at-a-time reads. A query may therefore bounce
+//! On the host, [`htapg_device::kernels::SegmentReducer`] replicates it
+//! straight from the column's blocks, one segment at a time, so thread
+//! count and block boundaries cannot perturb the result; the naive volcano
+//! oracle ([`volcano_sum`]) feeds the same reduction from tuple-at-a-time
+//! reads. A query may therefore bounce
 //! between host and device from one execution to the next (cache warmth,
 //! relation growth) without ever changing a single result bit.
 //!
@@ -23,7 +24,7 @@ use htapg_core::plan::{
     LogicalPlan, PhysicalNode, PhysicalOp, PhysicalPlan, Predicate, Route, ScanStrategy,
 };
 use htapg_core::{obs, AttrId, DataType, Error, Record, RelationId, Result, Value};
-use htapg_device::kernels;
+use htapg_device::kernels::{self, Decoder, SegmentReducer};
 use std::collections::BTreeMap;
 
 use crate::threading::{run_blocks, ThreadingPolicy};
@@ -58,40 +59,16 @@ impl QueryOutput {
 /// (`reduce_seg_len`), tree-sum each segment, tree-sum the partials.
 /// Bit-identical to [`kernels::reduce_sum_f64`] over the same values.
 pub fn canonical_sum(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let seg = kernels::reduce_seg_len(values.len());
-    let partials: Vec<f64> = values.chunks(seg).map(kernels::tree_sum).collect();
-    kernels::tree_sum(&partials)
+    reduce_values(values, kernels::reduce_seg_len(values.len()), None)
 }
 
-/// Pooled canonical reduction: the per-segment partials are computed by
-/// the morsel pool and folded *in segment order*, so the partial vector —
-/// and therefore the result — is bit-identical to [`canonical_sum`] for
-/// every pool size.
-pub fn pooled_canonical_sum(values: &[f64], policy: ThreadingPolicy) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let n = values.len();
-    let seg = kernels::reduce_seg_len(n);
-    let segments = kernels::reduce_segments(n);
-    let partials = run_blocks(
-        segments as u64,
-        policy,
-        |lo, hi| {
-            (lo as usize..hi as usize)
-                .map(|s| kernels::tree_sum(&values[s * seg..((s + 1) * seg).min(n)]))
-                .collect::<Vec<f64>>()
-        },
-        |mut a, mut b| {
-            a.append(&mut b);
-            a
-        },
-        Vec::new(),
-    );
-    kernels::tree_sum(&partials)
+/// Pooled canonical reduction, bit-identical to [`canonical_sum`] for every
+/// pool size. The canonical segmentation has at most
+/// [`kernels::REDUCE_GRID`] segments, less than one pool morsel, so the
+/// pool would run them inline on the caller anyway: the serial pass is the
+/// pooled one.
+pub fn pooled_canonical_sum(values: &[f64], _policy: ThreadingPolicy) -> f64 {
+    canonical_sum(values)
 }
 
 /// Canonical *fused* filter+sum: per segment, compact the values matching
@@ -99,18 +76,7 @@ pub fn pooled_canonical_sum(values: &[f64], policy: ThreadingPolicy) -> f64 {
 /// [`kernels::filter_partials_f64`], so host and device filtered sums are
 /// bit-identical.
 pub fn canonical_filter_sum(values: &[f64], pred: &Predicate) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let seg = kernels::reduce_seg_len(values.len());
-    let partials: Vec<f64> = values
-        .chunks(seg)
-        .map(|c| {
-            let kept: Vec<f64> = c.iter().copied().filter(|&v| pred.matches(v)).collect();
-            kernels::tree_sum(&kept)
-        })
-        .collect();
-    kernels::tree_sum(&partials)
+    reduce_values(values, kernels::reduce_seg_len(values.len()), Some(pred))
 }
 
 /// The *sharded* canonical reduction: one tree-ordered partial per
@@ -122,11 +88,7 @@ pub fn canonical_filter_sum(values: &[f64], pred: &Predicate) -> f64 {
 /// nodes. Bit-identical to gathering
 /// [`kernels::reduce_fragment_partials_f64`] across shards.
 pub fn sharded_canonical_sum(values: &[f64], partition_rows: usize) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let partials: Vec<f64> = values.chunks(partition_rows.max(1)).map(kernels::tree_sum).collect();
-    kernels::tree_sum(&partials)
+    reduce_values(values, partition_rows, None)
 }
 
 /// Sharded fused filter+sum: per fragment, tree-sum the qualifying values
@@ -136,17 +98,7 @@ pub fn sharded_canonical_filter_sum(
     pred: &Predicate,
     partition_rows: usize,
 ) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let partials: Vec<f64> = values
-        .chunks(partition_rows.max(1))
-        .map(|c| {
-            let kept: Vec<f64> = c.iter().copied().filter(|&v| pred.matches(v)).collect();
-            kernels::tree_sum(&kept)
-        })
-        .collect();
-    kernels::tree_sum(&partials)
+    reduce_values(values, partition_rows, Some(pred))
 }
 
 /// Sharded group-sum over collected key/value columns: each fragment
@@ -169,108 +121,180 @@ pub fn sharded_group_sum(keys: &[i64], values: &[f64], partition_rows: usize) ->
     acc.into_iter().map(|(k, partials)| (k, kernels::tree_sum(&partials))).collect()
 }
 
-/// Pooled variant of [`canonical_filter_sum`] (same partials, morsel-order
-/// fold).
+/// Pooled variant of [`canonical_filter_sum`]: the serial pass, for the
+/// reason given at [`pooled_canonical_sum`].
 pub fn pooled_canonical_filter_sum(
     values: &[f64],
     pred: &Predicate,
-    policy: ThreadingPolicy,
+    _policy: ThreadingPolicy,
 ) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let n = values.len();
-    let seg = kernels::reduce_seg_len(n);
-    let segments = kernels::reduce_segments(n);
-    let partials = run_blocks(
-        segments as u64,
-        policy,
-        |lo, hi| {
-            (lo as usize..hi as usize)
-                .map(|s| {
-                    let kept: Vec<f64> = values[s * seg..((s + 1) * seg).min(n)]
-                        .iter()
-                        .copied()
-                        .filter(|&v| pred.matches(v))
-                        .collect();
-                    kernels::tree_sum(&kept)
-                })
-                .collect::<Vec<f64>>()
-        },
-        |mut a, mut b| {
-            a.append(&mut b);
-            a
-        },
-        Vec::new(),
-    );
-    kernels::tree_sum(&partials)
+    canonical_filter_sum(values, pred)
 }
 
-fn decoder(ty: DataType) -> Result<fn(&[u8]) -> f64> {
-    Ok(match ty {
-        DataType::Float64 => |b: &[u8]| f64::from_le_bytes(b.try_into().unwrap()),
-        DataType::Int64 => |b: &[u8]| i64::from_le_bytes(b.try_into().unwrap()) as f64,
-        DataType::Int32 | DataType::Date => {
-            |b: &[u8]| i32::from_le_bytes(b.try_into().unwrap()) as f64
+/// A canonical reducer at `seg_len` rows per segment, keeping only the
+/// values matching `pred` when there is one.
+fn reducer(
+    seg_len: usize,
+    pred: Option<&Predicate>,
+) -> SegmentReducer<impl Fn(f64) -> bool + Copy> {
+    SegmentReducer::with_filter(seg_len, pred.map(|&p| move |v| p.matches(v)))
+}
+
+fn reduce_values(values: &[f64], seg_len: usize, pred: Option<&Predicate>) -> f64 {
+    let mut r = reducer(seg_len, pred);
+    r.push_f64s(values);
+    r.finish()
+}
+
+/// Reduce a numeric column canonically under an optional predicate, at
+/// `seg_len` rows per segment (`None`: the flat segmentation of the
+/// column's row count). The column streams through the reducer — blocks
+/// of a contiguous column are decoded straight into its scratch — so it
+/// is read once and never materialized.
+fn reduce_column(
+    engine: &dyn StorageEngine,
+    rel: RelationId,
+    attr: AttrId,
+    strategy: ScanStrategy,
+    seg_len: Option<usize>,
+    pred: Option<&Predicate>,
+) -> Result<f64> {
+    let dec = numeric_decoder(engine, rel, attr)?;
+    let rows = engine.row_count(rel)? as usize;
+    let mut r = reducer(seg_len.unwrap_or_else(|| kernels::reduce_seg_len(rows)), pred);
+    let contiguous = strategy == ScanStrategy::ContiguousBytes
+        && engine.with_column_bytes(rel, attr, &mut |block| r.push_bytes(block, dec))?;
+    if !contiguous {
+        for_each_f64(engine, rel, attr, ScanStrategy::ValueVisit, |run| r.push_f64s(run))?;
+    }
+    if seg_len.is_some() || r.rows() == rows {
+        return Ok(r.finish());
+    }
+    // The row count moved between the two reads (a concurrent insert), so
+    // the flat segmentation is off: collect, then segment what was read.
+    let values = collect_f64(engine, rel, attr, strategy)?;
+    Ok(reduce_values(&values, kernels::reduce_seg_len(values.len()), pred))
+}
+
+/// The `f64` block decoder of a numeric column; a typed error otherwise.
+fn numeric_decoder(
+    engine: &dyn StorageEngine,
+    rel: RelationId,
+    attr: AttrId,
+) -> Result<Decoder<f64>> {
+    let ty = engine.schema(rel)?.ty(attr)?;
+    kernels::f64_decoder(ty).ok_or(Error::NonNumericAggregate { attr, got: ty.name() })
+}
+
+/// Values per run of [`for_each_run`]: a run's decode and its consumer
+/// both stay in L1.
+const RUN: usize = 2048;
+
+/// Visit a column's values in row order, in runs of at most [`RUN`].
+/// Contiguous blocks are decoded through `dec` when the plan says they are
+/// available; otherwise — or if the engine declines at run time, the
+/// overlay may have filled since planning — the value visit is batched.
+fn for_each_run<T: Copy + Default>(
+    engine: &dyn StorageEngine,
+    rel: RelationId,
+    attr: AttrId,
+    strategy: ScanStrategy,
+    dec: Decoder<T>,
+    from_value: impl Fn(&Value) -> T,
+    mut f: impl FnMut(&[T]),
+) -> Result<()> {
+    let mut run = [T::default(); RUN];
+    if strategy == ScanStrategy::ContiguousBytes {
+        let used = engine.with_column_bytes(rel, attr, &mut |block| {
+            for bytes in block.chunks(RUN * dec.width) {
+                let run = &mut run[..bytes.len() / dec.width];
+                (dec.decode)(bytes, run);
+                f(run);
+            }
+        })?;
+        if used {
+            return Ok(());
         }
-        DataType::Bool | DataType::Text(_) => {
-            return Err(Error::NonNumericAggregate { attr: u16::MAX, got: ty.name() })
+    }
+    let mut len = 0;
+    engine.scan_column(rel, attr, &mut |_, v| {
+        run[len] = from_value(v);
+        len += 1;
+        if len == RUN {
+            f(&run);
+            len = 0;
         }
-    })
+    })?;
+    f(&run[..len]);
+    Ok(())
+}
+
+/// [`for_each_run`] over a numeric column, as `f64`; a typed error for any
+/// other column.
+fn for_each_f64(
+    engine: &dyn StorageEngine,
+    rel: RelationId,
+    attr: AttrId,
+    strategy: ScanStrategy,
+    f: impl FnMut(&[f64]),
+) -> Result<()> {
+    let dec = numeric_decoder(engine, rel, attr)?;
+    let as_f64 = |v: &Value| v.as_f64().expect("column type checked numeric above");
+    for_each_run(engine, rel, attr, strategy, dec, as_f64, f)
 }
 
 /// Materialize a numeric column as `Vec<f64>` in row order, preferring the
-/// contiguous fast path when the plan says it is available (falling back
-/// to the value visit if the engine declines at run time — the overlay
-/// may have filled since planning).
+/// contiguous fast path when the plan says it is available.
 pub fn collect_f64(
     engine: &dyn StorageEngine,
     rel: RelationId,
     attr: AttrId,
     strategy: ScanStrategy,
 ) -> Result<Vec<f64>> {
-    let ty = engine.schema(rel)?.ty(attr)?;
-    if !ty.is_numeric() {
-        return Err(Error::NonNumericAggregate { attr, got: ty.name() });
-    }
-    let rows = engine.row_count(rel)? as usize;
-    let mut out = Vec::with_capacity(rows);
-    if strategy == ScanStrategy::ContiguousBytes {
-        let read = decoder(ty)?;
-        let width = ty.width();
-        let used = engine.with_column_bytes(rel, attr, &mut |block| {
-            for chunk in block.chunks_exact(width) {
-                out.push(read(chunk));
-            }
-        })?;
-        if used {
-            return Ok(out);
-        }
-        out.clear();
-    }
-    engine.scan_column(rel, attr, &mut |_, v| {
-        out.push(v.as_f64().expect("column type checked numeric above"));
-    })?;
+    let mut out = Vec::with_capacity(engine.row_count(rel)? as usize);
+    for_each_f64(engine, rel, attr, strategy, |run| out.extend_from_slice(run))?;
     Ok(out)
 }
 
 /// Collect an integer key column in row order.
-fn collect_keys(engine: &dyn StorageEngine, rel: RelationId, attr: AttrId) -> Result<Vec<i64>> {
-    let ty = engine.schema(rel)?.ty(attr)?;
-    if !matches!(ty, DataType::Int32 | DataType::Int64 | DataType::Date) {
-        return Err(Error::NonNumericAggregate { attr, got: ty.name() });
-    }
+fn collect_keys(
+    engine: &dyn StorageEngine,
+    rel: RelationId,
+    attr: AttrId,
+    strategy: ScanStrategy,
+) -> Result<Vec<i64>> {
+    let dec = match engine.schema(rel)?.ty(attr)? {
+        DataType::Int64 => {
+            Decoder { width: 8, decode: |b, out| kernels::decode_le(b, out, i64::from_le_bytes) }
+        }
+        DataType::Int32 | DataType::Date => Decoder {
+            width: 4,
+            decode: |b, out| kernels::decode_le(b, out, |x| i32::from_le_bytes(x).into()),
+        },
+        ty => return Err(Error::NonNumericAggregate { attr, got: ty.name() }),
+    };
     let mut keys = Vec::with_capacity(engine.row_count(rel)? as usize);
-    engine.scan_column(rel, attr, &mut |_, v| {
-        keys.push(v.as_i64().expect("key type checked integer above"));
-    })?;
+    for_each_run(
+        engine,
+        rel,
+        attr,
+        strategy,
+        dec,
+        |v| v.as_i64().expect("key type checked integer above"),
+        |run| keys.extend_from_slice(run),
+    )?;
     Ok(keys)
 }
 
+fn length_mismatch(keys: usize, values: usize) -> Error {
+    Error::Internal(format!("group-sum column length mismatch: {keys} keys vs {values} values"))
+}
+
 /// Host group-sum: group values by key preserving row order, reduce each
-/// group canonically, return `(key, sum)` ordered by key. The pooled
-/// route distributes the per-group reductions over the morsel pool (fold
-/// in group order — bit-identical to the serial pass).
+/// group canonically, return `(key, sum)` ordered by key. `strategy` is
+/// the scan strategy of both columns. The pooled route distributes the
+/// per-group reductions over the morsel pool (fold in group order —
+/// bit-identical to the serial pass).
 pub fn group_sum_host(
     engine: &dyn StorageEngine,
     rel: RelationId,
@@ -279,38 +303,106 @@ pub fn group_sum_host(
     strategy: ScanStrategy,
     policy: Option<ThreadingPolicy>,
 ) -> Result<Vec<(i64, f64)>> {
-    let keys = collect_keys(engine, rel, key_attr)?;
-    let values = collect_f64(engine, rel, value_attr, strategy)?;
-    if keys.len() != values.len() {
-        return Err(Error::Internal(format!(
-            "group-sum column length mismatch: {} keys vs {} values",
-            keys.len(),
-            values.len()
-        )));
+    group_sum_scans(engine, rel, (key_attr, strategy), (value_attr, strategy), policy)
+}
+
+/// Group ids in key order, the key of each id, and each id's row count.
+/// An id is `k - min` while the observed key span is at most twice the row
+/// count (some ids then count no row), else the key's rank among the
+/// sorted distinct keys; either way no array is sized by the key span
+/// alone. The ids reuse the keys' buffer.
+fn group_ids(keys: Vec<i64>) -> (Vec<usize>, Vec<i64>, Vec<usize>) {
+    if keys.is_empty() {
+        return (Vec::new(), Vec::new(), Vec::new());
     }
-    let mut groups: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-    for (k, v) in keys.into_iter().zip(values) {
-        groups.entry(k).or_default().push(v);
+    let (min, max) = keys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    let dense = max.abs_diff(min) <= 2 * keys.len() as u64;
+    let id_keys: Vec<i64> = if dense {
+        (min..=max).collect()
+    } else {
+        let mut distinct = keys.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        distinct
+    };
+    let mut counts = vec![0usize; id_keys.len()];
+    let ids = keys
+        .into_iter()
+        .map(|k| {
+            let id = if dense {
+                k.abs_diff(min) as usize
+            } else {
+                id_keys.binary_search(&k).expect("every key is among the distinct keys")
+            };
+            counts[id] += 1;
+            id
+        })
+        .collect();
+    (ids, id_keys, counts)
+}
+
+/// The host group-sum body. A stable counting sort over group ids
+/// scatters each value, straight from the value scan, to its group's next
+/// slot, so each group's values lie contiguous and in row order; each
+/// group then reduces canonically — the same bits as the
+/// `BTreeMap<i64, Vec<f64>>` grouping of [`volcano_group_sum`].
+fn group_sum_scans(
+    engine: &dyn StorageEngine,
+    rel: RelationId,
+    (key_attr, key_strategy): (AttrId, ScanStrategy),
+    (value_attr, value_strategy): (AttrId, ScanStrategy),
+    policy: Option<ThreadingPolicy>,
+) -> Result<Vec<(i64, f64)>> {
+    let (ids, id_keys, mut end) = group_ids(collect_keys(engine, rel, key_attr, key_strategy)?);
+    // `end[g]` holds group g's row count, then its start offset, and after
+    // the scatter its end: group g is `grouped[end[g - 1]..end[g]]`.
+    let mut offset = 0;
+    for e in end.iter_mut() {
+        (*e, offset) = (offset, offset + *e);
     }
-    let groups: Vec<(i64, Vec<f64>)> = groups.into_iter().collect();
-    match policy {
-        None => Ok(groups.into_iter().map(|(k, vs)| (k, canonical_sum(&vs))).collect()),
-        Some(policy) => Ok(run_blocks(
-            groups.len() as u64,
+    let mut grouped = vec![0.0; ids.len()];
+    let mut row = 0;
+    for_each_f64(engine, rel, value_attr, value_strategy, |run| {
+        if let Some(run_ids) = ids.get(row..row + run.len()) {
+            for (&g, &v) in run_ids.iter().zip(run) {
+                grouped[end[g]] = v;
+                end[g] += 1;
+            }
+        }
+        row += run.len();
+    })?;
+    if row != ids.len() {
+        return Err(length_mismatch(ids.len(), row));
+    }
+    let sums = |lo: usize, hi: usize| -> Vec<(i64, f64)> {
+        (lo..hi)
+            .filter_map(|g| {
+                let start = if g == 0 { 0 } else { end[g - 1] };
+                let group = &grouped[start..end[g]];
+                // Up to one row per segment, the canonical partials are the
+                // values themselves: the reduction is their tree sum.
+                let sum = match group.len() {
+                    0 => return None,
+                    n if kernels::reduce_seg_len(n) == 1 => kernels::tree_sum(group),
+                    _ => canonical_sum(group),
+                };
+                Some((id_keys[g], sum))
+            })
+            .collect()
+    };
+    Ok(match policy {
+        None => sums(0, id_keys.len()),
+        Some(policy) => run_blocks(
+            id_keys.len() as u64,
             policy,
-            |lo, hi| {
-                groups[lo as usize..hi as usize]
-                    .iter()
-                    .map(|(k, vs)| (*k, canonical_sum(vs)))
-                    .collect::<Vec<(i64, f64)>>()
-            },
+            |lo, hi| sums(lo as usize, hi as usize),
             |mut a, mut b| {
                 a.append(&mut b);
                 a
             },
             Vec::new(),
-        )),
-    }
+        ),
+    })
 }
 
 /// The naive volcano oracle: tuple-at-a-time `read_field` per row, then
@@ -546,11 +638,12 @@ fn exec_node(
         }
         PhysicalOp::AggregateSum => {
             let (rel, attr, pred) = sum_input(node)?;
-            exec_sum(engine, node, rel, attr, pred, policy, &mut span, executed)
+            exec_sum(engine, node, rel, attr, pred, &mut span, executed)
         }
         PhysicalOp::AggregateGroupSum { key_attr } => {
-            let (rel, value_attr) = group_input(node)?;
-            exec_group_sum(engine, node, rel, *key_attr, value_attr, policy, &mut span, executed)
+            let (rel, value_attr, key_strategy) = group_input(node)?;
+            let key = (*key_attr, key_strategy);
+            exec_group_sum(engine, node, rel, key, value_attr, policy, &mut span, executed)
         }
         PhysicalOp::Scan { rel, attr } => {
             // A bare scan materializes the column as records of one value
@@ -593,10 +686,10 @@ fn sum_input(node: &PhysicalNode) -> Result<(RelationId, AttrId, Option<Predicat
     }
 }
 
-/// Pull `(rel, value_attr)` out of a group-sum node (children are the key
-/// scan then the value scan; for a scatter root, descend through the
-/// `Gather` into the first per-shard subtree first).
-fn group_input(node: &PhysicalNode) -> Result<(RelationId, AttrId)> {
+/// Pull `(rel, value_attr, key scan strategy)` out of a group-sum node
+/// (children are the key scan then the value scan; for a scatter root,
+/// descend through the `Gather` into the first per-shard subtree first).
+fn group_input(node: &PhysicalNode) -> Result<(RelationId, AttrId, ScanStrategy)> {
     let mut holder = node;
     if let Some(first) = node.children.first() {
         if matches!(first.op, PhysicalOp::Gather { .. }) {
@@ -606,20 +699,19 @@ fn group_input(node: &PhysicalNode) -> Result<(RelationId, AttrId)> {
                 .ok_or_else(|| Error::Internal("gather without per-shard subtree".into()))?;
         }
     }
+    let key_strategy = holder.children.first().map_or(holder.strategy, |k| k.strategy);
     match holder.children.last().map(|c| &c.op) {
-        Some(PhysicalOp::Scan { rel, attr }) => Ok((*rel, *attr)),
+        Some(PhysicalOp::Scan { rel, attr }) => Ok((*rel, *attr, key_strategy)),
         _ => Err(Error::Internal("group-sum without value scan".into())),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn exec_sum(
     engine: &dyn StorageEngine,
     node: &PhysicalNode,
     rel: RelationId,
     attr: AttrId,
     pred: Option<Predicate>,
-    policy: ThreadingPolicy,
     span: &mut obs::SpanGuard,
     executed: &mut Route,
 ) -> Result<QueryOutput> {
@@ -660,23 +752,10 @@ fn exec_sum(
             Err(e) => return Err(e),
         }
     }
-    let values = collect_f64(engine, rel, attr, node.strategy)?;
-    if node.partition_rows > 0 {
-        // Sharded plans reduce at fragment granularity regardless of who
-        // executes them, so the host fallback matches the gathered result.
-        let sum = match pred {
-            None => sharded_canonical_sum(&values, node.partition_rows as usize),
-            Some(ref p) => sharded_canonical_filter_sum(&values, p, node.partition_rows as usize),
-        };
-        return Ok(QueryOutput::Sum(sum));
-    }
-    let sum = match (node.route, pred) {
-        (Route::HostPooledMorsel, None) => pooled_canonical_sum(&values, policy),
-        (Route::HostPooledMorsel, Some(ref p)) => pooled_canonical_filter_sum(&values, p, policy),
-        (_, None) => canonical_sum(&values),
-        (_, Some(ref p)) => canonical_filter_sum(&values, p),
-    };
-    Ok(QueryOutput::Sum(sum))
+    // Sharded plans reduce at fragment granularity regardless of who
+    // executes them, so the host fallback matches the gathered result.
+    let seg_len = (node.partition_rows > 0).then_some(node.partition_rows as usize);
+    Ok(QueryOutput::Sum(reduce_column(engine, rel, attr, node.strategy, seg_len, pred.as_ref())?))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -684,12 +763,13 @@ fn exec_group_sum(
     engine: &dyn StorageEngine,
     node: &PhysicalNode,
     rel: RelationId,
-    key_attr: AttrId,
+    key: (AttrId, ScanStrategy),
     value_attr: AttrId,
     policy: ThreadingPolicy,
     span: &mut obs::SpanGuard,
     executed: &mut Route,
 ) -> Result<QueryOutput> {
+    let (key_attr, key_strategy) = key;
     if let Route::Scatter { .. } = node.route {
         match engine.scatter_group_sum(rel, key_attr, value_attr) {
             Ok(groups) => return Ok(QueryOutput::Groups(groups)),
@@ -715,14 +795,10 @@ fn exec_group_sum(
         }
     }
     if node.partition_rows > 0 {
-        let keys = collect_keys(engine, rel, key_attr)?;
+        let keys = collect_keys(engine, rel, key_attr, key_strategy)?;
         let values = collect_f64(engine, rel, value_attr, node.strategy)?;
         if keys.len() != values.len() {
-            return Err(Error::Internal(format!(
-                "group-sum column length mismatch: {} keys vs {} values",
-                keys.len(),
-                values.len()
-            )));
+            return Err(length_mismatch(keys.len(), values.len()));
         }
         return Ok(QueryOutput::Groups(sharded_group_sum(
             &keys,
@@ -731,14 +807,7 @@ fn exec_group_sum(
         )));
     }
     let pooled = if node.route == Route::HostPooledMorsel { Some(policy) } else { None };
-    Ok(QueryOutput::Groups(group_sum_host(
-        engine,
-        rel,
-        key_attr,
-        value_attr,
-        node.strategy,
-        pooled,
-    )?))
+    Ok(QueryOutput::Groups(group_sum_scans(engine, rel, key, (value_attr, node.strategy), pooled)?))
 }
 
 #[cfg(test)]

@@ -1,14 +1,18 @@
 //! Randomized property tests for the execution layer: the two processing
 //! models (Volcano and bulk) and all three join algorithms must agree on
-//! arbitrary data under arbitrary layouts and threading policies. Driven by
+//! arbitrary data under arbitrary layouts and threading policies, and the
+//! streaming segment reducer must give the canonical reduction's bits
+//! whatever the block split. Driven by
 //! the deterministic in-repo [`Prng`] (seed honors `HTAPG_SEED`, printed on
 //! failure).
 
+use htapg_core::plan::Predicate;
 use htapg_core::prng::{check_cases, Prng};
 use htapg_core::{DataType, Layout, LayoutTemplate, Schema, Value};
+use htapg_device::kernels::{self, tree_sum, SegmentReducer};
 use htapg_exec::scan::{column_stats, sum_column_f64_typed};
 use htapg_exec::threading::ThreadingPolicy;
-use htapg_exec::{bulk, join, volcano};
+use htapg_exec::{bulk, join, physical, volcano};
 
 fn schema() -> Schema {
     Schema::of(&[("k", DataType::Int64), ("v", DataType::Float64)])
@@ -196,6 +200,100 @@ fn filter_positions_match_volcano_filter() {
         assert_eq!(positions.len(), vol.len());
         for (&p, rec) in positions.iter().zip(&vol) {
             assert_eq!(&l.read_record(&s, p).unwrap(), rec);
+        }
+    });
+}
+
+/// Split `n` rows into arbitrary blocks: empty ones, single rows, and
+/// spans that cut canonical segments anywhere.
+fn arb_splits(n: usize, rng: &mut Prng) -> Vec<usize> {
+    let mut cuts = Vec::new();
+    let mut at = 0;
+    while at < n {
+        let len = match rng.gen_range(0u32..4) {
+            0 => 0,
+            1 => 1,
+            _ => rng.gen_range(1..=n - at),
+        };
+        cuts.push(len);
+        at += len;
+    }
+    cuts.push(0);
+    cuts
+}
+
+/// The canonical reduction spelled out: `seg`-row chunks, each filtered
+/// then tree-summed, then the tree sum of the partials.
+fn chunked_sum(values: &[f64], seg: usize, keep: impl Fn(f64) -> bool) -> f64 {
+    let partials: Vec<f64> = values
+        .chunks(seg.max(1))
+        .map(|c| tree_sum(&c.iter().copied().filter(|&v| keep(v)).collect::<Vec<f64>>()))
+        .collect();
+    tree_sum(&partials)
+}
+
+#[test]
+fn segment_reducer_matches_canonical_sums_over_any_block_split() {
+    check_cases("segment_reducer_matches_canonical_sums", 60, 0xE8EC_0006, |case, rng| {
+        let n = rng.gen_range(0usize..6000);
+        // One column of each numeric type, as packed little-endian bytes.
+        let (ty, bytes, values): (DataType, Vec<u8>, Vec<f64>) = match case % 3 {
+            0 => {
+                let v: Vec<f64> = (0..n)
+                    .map(|_| rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-20i32..=20)))
+                    .collect();
+                (DataType::Float64, v.iter().flat_map(|x| x.to_le_bytes()).collect(), v)
+            }
+            1 => {
+                let v: Vec<i64> = (0..n).map(|_| rng.next_u64() as i64 >> 8).collect();
+                let f = v.iter().map(|&x| x as f64).collect();
+                (DataType::Int64, v.iter().flat_map(|x| x.to_le_bytes()).collect(), f)
+            }
+            _ => {
+                let v: Vec<i32> = (0..n).map(|_| rng.next_u64() as i32).collect();
+                let f = v.iter().map(|&x| x as f64).collect();
+                (DataType::Int32, v.iter().flat_map(|x| x.to_le_bytes()).collect(), f)
+            }
+        };
+        let dec = kernels::f64_decoder(ty).unwrap();
+        let pred = Predicate::Ge(0.0);
+        let seg = kernels::reduce_seg_len(n);
+        let part = rng.gen_range(1usize..3000);
+        let splits = arb_splits(n, rng);
+        let feed = |seg_len: usize, keep: Option<&Predicate>| {
+            let mut r = SegmentReducer::with_filter(seg_len, keep.map(|p| move |v| p.matches(v)));
+            let mut at = 0;
+            for (i, &len) in splits.iter().enumerate() {
+                // Alternate byte blocks and decoded blocks.
+                if i % 2 == 0 {
+                    r.push_bytes(&bytes[at * dec.width..(at + len) * dec.width], dec);
+                } else {
+                    r.push_f64s(&values[at..at + len]);
+                }
+                at += len;
+            }
+            assert_eq!(r.rows(), n);
+            r.finish()
+        };
+        let all = |_: f64| true;
+        let keep = |v: f64| pred.matches(v);
+        for (got, want) in [
+            (feed(seg, None), physical::canonical_sum(&values)),
+            (feed(seg, Some(&pred)), physical::canonical_filter_sum(&values, &pred)),
+            (feed(part, None), physical::sharded_canonical_sum(&values, part)),
+            (feed(part, Some(&pred)), physical::sharded_canonical_filter_sum(&values, &pred, part)),
+            (feed(seg, None), chunked_sum(&values, seg, all)),
+            (feed(seg, Some(&pred)), chunked_sum(&values, seg, keep)),
+            (feed(part, Some(&pred)), chunked_sum(&values, part, keep)),
+        ] {
+            assert_eq!(got.to_bits(), want.to_bits(), "{} rows of {}", n, ty.name());
+        }
+        for threads in [1usize, 2, 8] {
+            let policy = ThreadingPolicy::Multi { threads };
+            let pooled = physical::pooled_canonical_sum(&values, policy);
+            assert_eq!(pooled.to_bits(), chunked_sum(&values, seg, all).to_bits());
+            let pooled = physical::pooled_canonical_filter_sum(&values, &pred, policy);
+            assert_eq!(pooled.to_bits(), chunked_sum(&values, seg, keep).to_bits());
         }
     });
 }

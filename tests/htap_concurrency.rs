@@ -4,8 +4,9 @@
 //! in-place updates, and that the reference engine's snapshots are truly
 //! consistent under fire.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use htapg::core::engine::StorageEngine;
 use htapg::core::{Error, Value};
@@ -58,10 +59,12 @@ fn reference_engine_snapshots_preserve_invariants_under_transfers() {
     let total = 100.0 * rows as f64;
 
     let stop = Arc::new(AtomicBool::new(false));
+    let commits = Arc::new(AtomicU64::new(0));
     let mut writers = Vec::new();
     for w in 0..4u64 {
         let engine = engine.clone();
         let stop = stop.clone();
+        let commits = commits.clone();
         writers.push(std::thread::spawn(move || {
             let mut moved = 0u64;
             let mut attempt = 0u64;
@@ -98,6 +101,7 @@ fn reference_engine_snapshots_preserve_invariants_under_transfers() {
                     Ok(()) => {
                         engine.txn_commit(rel, &txn).unwrap();
                         moved += 1;
+                        commits.fetch_add(1, Ordering::Relaxed);
                     }
                     Err(Error::TxnConflict { .. }) => {
                         engine.txn_abort(rel, &txn).unwrap();
@@ -109,11 +113,16 @@ fn reference_engine_snapshots_preserve_invariants_under_transfers() {
         }));
     }
 
-    // Readers: every snapshot must see exactly the invariant total.
-    for _ in 0..50 {
+    // Readers: every snapshot must see exactly the invariant total. They
+    // keep reading until a writer has committed, so the snapshots overlap
+    // commits however the threads happen to be scheduled.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut reads = 0;
+    while reads < 50 || (commits.load(Ordering::Relaxed) == 0 && Instant::now() < deadline) {
         let ts = engine.txn_manager().now();
         let sum = engine.sum_column_as_of(rel, customer_attr::C_BALANCE, ts).unwrap();
         assert!((sum - total).abs() < 1e-6, "snapshot sum {sum} broke the invariant {total}");
+        reads += 1;
     }
     stop.store(true, Ordering::Relaxed);
     let committed: u64 = writers.into_iter().map(|h| h.join().unwrap()).sum();
