@@ -609,7 +609,7 @@ pub struct ShardPlanEvidence {
 /// implementation derives it statically from capabilities and schema;
 /// device-backed engines override it to report live replica warmth, and
 /// the reference engine reports its overlay state (a non-empty overlay
-/// disables the contiguous fast path).
+/// prices its scans at the record width).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColumnEvidence {
     pub rows: u64,

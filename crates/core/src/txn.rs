@@ -78,20 +78,14 @@ pub struct Txn {
     pub start_ts: Timestamp,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxnStatus {
-    /// Active, with its snapshot timestamp (for the GC horizon).
-    Active(Timestamp),
-    Committed(Timestamp),
-    Aborted,
-}
-
-/// Issues transaction ids / timestamps and tracks transaction outcomes.
+/// Issues transaction ids / timestamps and tracks the active transactions.
 #[derive(Debug)]
 pub struct TxnManager {
     clock: AtomicU64,
     next_txn: AtomicU64,
-    states: RwLock<HashMap<TxnId, TxnStatus>>,
+    /// Active transactions with their snapshot timestamps (the GC
+    /// horizon); a transaction leaves when it commits or aborts.
+    active: RwLock<HashMap<TxnId, Timestamp>>,
 }
 
 impl Default for TxnManager {
@@ -105,7 +99,7 @@ impl TxnManager {
         TxnManager {
             clock: AtomicU64::new(1),
             next_txn: AtomicU64::new(1),
-            states: RwLock::new(HashMap::new()),
+            active: RwLock::new(HashMap::new()),
         }
     }
 
@@ -113,7 +107,7 @@ impl TxnManager {
     pub fn begin(&self) -> Txn {
         let id = self.next_txn.fetch_add(1, Ordering::Relaxed);
         let start_ts = self.clock.load(Ordering::SeqCst);
-        self.states.write().insert(id, TxnStatus::Active(start_ts));
+        self.active.write().insert(id, start_ts);
         counters().begins.inc();
         Txn { id, start_ts }
     }
@@ -124,9 +118,10 @@ impl TxnManager {
     }
 
     fn check_active(&self, txn: &Txn) -> Result<()> {
-        match self.states.read().get(&txn.id) {
-            Some(TxnStatus::Active(_)) => Ok(()),
-            _ => Err(Error::TxnNotActive { txn: txn.id }),
+        if self.active.read().contains_key(&txn.id) {
+            Ok(())
+        } else {
+            Err(Error::TxnNotActive { txn: txn.id })
         }
     }
 
@@ -134,29 +129,19 @@ impl TxnManager {
     /// garbage-collection horizon: versions only older readers could see
     /// are reclaimable once this passes them.
     pub fn oldest_active_start(&self) -> Option<Timestamp> {
-        self.states
-            .read()
-            .values()
-            .filter_map(|s| match s {
-                TxnStatus::Active(ts) => Some(*ts),
-                _ => None,
-            })
-            .min()
+        self.active.read().values().copied().min()
     }
 
     fn finish(&self, txn: &Txn, commit: bool) -> Result<Option<Timestamp>> {
-        let mut states = self.states.write();
-        match states.get(&txn.id) {
-            Some(TxnStatus::Active(_)) => {}
-            _ => return Err(Error::TxnNotActive { txn: txn.id }),
+        let mut active = self.active.write();
+        if active.remove(&txn.id).is_none() {
+            return Err(Error::TxnNotActive { txn: txn.id });
         }
         if commit {
             let ts = self.clock.fetch_add(1, Ordering::SeqCst) + 1;
-            states.insert(txn.id, TxnStatus::Committed(ts));
             counters().commits.inc();
             Ok(Some(ts))
         } else {
-            states.insert(txn.id, TxnStatus::Aborted);
             counters().aborts.inc();
             Ok(None)
         }
@@ -404,9 +389,17 @@ impl<K: Hash + Eq + Clone, V: Clone> MvStore<K, V> {
         self.chains.read().values().map(Vec::len).sum()
     }
 
-    /// Visit every key's committed-as-of-now value.
-    pub fn for_each_committed(&self, f: &mut dyn FnMut(&K, &V)) {
-        let ts = self.mgr.now();
+    /// Whether the store holds no version at all. Exact in O(1): no chain
+    /// is ever left empty — `write` pushes or fails before inserting, and
+    /// `abort`, `vacuum` and `prune_merged` drop the chains they empty.
+    pub fn is_empty(&self) -> bool {
+        self.chains.read().is_empty()
+    }
+
+    /// Visit every key that [`get_as_of`](Self::get_as_of) would answer
+    /// at commit timestamp `ts`, with that value, in one pass under one
+    /// read of the version map (tombstoned keys are skipped).
+    pub fn for_each_as_of(&self, ts: Timestamp, f: &mut dyn FnMut(&K, &V)) {
         let chains = self.chains.read();
         for (k, chain) in chains.iter() {
             if let Some(v) = chain.iter().rev().find(|v| self.version_visible(v, TxnId::MAX, ts)) {
@@ -415,6 +408,11 @@ impl<K: Hash + Eq + Clone, V: Clone> MvStore<K, V> {
                 }
             }
         }
+    }
+
+    /// Visit every key's committed-as-of-now value.
+    pub fn for_each_committed(&self, f: &mut dyn FnMut(&K, &V)) {
+        self.for_each_as_of(self.mgr.now(), f)
     }
 }
 
@@ -570,6 +568,90 @@ mod tests {
         assert_eq!(store.put(&t, 1, "x".into()), Err(Error::TxnNotActive { txn: t.id }));
         assert!(store.commit(&t).is_err());
         assert!(store.abort(&t).is_err());
+    }
+
+    #[test]
+    fn finished_transactions_are_not_tracked() {
+        let (mgr, store) = setup();
+        for i in 0..10_000u64 {
+            let t = mgr.begin();
+            if i % 2 == 0 {
+                store.put(&t, i % 7, format!("v{i}")).unwrap();
+                store.commit(&t).unwrap();
+            } else {
+                store.put(&t, 100 + i % 5, "x".into()).unwrap();
+                store.abort(&t).unwrap();
+            }
+        }
+        assert!(mgr.active.read().is_empty(), "finished transactions must not be tracked");
+        assert_eq!(mgr.oldest_active_start(), None);
+        // A finished transaction stays finished: both outcomes are final.
+        let (c, a) = (mgr.begin(), mgr.begin());
+        assert_eq!(mgr.oldest_active_start(), Some(c.start_ts));
+        store.commit(&c).unwrap();
+        store.abort(&a).unwrap();
+        for t in [c, a] {
+            assert_eq!(store.commit(&t), Err(Error::TxnNotActive { txn: t.id }));
+            assert_eq!(store.abort(&t), Err(Error::TxnNotActive { txn: t.id }));
+        }
+        assert!(mgr.active.read().is_empty());
+    }
+
+    #[test]
+    fn for_each_as_of_agrees_with_get_as_of() {
+        let (mgr, store) = setup();
+        let mut stamps = vec![mgr.now()];
+        for i in 0..6u64 {
+            let w = mgr.begin();
+            store.put(&w, i % 3, format!("v{i}")).unwrap();
+            if i == 4 {
+                store.delete(&w, 0).unwrap();
+            }
+            stamps.push(store.commit(&w).unwrap());
+        }
+        // Pending and aborted writes are invisible at every timestamp.
+        let open = mgr.begin();
+        store.put(&open, 9, "pending".into()).unwrap();
+        let gone = mgr.begin();
+        store.put(&gone, 8, "aborted".into()).unwrap();
+        store.abort(&gone).unwrap();
+        for &ts in &stamps {
+            let mut seen = Vec::new();
+            store.for_each_as_of(ts, &mut |k, v| seen.push((*k, v.clone())));
+            seen.sort();
+            let want: Vec<(u64, String)> =
+                (0..10).filter_map(|k| store.get_as_of(ts, &k).map(|v| (k, v))).collect();
+            assert_eq!(seen, want, "as of {ts}");
+        }
+    }
+
+    #[test]
+    fn is_empty_tracks_the_version_count() {
+        let (mgr, store) = setup();
+        let agree = |store: &MvStore<u64, String>| {
+            assert_eq!(store.is_empty(), store.version_count() == 0);
+        };
+        agree(&store);
+        assert!(store.is_empty());
+        let t = mgr.begin();
+        store.put(&t, 1, "a".into()).unwrap();
+        agree(&store);
+        store.abort(&t).unwrap();
+        agree(&store);
+        assert!(store.is_empty(), "an aborted first write leaves no chain");
+        for i in 0..3 {
+            let w = mgr.begin();
+            store.put(&w, 1, format!("v{i}")).unwrap();
+            agree(&store);
+            store.commit(&w).unwrap();
+            agree(&store);
+        }
+        assert_eq!(store.vacuum(mgr.now()), 2);
+        agree(&store);
+        assert!(!store.is_empty());
+        assert_eq!(store.prune_merged(mgr.now()), 1);
+        agree(&store);
+        assert!(store.is_empty());
     }
 
     #[test]

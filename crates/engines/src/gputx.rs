@@ -408,8 +408,9 @@ impl StorageEngine for GputxEngine {
     ) -> Result<()> {
         let device = self.device.clone();
         self.rels.read(rel, |r| {
-            let col = r.columns.get(attr as usize).ok_or(Error::UnknownAttribute(attr))?;
             let ty = r.schema.ty(attr)?;
+            // Column buffers are allocated on the first insert.
+            let Some(col) = r.columns.get(attr as usize) else { return Ok(()) };
             device.with_buffer(col.buf, |bytes| {
                 for row in 0..r.rows {
                     let off = row as usize * col.width;
@@ -436,7 +437,9 @@ impl StorageEngine for GputxEngine {
     ) -> Result<bool> {
         let device = self.device.clone();
         self.rels.read(rel, |r| {
-            let col = r.columns.get(attr as usize).ok_or(Error::UnknownAttribute(attr))?;
+            r.schema.ty(attr)?;
+            // Column buffers are allocated on the first insert.
+            let Some(col) = r.columns.get(attr as usize) else { return Ok(true) };
             device.with_buffer(col.buf, |bytes| {
                 visit(&bytes[..r.rows as usize * col.width]);
             })?;
@@ -556,6 +559,34 @@ mod tests {
         assert_eq!(e.read_field(rel, 42, 1).unwrap(), Value::Float64(-1.0));
         let sum = e.sum_column_f64(rel, 0).unwrap();
         assert_eq!(sum, (0..100i64).sum::<i64>() as f64);
+    }
+
+    #[test]
+    fn analytics_on_an_empty_relation_visit_no_rows() {
+        use htapg_core::plan::{LogicalPlan, Predicate};
+        use htapg_exec::physical;
+        use htapg_exec::threading::ThreadingPolicy;
+        let e = GputxEngine::new();
+        let rel = e.create_relation(schema()).unwrap();
+        for logical in
+            [LogicalPlan::sum(rel, 1), LogicalPlan::filter_sum(rel, 1, Predicate::Ge(0.0))]
+        {
+            let plan = e.plan(&logical).unwrap();
+            let out = physical::execute(&e, &plan, ThreadingPolicy::Single).unwrap();
+            assert_eq!(out.as_sum().map(f64::to_bits), Some(0.0f64.to_bits()), "{logical:?}");
+        }
+        let plan = e.plan(&LogicalPlan::group_sum(rel, 0, 1)).unwrap();
+        let out = physical::execute(&e, &plan, ThreadingPolicy::Single).unwrap();
+        assert_eq!(out.as_groups(), Some(&[][..]));
+        let mut visited = 0;
+        e.scan_column(rel, 2, &mut |_, _| visited += 1).unwrap();
+        assert!(e.with_column_bytes(rel, 1, &mut |_| visited += 1).unwrap());
+        assert_eq!(visited, 0);
+        // An attribute outside the schema still errors.
+        assert_eq!(e.scan_column(rel, 3, &mut |_, _| {}), Err(Error::UnknownAttribute(3)));
+        assert_eq!(e.with_column_bytes(rel, 3, &mut |_| {}), Err(Error::UnknownAttribute(3)));
+        let plan = e.plan(&LogicalPlan::sum(rel, 3));
+        assert!(plan.and_then(|p| physical::execute(&e, &p, ThreadingPolicy::Single)).is_err());
     }
 
     #[test]

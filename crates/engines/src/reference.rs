@@ -304,10 +304,11 @@ impl ReferenceEngine {
         self.rels.read(rel, |r| {
             r.stats.record_scan(attr);
             let ty = r.relation.schema().ty(attr)?;
-            r.relation.for_each_field(attr, |row, bytes| {
-                match r.overlay.get_as_of(ts, &(row, attr)) {
-                    Some(v) => visit(row, &v),
-                    None => visit(row, &Value::decode(ty, bytes)),
+            let mut row = 0;
+            r.snapshot_blocks(attr, ts, &mut |block| {
+                for field in block.chunks_exact(ty.width()) {
+                    visit(row, &Value::decode(ty, field));
+                    row += 1;
                 }
             })
         })
@@ -460,7 +461,6 @@ impl ReferenceEngine {
     fn ensure_device_replica(&self, rel: RelationId, attr: AttrId) -> Result<()> {
         let device = self.device.clone();
         let cache = self.cache.clone();
-        let ts = self.mgr.now();
         self.rels.read(rel, |r| {
             if cache.contains(rel, attr, r.version) {
                 return Ok(());
@@ -476,57 +476,106 @@ impl ReferenceEngine {
                     return Ok(());
                 }
             }
-            let ty = r.relation.schema().ty(attr)?;
-            if matches!(ty, DataType::Text(_) | DataType::Bool) {
-                return Err(Error::TypeMismatch { expected: "numeric", got: ty.name() });
-            }
-            let rows = r.relation.row_count();
-            if rows == 0 {
+            // Snapshot inside the registry read: every commit stamped by
+            // now has bumped `r.version` or is blocked behind this read
+            // and will log its delta, so the replica never misses a write
+            // its version stamp claims.
+            let bytes = r.pack_f64(attr, self.mgr.now())?;
+            if bytes.is_empty() {
                 return Err(Error::Internal("empty relation has no device replica".into()));
             }
-            let mut bytes = Vec::with_capacity(rows as usize * 8);
-            for row in 0..rows {
-                let x = match r.overlay.get_as_of(ts, &(row, attr)) {
-                    Some(v) => v.as_f64()?,
-                    None => {
-                        r.relation.read_value(row, attr, AccessHint::AttributeCentric)?.as_f64()?
-                    }
-                };
-                bytes.extend_from_slice(&x.to_le_bytes());
-            }
             cache
-                .get_or_insert_with(rel, attr, r.version, rows, true, || {
+                .get_or_insert_with(rel, attr, r.version, r.relation.row_count(), true, || {
                     with_retry(&RetryPolicy::default(), device.ledger(), || device.upload(&bytes))
                 })
                 .map(|_| ())
         })
     }
+}
 
-    fn pack_column_f64(r: &RefRelation, attr: AttrId) -> Result<Vec<u8>> {
-        let ty = r.relation.schema().ty(attr)?;
-        match ty {
-            DataType::Text(_) | DataType::Bool => {
-                return Err(Error::TypeMismatch { expected: "numeric", got: ty.name() })
+/// Rows per piece a strided column is gathered in: one primary chunk.
+const GATHER_ROWS: u64 = DEFAULT_CHUNK_ROWS;
+
+impl RefRelation {
+    /// The column `attr` as of `ts`, in row order, as blocks of fixed-width
+    /// little-endian fields: the authoritative layout's bytes with every
+    /// overlay version visible at `ts` encoded over its row. The overlay
+    /// is resolved once, under one read of the version map; contiguous
+    /// columns are emitted in place around the patched rows, strided ones
+    /// gathered a chunk at a time into one reused buffer. Under the
+    /// caller's registry read the blocks hold exactly the bits of per-row
+    /// [`MvStore::get_as_of`] reads (DESIGN.md §12).
+    fn snapshot_blocks(
+        &self,
+        attr: AttrId,
+        ts: Timestamp,
+        visit: &mut dyn FnMut(&[u8]),
+    ) -> Result<()> {
+        let ty = self.relation.schema().ty(attr)?;
+        let w = ty.width();
+        let mut versions = Vec::new();
+        self.overlay.for_each_as_of(ts, &mut |&(row, a), v| {
+            if a == attr {
+                versions.push((row, v.clone()));
             }
-            _ => {}
-        }
-        let mut out = Vec::new();
-        r.relation.for_each_field(attr, |_, bytes| {
-            let x = match ty {
-                DataType::Float64 => f64::from_le_bytes(bytes.try_into().unwrap()),
-                DataType::Int64 => i64::from_le_bytes(bytes.try_into().unwrap()) as f64,
-                DataType::Int32 | DataType::Date => {
-                    i32::from_le_bytes(bytes.try_into().unwrap()) as f64
+        });
+        versions.sort_unstable_by_key(|&(row, _)| row);
+        let mut versions = versions.into_iter().peekable();
+        let (mut field, mut buf) = (vec![0; w], Vec::new());
+        let layout = if self.delegated.contains(&attr) { ANALYTIC } else { PRIMARY };
+        for view in self.relation.layouts()[layout].column_views(attr)? {
+            let end = view.first_row + view.rows;
+            if let Some(block) = view.contiguous_bytes() {
+                let mut from = 0;
+                while let Some((row, v)) = versions.next_if(|&(row, _)| row < end) {
+                    let at = (row - view.first_row) as usize * w;
+                    if from < at {
+                        visit(&block[from..at]);
+                    }
+                    v.encode_into(ty, &mut field)?;
+                    visit(&field);
+                    from = at + w;
                 }
-                _ => unreachable!(),
-            };
-            out.extend_from_slice(&x.to_le_bytes());
+                if from < block.len() {
+                    visit(&block[from..]);
+                }
+                continue;
+            }
+            for lo in (0..view.rows).step_by(GATHER_ROWS as usize) {
+                let piece = view.slice_rows(lo, (lo + GATHER_ROWS).min(view.rows));
+                buf.clear();
+                for i in 0..piece.rows as usize {
+                    buf.extend_from_slice(piece.field(i));
+                }
+                let end = piece.first_row + piece.rows;
+                while let Some((row, v)) = versions.next_if(|&(row, _)| row < end) {
+                    let at = (row - piece.first_row) as usize * w;
+                    v.encode_into(ty, &mut buf[at..at + w])?;
+                }
+                visit(&buf);
+            }
+        }
+        debug_assert!(versions.next().is_none(), "an overlay version past the last row");
+        Ok(())
+    }
+
+    /// The column `attr` as of `ts` packed to little-endian `f64`, the
+    /// layout of every device replica; a type error for `Text`/`Bool`.
+    fn pack_f64(&self, attr: AttrId, ts: Timestamp) -> Result<Vec<u8>> {
+        let ty = self.relation.schema().ty(attr)?;
+        let dec = kernels::f64_decoder(ty)
+            .ok_or(Error::TypeMismatch { expected: "numeric", got: ty.name() })?;
+        let mut out = Vec::with_capacity(self.relation.row_count() as usize * 8);
+        let mut x = [0.0];
+        self.snapshot_blocks(attr, ts, &mut |block| {
+            for field in block.chunks_exact(dec.width) {
+                (dec.decode)(field, &mut x);
+                out.extend_from_slice(&x[0].to_le_bytes());
+            }
         })?;
         Ok(out)
     }
-}
 
-impl RefRelation {
     fn relation_scheme_mut(&mut self) -> &mut Scheme {
         // Relation does not expose a scheme setter publicly; rebuild via a
         // dedicated accessor on Relation would be cleaner, but replacing
@@ -671,6 +720,9 @@ impl StorageEngine for ReferenceEngine {
         self.scan_column_as_of(rel, attr, self.mgr.now(), visit)
     }
 
+    /// Every column as blocks of the current snapshot (see
+    /// `RefRelation::snapshot_blocks`): unmerged versions are patched in,
+    /// strided columns gathered.
     fn with_column_bytes(
         &self,
         rel: RelationId,
@@ -679,15 +731,8 @@ impl StorageEngine for ReferenceEngine {
     ) -> Result<bool> {
         self.rels.read(rel, |r| {
             r.stats.record_scan(attr);
-            // Unmerged committed versions would be missed by a raw scan.
-            if r.overlay.version_count() > 0 {
-                return Ok(false);
-            }
-            if r.delegated.contains(&attr) {
-                r.relation.layouts()[ANALYTIC].with_column_bytes(attr, visit)
-            } else {
-                r.relation.layouts()[PRIMARY].with_column_bytes(attr, visit)
-            }
+            r.snapshot_blocks(attr, self.mgr.now(), visit)?;
+            Ok(true)
         })
     }
 
@@ -710,25 +755,23 @@ impl StorageEngine for ReferenceEngine {
         Some(self.device.spec().cost_profile())
     }
 
-    /// Planner evidence without side effects: contiguity holds only when
-    /// the overlay is drained and the column is delegated to the analytic
-    /// (thin DSM) layout; warmth is a cache peek at the current relation
-    /// version (no counters, no virtual launches charged).
+    /// Planner evidence without side effects: every column streams as
+    /// snapshot blocks, so scans are contiguous; the stride is the value
+    /// width only for a column delegated to the analytic (thin DSM) layout
+    /// while the overlay is empty, the record width otherwise. Warmth is a
+    /// cache peek at the current relation version (no counters, no virtual
+    /// launches charged).
     fn column_evidence(&self, rel: RelationId, attr: AttrId) -> Result<ColumnEvidence> {
         self.rels.read(rel, |r| {
             let schema = r.relation.schema();
             let ty = schema.ty(attr)?;
-            let contiguous = r.overlay.version_count() == 0 && r.delegated.contains(&attr);
+            let packed = r.overlay.is_empty() && r.delegated.contains(&attr);
             let stale = self.cache.stale_info(rel, attr, r.version);
             Ok(ColumnEvidence {
                 rows: r.relation.row_count(),
                 ty,
-                scan_stride: if contiguous {
-                    ty.width() as u64
-                } else {
-                    schema.tuple_width() as u64
-                },
-                contiguous,
+                scan_stride: if packed { ty.width() as u64 } else { schema.tuple_width() as u64 },
+                contiguous: true,
                 device_warm: stale.is_some_and(|i| i.stale_rows == 0),
                 stale_rows: stale.map_or(0, |i| i.stale_rows),
             })
@@ -892,7 +935,7 @@ impl StorageEngine for ReferenceEngine {
                         }
                     }
                 }
-                let bytes = Self::pack_column_f64(&r, attr)?;
+                let bytes = r.pack_f64(attr, self.mgr.now())?;
                 let rows = r.relation.row_count();
                 match self.cache.get_or_insert_with(rel, attr, r.version, rows, false, || {
                     with_retry(&RetryPolicy::default(), device.ledger(), || device.upload(&bytes))

@@ -13,19 +13,24 @@
 //! * the planner prices the three routes the paper's storage engine needs:
 //!   small delta ⇒ merge at `stale_rows * 16` PCIe bytes, huge delta ⇒
 //!   full re-upload at `rows * 8`, cold column ⇒ routing unchanged by the
-//!   delta machinery.
+//!   delta machinery;
+//! * the reference engine re-packs a replica whose log outgrew half the
+//!   column from its snapshot, bit-identical to the Volcano sum.
 
 use std::sync::Arc;
 
 use htapg::core::costmodel::CacheSpec;
+use htapg::core::engine::StorageEngine;
 use htapg::core::plan::{
     build_plan, ColumnEvidence, DeviceCostProfile, EngineCapabilities, LogicalPlan, PlannerContext,
     Route, TableEvidence, DELTA_PAIR_BYTES,
 };
 use htapg::core::prng::{check_cases, Prng};
-use htapg::core::DataType;
+use htapg::core::{DataType, Schema, Value};
 use htapg::device::kernels;
 use htapg::device::{DeltaTransport, DeviceColumnCache, FaultPlan, FaultRates, SimDevice};
+use htapg::engines::ReferenceEngine;
+use htapg::exec::physical;
 use htapg::taxonomy::survey;
 
 const REL: u32 = 7;
@@ -184,6 +189,52 @@ fn faulted_delta_transfers_never_publish_a_partial_merge() {
             );
             assert!(snap.delta_bytes >= stale * DELTA_PAIR_BYTES);
             assert_eq!(snap.delta_merges, 1, "only the successful merge is recorded");
+        },
+    );
+}
+
+#[test]
+fn reference_repacks_a_replica_past_half_the_column_from_its_snapshot() {
+    check_cases(
+        "reference_repacks_a_replica_past_half_the_column_from_its_snapshot",
+        6,
+        0xDE17_A003,
+        |_, rng| {
+            let e = ReferenceEngine::new();
+            let schema = Schema::of(&[("k", DataType::Int64), ("v", DataType::Float64)]);
+            let rel = e.create_relation(schema).unwrap();
+            let rows = rng.gen_range(64u64..6000);
+            for k in 0..rows as i64 {
+                e.insert(rel, &vec![Value::Int64(k), Value::Float64(rng.gen_range(-1e6..1e6))])
+                    .unwrap();
+            }
+            let sum = e.device_sum_column(rel, ATTR).unwrap();
+            assert_eq!(sum.to_bits(), physical::volcano_sum(&e, rel, ATTR).unwrap().to_bits());
+            // Commit writes to more than half the rows, some twice, so the
+            // delta log outgrows the merge crossover.
+            let mut order: Vec<u64> = (0..rows).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            let written = rows / 2 + 1 + rng.gen_range(0..rows / 2);
+            for &row in order[..written as usize].iter().chain(&order[..8]) {
+                e.update_field(rel, row, ATTR, &Value::Float64(rng.gen_range(-1e6..1e6))).unwrap();
+            }
+            let stale = e.column_evidence(rel, ATTR).unwrap().stale_rows;
+            assert!(stale * 2 > rows, "{stale} stale rows of {rows} must exceed half the column");
+            // Neither a pending nor an aborted write may reach the replica.
+            let open = e.begin();
+            e.txn_update(rel, &open, order[0], ATTR, Value::Float64(1e300)).unwrap();
+            let aborted = e.begin();
+            e.txn_update(rel, &aborted, order[rows as usize - 1], ATTR, Value::Float64(-1e300))
+                .unwrap();
+            e.txn_abort(rel, &aborted).unwrap();
+            let sum = e.device_sum_column(rel, ATTR).unwrap();
+            let oracle = physical::volcano_sum(&e, rel, ATTR).unwrap();
+            assert_eq!(sum.to_bits(), oracle.to_bits(), "re-packed replica vs volcano");
+            let ev = e.column_evidence(rel, ATTR).unwrap();
+            assert!(ev.device_warm && ev.stale_rows == 0, "the re-pack leaves a fresh replica");
+            e.txn_abort(rel, &open).unwrap();
         },
     );
 }
