@@ -78,6 +78,16 @@ impl Schema {
         Ok(self.attr(id)?.ty)
     }
 
+    /// The type of `id` as a group-by key: an integer type, whose every
+    /// value [`Value::as_i64`] reads; [`Error::NonNumericAggregate`] for
+    /// any other.
+    pub fn key_ty(&self, id: AttrId) -> Result<DataType> {
+        match self.ty(id)? {
+            ty @ (DataType::Int32 | DataType::Int64 | DataType::Date) => Ok(ty),
+            ty => Err(Error::NonNumericAggregate { attr: id, got: ty.name() }),
+        }
+    }
+
     pub fn width(&self, id: AttrId) -> Result<usize> {
         Ok(self.attr(id)?.ty.width())
     }

@@ -156,6 +156,30 @@ impl<K: Fn(f64) -> bool + Copy> SegmentReducer<K> {
         self.total_rows
     }
 
+    /// Rows per segment.
+    pub fn seg_len(&self) -> usize {
+        self.seg_len
+    }
+
+    /// An empty reducer with this one's segment length and filter, to be
+    /// fed whole segments elsewhere and then [`append`](Self::append)ed.
+    pub fn fork(&self) -> Self {
+        Self::with_filter(self.seg_len, self.keep)
+    }
+
+    /// Append the partials of `other`, a reducer fed — elsewhere, typically
+    /// on another thread — the whole segments that follow this reducer's
+    /// rows. Both stand at a segment boundary, so the partials are exactly
+    /// those of feeding the same rows here.
+    pub fn append(&mut self, other: Self) {
+        assert!(
+            self.seg_rows == 0 && other.seg_rows == 0 && self.seg_len == other.seg_len,
+            "appended partials must cover whole segments of the same length"
+        );
+        self.partials.extend_from_slice(&other.partials);
+        self.total_rows += other.total_rows;
+    }
+
     /// Feed the next rows as a block of packed values read by `dec` (a
     /// trailing partial value is ignored).
     pub fn push_bytes(&mut self, bytes: &[u8], dec: Decoder<f64>) {

@@ -426,11 +426,11 @@ impl StorageEngine for CogadbEngine {
         key_attr: AttrId,
         value_attr: AttrId,
     ) -> Result<Vec<(i64, f64)>> {
+        self.schema(rel)?.key_ty(key_attr)?;
         let mut positions: std::collections::BTreeMap<i64, Vec<u64>> = Default::default();
         self.scan_column(rel, key_attr, &mut |row, v| {
-            if let Ok(k) = v.as_i64() {
-                positions.entry(k).or_default().push(row);
-            }
+            let k = v.as_i64().expect("key type checked integer above");
+            positions.entry(k).or_default().push(row);
         })?;
         self.rels.read(rel, |r| {
             r.stats.record_scan(value_attr);

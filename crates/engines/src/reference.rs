@@ -807,12 +807,12 @@ impl StorageEngine for ReferenceEngine {
         key_attr: AttrId,
         value_attr: AttrId,
     ) -> Result<Vec<(i64, f64)>> {
+        self.schema(rel)?.key_ty(key_attr)?;
         self.ensure_device_replica(rel, value_attr)?;
         let mut positions: std::collections::BTreeMap<i64, Vec<u64>> = Default::default();
         self.scan_column(rel, key_attr, &mut |row, v| {
-            if let Ok(k) = v.as_i64() {
-                positions.entry(k).or_default().push(row);
-            }
+            let k = v.as_i64().expect("key type checked integer above");
+            positions.entry(k).or_default().push(row);
         })?;
         let device = self.device.clone();
         self.rels.read(rel, |r| {

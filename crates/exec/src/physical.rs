@@ -26,8 +26,10 @@ use htapg_core::plan::{
 use htapg_core::{obs, AttrId, DataType, Error, Record, RelationId, Result, Value};
 use htapg_device::kernels::{self, Decoder, SegmentReducer};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::threading::{run_blocks, ThreadingPolicy};
+use crate::pool::MORSEL_ROWS;
+use crate::threading::{run_each, ThreadingPolicy};
 
 /// Result of interpreting a plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,13 +64,12 @@ pub fn canonical_sum(values: &[f64]) -> f64 {
     reduce_values(values, kernels::reduce_seg_len(values.len()), None)
 }
 
-/// Pooled canonical reduction, bit-identical to [`canonical_sum`] for every
-/// pool size. The canonical segmentation has at most
-/// [`kernels::REDUCE_GRID`] segments, less than one pool morsel, so the
-/// pool would run them inline on the caller anyway: the serial pass is the
-/// pooled one.
-pub fn pooled_canonical_sum(values: &[f64], _policy: ThreadingPolicy) -> f64 {
-    canonical_sum(values)
+/// [`canonical_sum`] on the pool: the whole segments that start in each
+/// morsel reduce there, on up to `policy.threads()` threads, and the
+/// partials join in row order — bit-identical for every policy and pool
+/// size. Fewer than two morsels of values reduce on the caller.
+pub fn pooled_canonical_sum(values: &[f64], policy: ThreadingPolicy) -> f64 {
+    pooled_reduce(values, None, policy)
 }
 
 /// Canonical *fused* filter+sum: per segment, compact the values matching
@@ -121,14 +122,14 @@ pub fn sharded_group_sum(keys: &[i64], values: &[f64], partition_rows: usize) ->
     acc.into_iter().map(|(k, partials)| (k, kernels::tree_sum(&partials))).collect()
 }
 
-/// Pooled variant of [`canonical_filter_sum`]: the serial pass, for the
-/// reason given at [`pooled_canonical_sum`].
+/// [`canonical_filter_sum`] on the pool, split like
+/// [`pooled_canonical_sum`].
 pub fn pooled_canonical_filter_sum(
     values: &[f64],
     pred: &Predicate,
-    _policy: ThreadingPolicy,
+    policy: ThreadingPolicy,
 ) -> f64 {
-    canonical_filter_sum(values, pred)
+    pooled_reduce(values, Some(pred), policy)
 }
 
 /// A canonical reducer at `seg_len` rows per segment, keeping only the
@@ -136,7 +137,7 @@ pub fn pooled_canonical_filter_sum(
 fn reducer(
     seg_len: usize,
     pred: Option<&Predicate>,
-) -> SegmentReducer<impl Fn(f64) -> bool + Copy> {
+) -> SegmentReducer<impl Fn(f64) -> bool + Copy + Send + Sync> {
     SegmentReducer::with_filter(seg_len, pred.map(|&p| move |v| p.matches(v)))
 }
 
@@ -146,11 +147,86 @@ fn reduce_values(values: &[f64], seg_len: usize, pred: Option<&Predicate>) -> f6
     r.finish()
 }
 
+fn pooled_reduce(values: &[f64], pred: Option<&Predicate>, policy: ThreadingPolicy) -> f64 {
+    let mut r = reducer(kernels::reduce_seg_len(values.len()), pred);
+    push_block(&mut r, Block::Values(values), policy);
+    r.finish()
+}
+
+/// Rows per pool morsel.
+const MORSEL: usize = MORSEL_ROWS as usize;
+
+/// The policy of a pass over one block of `rows` rows: `policy` once the
+/// block holds a morsel for the caller and one for a pool worker, else
+/// `Single` — a broadcast would wake workers to share a few hundred rows.
+fn block_policy(rows: usize, policy: ThreadingPolicy) -> ThreadingPolicy {
+    if rows < 2 * MORSEL {
+        ThreadingPolicy::Single
+    } else {
+        policy
+    }
+}
+
+/// Rows `lo..hi` cut at the multiples of `unit`, as `(lo, hi)` pieces.
+fn cuts(lo: usize, hi: usize, unit: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut at = lo;
+    std::iter::from_fn(move || {
+        let piece = (at, hi.min((at / unit + 1) * unit));
+        at = piece.1;
+        (piece.0 < hi).then_some(piece)
+    })
+}
+
+/// Feed `block`, the rows that follow `r.rows()`, to `r`. Under `Multi`,
+/// the whole segments that start in each morsel of a block of at least two
+/// morsels reduce there, on the pool; the caller feeds the block's head,
+/// which finishes a segment begun in an earlier block, and its tail, which
+/// begins one, and appends the morsels' partials in row order. Segment
+/// cuts depend on the row index alone and one thread reduces each segment,
+/// so the partials — and the bits — are the serial pass's, which every
+/// other block takes straight into `r`.
+fn push_block<K>(r: &mut SegmentReducer<K>, block: Block<'_, f64>, policy: ThreadingPolicy)
+where
+    K: Fn(f64) -> bool + Copy + Send + Sync,
+{
+    fn feed<K: Fn(f64) -> bool + Copy>(r: &mut SegmentReducer<K>, block: Block<'_, f64>) {
+        match block {
+            Block::Bytes(bytes, dec) => r.push_bytes(bytes, dec),
+            Block::Values(values) => r.push_f64s(values),
+        }
+    }
+    if block_policy(block.len(), policy).threads() == 1 {
+        return feed(r, block);
+    }
+    let (base, seg) = (r.rows(), r.seg_len());
+    let end = base + block.len();
+    // Whole segments cover rows `s0..s1`: shared once they start in two
+    // morsels or more.
+    let s0 = base.next_multiple_of(seg).min(end);
+    let s1 = (end - end % seg).max(s0);
+    if s1 == s0 || s0 / MORSEL == (s1 - seg) / MORSEL {
+        return feed(r, block);
+    }
+    feed(r, block.rows(0, s0 - base));
+    let mut pieces: Vec<_> = (s0 / MORSEL..=(s1 - seg) / MORSEL)
+        .map(|m| {
+            let lo = (m * MORSEL).max(s0).next_multiple_of(seg);
+            let hi = ((m + 1) * MORSEL).min(s1).next_multiple_of(seg);
+            (block.rows(lo - base, hi - base), r.fork())
+        })
+        .collect();
+    run_each(pieces.iter_mut(), policy, |(piece, pr)| feed(pr, *piece));
+    for (_, pr) in pieces {
+        r.append(pr);
+    }
+    feed(r, block.rows(s1 - base, end - base));
+}
+
 /// Reduce a numeric column canonically under an optional predicate, at
 /// `seg_len` rows per segment (`None`: the flat segmentation of the
-/// column's row count). The column streams through the reducer — blocks
-/// of a contiguous column are decoded straight into its scratch — so it
-/// is read once and never materialized.
+/// column's row count). The column streams through [`push_block`] —
+/// blocks of a contiguous column are decoded straight into the reducers'
+/// scratch — so it is read once and never materialized.
 fn reduce_column(
     engine: &dyn StorageEngine,
     rel: RelationId,
@@ -158,22 +234,19 @@ fn reduce_column(
     strategy: ScanStrategy,
     seg_len: Option<usize>,
     pred: Option<&Predicate>,
+    policy: ThreadingPolicy,
 ) -> Result<f64> {
     let dec = numeric_decoder(engine, rel, attr)?;
     let rows = engine.row_count(rel)? as usize;
     let mut r = reducer(seg_len.unwrap_or_else(|| kernels::reduce_seg_len(rows)), pred);
-    let contiguous = strategy == ScanStrategy::ContiguousBytes
-        && engine.with_column_bytes(rel, attr, &mut |block| r.push_bytes(block, dec))?;
-    if !contiguous {
-        for_each_f64(engine, rel, attr, ScanStrategy::ValueVisit, |run| r.push_f64s(run))?;
-    }
+    for_each_block(engine, rel, attr, strategy, dec, value_f64, |b| push_block(&mut r, b, policy))?;
     if seg_len.is_some() || r.rows() == rows {
         return Ok(r.finish());
     }
     // The row count moved between the two reads (a concurrent insert), so
     // the flat segmentation is off: collect, then segment what was read.
     let values = collect_f64(engine, rel, attr, strategy)?;
-    Ok(reduce_values(&values, kernels::reduce_seg_len(values.len()), pred))
+    Ok(pooled_reduce(&values, pred, policy))
 }
 
 /// The `f64` block decoder of a numeric column; a typed error otherwise.
@@ -186,61 +259,109 @@ fn numeric_decoder(
     kernels::f64_decoder(ty).ok_or(Error::NonNumericAggregate { attr, got: ty.name() })
 }
 
-/// Values per run of [`for_each_run`]: a run's decode and its consumer
-/// both stay in L1.
+/// The `i64` block decoder of an integer key column; a typed error
+/// otherwise.
+fn key_decoder(engine: &dyn StorageEngine, rel: RelationId, attr: AttrId) -> Result<Decoder<i64>> {
+    Ok(match engine.schema(rel)?.key_ty(attr)? {
+        DataType::Int64 => {
+            Decoder { width: 8, decode: |b, out| kernels::decode_le(b, out, i64::from_le_bytes) }
+        }
+        DataType::Int32 | DataType::Date => Decoder {
+            width: 4,
+            decode: |b, out| kernels::decode_le(b, out, |x| i32::from_le_bytes(x).into()),
+        },
+        ty => unreachable!("key_ty admits integer types only, not {ty:?}"),
+    })
+}
+
+fn value_f64(v: &Value) -> f64 {
+    v.as_f64().expect("column type checked numeric above")
+}
+
+/// Values per run of [`Block::for_each_run`]: a run's decode and its
+/// consumer both stay in L1.
 const RUN: usize = 2048;
 
-/// Visit a column's values in row order, in runs of at most [`RUN`].
-/// Contiguous blocks are decoded through `dec` when the plan says they are
-/// available; otherwise — or if the engine declines at run time, the
-/// overlay may have filled since planning — the value visit is batched.
-fn for_each_run<T: Copy + Default>(
+/// One block of a column, its rows in order: packed little-endian bytes
+/// with their decoder, or values already decoded (a value-visit run).
+#[derive(Clone, Copy)]
+enum Block<'a, T> {
+    Bytes(&'a [u8], Decoder<T>),
+    Values(&'a [T]),
+}
+
+impl<T: Copy + Default> Block<'_, T> {
+    fn len(&self) -> usize {
+        match self {
+            Block::Bytes(bytes, dec) => bytes.len() / dec.width,
+            Block::Values(values) => values.len(),
+        }
+    }
+
+    /// Rows `lo..hi` of the block.
+    fn rows(&self, lo: usize, hi: usize) -> Self {
+        match *self {
+            Block::Bytes(bytes, dec) => Block::Bytes(&bytes[lo * dec.width..hi * dec.width], dec),
+            Block::Values(values) => Block::Values(&values[lo..hi]),
+        }
+    }
+
+    /// Decode the block into `out`, which holds exactly its rows.
+    fn decode(&self, out: &mut [T]) {
+        match *self {
+            Block::Bytes(bytes, dec) => (dec.decode)(bytes, out),
+            Block::Values(values) => out.copy_from_slice(values),
+        }
+    }
+
+    /// Visit the block's values in runs of at most `buf.len()`; bytes
+    /// decode through `buf`.
+    fn for_each_run(&self, buf: &mut [T], mut f: impl FnMut(&[T])) {
+        match *self {
+            Block::Values(values) => values.chunks(buf.len()).for_each(f),
+            Block::Bytes(bytes, dec) => {
+                for bytes in bytes.chunks(buf.len() * dec.width) {
+                    let run = &mut buf[..bytes.len() / dec.width];
+                    (dec.decode)(bytes, run);
+                    f(run);
+                }
+            }
+        }
+    }
+}
+
+/// Visit a column's rows in order as [`Block`]s: the engine's contiguous
+/// blocks when the plan says they are available; otherwise — or if the
+/// engine declines at run time, the overlay may have filled since
+/// planning — value-visit runs of at most [`RUN`] values.
+fn for_each_block<T: Copy + Default>(
     engine: &dyn StorageEngine,
     rel: RelationId,
     attr: AttrId,
     strategy: ScanStrategy,
     dec: Decoder<T>,
     from_value: impl Fn(&Value) -> T,
-    mut f: impl FnMut(&[T]),
+    mut f: impl FnMut(Block<'_, T>),
 ) -> Result<()> {
-    let mut run = [T::default(); RUN];
-    if strategy == ScanStrategy::ContiguousBytes {
-        let used = engine.with_column_bytes(rel, attr, &mut |block| {
-            for bytes in block.chunks(RUN * dec.width) {
-                let run = &mut run[..bytes.len() / dec.width];
-                (dec.decode)(bytes, run);
-                f(run);
-            }
-        })?;
-        if used {
-            return Ok(());
-        }
+    if strategy == ScanStrategy::ContiguousBytes
+        && engine.with_column_bytes(rel, attr, &mut |bytes| f(Block::Bytes(bytes, dec)))?
+    {
+        return Ok(());
     }
+    let mut run = [T::default(); RUN];
     let mut len = 0;
     engine.scan_column(rel, attr, &mut |_, v| {
         run[len] = from_value(v);
         len += 1;
         if len == RUN {
-            f(&run);
+            f(Block::Values(&run));
             len = 0;
         }
     })?;
-    f(&run[..len]);
+    if len > 0 {
+        f(Block::Values(&run[..len]));
+    }
     Ok(())
-}
-
-/// [`for_each_run`] over a numeric column, as `f64`; a typed error for any
-/// other column.
-fn for_each_f64(
-    engine: &dyn StorageEngine,
-    rel: RelationId,
-    attr: AttrId,
-    strategy: ScanStrategy,
-    f: impl FnMut(&[f64]),
-) -> Result<()> {
-    let dec = numeric_decoder(engine, rel, attr)?;
-    let as_f64 = |v: &Value| v.as_f64().expect("column type checked numeric above");
-    for_each_run(engine, rel, attr, strategy, dec, as_f64, f)
 }
 
 /// Materialize a numeric column as `Vec<f64>` in row order, preferring the
@@ -251,39 +372,13 @@ pub fn collect_f64(
     attr: AttrId,
     strategy: ScanStrategy,
 ) -> Result<Vec<f64>> {
+    let dec = numeric_decoder(engine, rel, attr)?;
     let mut out = Vec::with_capacity(engine.row_count(rel)? as usize);
-    for_each_f64(engine, rel, attr, strategy, |run| out.extend_from_slice(run))?;
+    let mut buf = [0.0; RUN];
+    for_each_block(engine, rel, attr, strategy, dec, value_f64, |b| {
+        b.for_each_run(&mut buf, |run| out.extend_from_slice(run))
+    })?;
     Ok(out)
-}
-
-/// Collect an integer key column in row order.
-fn collect_keys(
-    engine: &dyn StorageEngine,
-    rel: RelationId,
-    attr: AttrId,
-    strategy: ScanStrategy,
-) -> Result<Vec<i64>> {
-    let dec = match engine.schema(rel)?.ty(attr)? {
-        DataType::Int64 => {
-            Decoder { width: 8, decode: |b, out| kernels::decode_le(b, out, i64::from_le_bytes) }
-        }
-        DataType::Int32 | DataType::Date => Decoder {
-            width: 4,
-            decode: |b, out| kernels::decode_le(b, out, |x| i32::from_le_bytes(x).into()),
-        },
-        ty => return Err(Error::NonNumericAggregate { attr, got: ty.name() }),
-    };
-    let mut keys = Vec::with_capacity(engine.row_count(rel)? as usize);
-    for_each_run(
-        engine,
-        rel,
-        attr,
-        strategy,
-        dec,
-        |v| v.as_i64().expect("key type checked integer above"),
-        |run| keys.extend_from_slice(run),
-    )?;
-    Ok(keys)
 }
 
 fn length_mismatch(keys: usize, values: usize) -> Error {
@@ -292,9 +387,9 @@ fn length_mismatch(keys: usize, values: usize) -> Error {
 
 /// Host group-sum: group values by key preserving row order, reduce each
 /// group canonically, return `(key, sum)` ordered by key. `strategy` is
-/// the scan strategy of both columns. The pooled route distributes the
-/// per-group reductions over the morsel pool (fold in group order —
-/// bit-identical to the serial pass).
+/// the scan strategy of both columns. With a policy the grouping's morsel
+/// passes run on the pool (`None`: inline, as `Single`); the result is
+/// bit-identical at every policy and pool size.
 pub fn group_sum_host(
     engine: &dyn StorageEngine,
     rel: RelationId,
@@ -303,106 +398,200 @@ pub fn group_sum_host(
     strategy: ScanStrategy,
     policy: Option<ThreadingPolicy>,
 ) -> Result<Vec<(i64, f64)>> {
+    let policy = policy.unwrap_or(ThreadingPolicy::Single);
     group_sum_scans(engine, rel, (key_attr, strategy), (value_attr, strategy), policy)
 }
 
-/// Group ids in key order, the key of each id, and each id's row count.
-/// An id is `k - min` while the observed key span is at most twice the row
-/// count (some ids then count no row), else the key's rank among the
-/// sorted distinct keys; either way no array is sized by the key span
-/// alone. The ids reuse the keys' buffer.
-fn group_ids(keys: Vec<i64>) -> (Vec<usize>, Vec<i64>, Vec<usize>) {
-    if keys.is_empty() {
-        return (Vec::new(), Vec::new(), Vec::new());
-    }
-    let (min, max) = keys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
-    let dense = max.abs_diff(min) <= 2 * keys.len() as u64;
-    let id_keys: Vec<i64> = if dense {
-        (min..=max).collect()
-    } else {
-        let mut distinct = keys.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        distinct
-    };
-    let mut counts = vec![0usize; id_keys.len()];
-    let ids = keys
-        .into_iter()
-        .map(|k| {
-            let id = if dense {
-                k.abs_diff(min) as usize
-            } else {
-                id_keys.binary_search(&k).expect("every key is among the distinct keys")
-            };
-            counts[id] += 1;
-            id
-        })
-        .collect();
-    (ids, id_keys, counts)
+/// A key column decoded in row order, and its `(min, max)` key: each
+/// morsel decodes its keys and folds their range, on the pool under
+/// `policy` for a block of at least two morsels (see [`block_policy`]).
+fn decode_keys(
+    engine: &dyn StorageEngine,
+    rel: RelationId,
+    attr: AttrId,
+    strategy: ScanStrategy,
+    policy: ThreadingPolicy,
+) -> Result<(Vec<i64>, (i64, i64))> {
+    const EMPTY: (i64, i64) = (i64::MAX, i64::MIN);
+    let dec = key_decoder(engine, rel, attr)?;
+    let mut keys = vec![0; engine.row_count(rel)? as usize];
+    let mut ranges = vec![EMPTY; keys.len().div_ceil(MORSEL)];
+    let mut rows = 0;
+    let as_key = |v: &Value| v.as_i64().expect("key type checked integer above");
+    for_each_block(engine, rel, attr, strategy, dec, as_key, |b| {
+        let (base, end) = (rows, rows + b.len());
+        if keys.len() < end {
+            // The relation grew since its row count was read.
+            keys.resize(end, 0);
+            ranges.resize(end.div_ceil(MORSEL), EMPTY);
+        }
+        let mut rest = &mut keys[base..end];
+        let pieces = cuts(base, end, MORSEL).map(|(lo, hi)| {
+            let (out, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+            rest = tail;
+            (lo, out)
+        });
+        let ranges = &mut ranges[base / MORSEL..];
+        run_each(pieces.zip(ranges), block_policy(b.len(), policy), |((lo, out), range)| {
+            b.rows(lo - base, lo - base + out.len()).decode(out);
+            *range = out.iter().fold(*range, |(min, max), &k| (min.min(k), max.max(k)));
+        });
+        rows = end;
+    })?;
+    keys.truncate(rows);
+    let range = ranges[..rows.div_ceil(MORSEL)]
+        .iter()
+        .fold(EMPTY, |(lo, hi), &(min, max)| (lo.min(min), hi.max(max)));
+    Ok((keys, range))
 }
 
-/// The host group-sum body. A stable counting sort over group ids
-/// scatters each value, straight from the value scan, to its group's next
-/// slot, so each group's values lie contiguous and in row order; each
-/// group then reduces canonically — the same bits as the
-/// `BTreeMap<i64, Vec<f64>>` grouping of [`volcano_group_sum`].
+/// The host group-sum body: a stable counting sort over group ids, run as
+/// morsel passes on the pool under `policy` (inline under `Single`, and
+/// for the passes over the engine's blocks, inline for a block of fewer
+/// than two morsels):
+///
+/// 1. decode the keys, each morsel folding its key range;
+/// 2. count each chunk's rows per group id (a key span wider than twice
+///    the rows first replaces each key by its rank among the distinct
+///    keys);
+/// 3. a prefix over (group, chunk) gives each chunk its first slot in
+///    every group;
+/// 4. scatter the values, straight from the value scan, chunk by chunk;
+/// 5. reduce each group canonically, in the morsel of the grouped array
+///    that holds its first value.
+///
+/// Groups lie in key order and, within a group, the chunks' slots in chunk
+/// order and each chunk's in row order, so every group's values are
+/// contiguous and in row order at every pool size — the grouping of
+/// [`volcano_group_sum`], and so its bits.
 fn group_sum_scans(
     engine: &dyn StorageEngine,
     rel: RelationId,
     (key_attr, key_strategy): (AttrId, ScanStrategy),
     (value_attr, value_strategy): (AttrId, ScanStrategy),
-    policy: Option<ThreadingPolicy>,
+    policy: ThreadingPolicy,
 ) -> Result<Vec<(i64, f64)>> {
-    let (ids, id_keys, mut end) = group_ids(collect_keys(engine, rel, key_attr, key_strategy)?);
-    // `end[g]` holds group g's row count, then its start offset, and after
-    // the scatter its end: group g is `grouped[end[g - 1]..end[g]]`.
-    let mut offset = 0;
-    for e in end.iter_mut() {
-        (*e, offset) = (offset, offset + *e);
+    let value_dec = numeric_decoder(engine, rel, value_attr)?;
+    let (mut keys, (mut min, max)) = decode_keys(engine, rel, key_attr, key_strategy, policy)?;
+    let rows = keys.len();
+    if rows == 0 {
+        return Ok(Vec::new());
     }
-    let mut grouped = vec![0.0; ids.len()];
-    let mut row = 0;
-    for_each_f64(engine, rel, value_attr, value_strategy, |run| {
-        if let Some(run_ids) = ids.get(row..row + run.len()) {
-            for (&g, &v) in run_ids.iter().zip(run) {
-                grouped[end[g]] = v;
-                end[g] += 1;
+    // A key's group id is `k - min` while the key span is at most twice
+    // the row count (some ids then count no row). A wider span first
+    // replaces each key by its rank among the sorted distinct keys, so no
+    // array is sized by the key span alone.
+    let id_keys: Vec<i64> = if max.abs_diff(min) <= 2 * rows as u64 {
+        (min..=max).collect()
+    } else {
+        let mut distinct = keys.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        run_each(keys.chunks_mut(MORSEL), policy, |keys| {
+            for k in keys {
+                *k =
+                    distinct.binary_search(k).expect("every key is among the distinct keys") as i64;
             }
-        }
-        row += run.len();
-    })?;
-    if row != ids.len() {
-        return Err(length_mismatch(ids.len(), row));
-    }
-    let sums = |lo: usize, hi: usize| -> Vec<(i64, f64)> {
-        (lo..hi)
-            .filter_map(|g| {
-                let start = if g == 0 { 0 } else { end[g - 1] };
-                let group = &grouped[start..end[g]];
-                // Up to one row per segment, the canonical partials are the
-                // values themselves: the reduction is their tree sum.
-                let sum = match group.len() {
-                    0 => return None,
-                    n if kernels::reduce_seg_len(n) == 1 => kernels::tree_sum(group),
-                    _ => canonical_sum(group),
-                };
-                Some((id_keys[g], sum))
-            })
-            .collect()
+        });
+        min = 0;
+        distinct
     };
-    Ok(match policy {
-        None => sums(0, id_keys.len()),
-        Some(policy) => run_blocks(
-            id_keys.len() as u64,
-            policy,
-            |lo, hi| sums(lo as usize, hi as usize),
-            |mut a, mut b| {
-                a.append(&mut b);
-                a
-            },
-            Vec::new(),
-        ),
-    })
+    let groups = id_keys.len();
+    let id = |k: i64| k.abs_diff(min) as usize;
+    // A chunk is the fewest whole morsels holding 8 rows per group: on
+    // average a cache line of values per group and chunk, and the chunks'
+    // count arrays together hold at most one entry per 8 rows.
+    let chunk = MORSEL * (8 * groups).div_ceil(MORSEL);
+    let mut slots = vec![0usize; rows.div_ceil(chunk) * groups];
+    run_each(keys.chunks(chunk).zip(slots.chunks_mut(groups)), policy, |(keys, counts)| {
+        keys.iter().for_each(|&k| counts[id(k)] += 1);
+    });
+    // `start[g]` is group g's first slot; `end[g]` runs through each
+    // chunk's first slot in the group and stops at the group's end.
+    let mut start = vec![0; groups];
+    for counts in slots.chunks(groups) {
+        start.iter_mut().zip(counts).for_each(|(s, &n)| *s += n);
+    }
+    let mut offset = 0;
+    for s in start.iter_mut() {
+        (*s, offset) = (offset, offset + *s);
+    }
+    let mut end = start.clone();
+    for counts in slots.chunks_mut(groups) {
+        for (slot, e) in counts.iter_mut().zip(end.iter_mut()) {
+            (*slot, *e) = (*e, *e + *slot);
+        }
+    }
+    let grouped: Vec<AtomicU64> = (0..rows).map(|_| AtomicU64::new(0)).collect();
+    // Each chunk decodes its values through a run buffer of its own.
+    let mut runs = vec![0.0; slots.len() / groups * RUN];
+    let mut at = 0;
+    for_each_block(engine, rel, value_attr, value_strategy, value_dec, value_f64, |b| {
+        let (base, stop) = (at, at + b.len());
+        at = stop;
+        if stop > rows {
+            return;
+        }
+        let chunks = slots.chunks_mut(groups).zip(runs.chunks_mut(RUN)).skip(base / chunk);
+        let policy = block_policy(b.len(), policy);
+        run_each(cuts(base, stop, chunk).zip(chunks), policy, |((lo, hi), (cursor, buf))| {
+            let mut row = lo;
+            b.rows(lo - base, hi - base).for_each_run(buf, |run| {
+                for (&k, &v) in keys[row..row + run.len()].iter().zip(run) {
+                    let slot = &mut cursor[id(k)];
+                    // Chunks own disjoint slots. Relaxed suffices: this
+                    // pass's join (each worker's Release completion count,
+                    // read with Acquire by the caller) and the reduction's
+                    // job queue lock order the stores before its loads.
+                    grouped[*slot].store(v.to_bits(), Ordering::Relaxed);
+                    *slot += 1;
+                }
+                row += run.len();
+            });
+        });
+    })?;
+    if at != rows {
+        return Err(length_mismatch(rows, at));
+    }
+    // Morsel m of the grouped array reduces the groups whose first value it
+    // holds, and publishes their sums like the scatter its values.
+    let first_group = |m: usize| start.partition_point(|&s| s < m * MORSEL);
+    let sums: Vec<AtomicU64> = (0..groups).map(|_| AtomicU64::new(0)).collect();
+    run_each(0..rows.div_ceil(MORSEL), policy, |m| {
+        let mut buf = [0.0; REDUCE_GRID];
+        for g in first_group(m)..first_group(m + 1) {
+            let sum = reduce_group(&grouped[start[g]..end[g]], &mut buf);
+            sums[g].store(sum.to_bits(), Ordering::Relaxed);
+        }
+    });
+    let sum = |g: usize| f64::from_bits(sums[g].load(Ordering::Relaxed));
+    Ok((0..groups).filter(|&g| end[g] > start[g]).map(|g| (id_keys[g], sum(g))).collect())
+}
+
+/// Rows up to which a group's canonical segments hold one row each.
+const REDUCE_GRID: usize = kernels::REDUCE_GRID as usize;
+
+/// The canonical reduction of one group, read from its scattered slots
+/// through `buf`.
+fn reduce_group(group: &[AtomicU64], buf: &mut [f64; REDUCE_GRID]) -> f64 {
+    fn load<'a>(slots: &[AtomicU64], buf: &'a mut [f64]) -> &'a [f64] {
+        let buf = &mut buf[..slots.len()];
+        for (v, s) in buf.iter_mut().zip(slots) {
+            *v = f64::from_bits(s.load(Ordering::Relaxed));
+        }
+        buf
+    }
+    let seg_len = kernels::reduce_seg_len(group.len());
+    if seg_len == 1 {
+        // Up to one row per segment, the canonical partials are the values
+        // themselves: the reduction is their tree sum.
+        return kernels::tree_sum(load(group, buf));
+    }
+    let mut r = SegmentReducer::new(seg_len);
+    for slots in group.chunks(REDUCE_GRID) {
+        r.push_f64s(load(slots, buf));
+    }
+    r.finish()
 }
 
 /// The naive volcano oracle: tuple-at-a-time `read_field` per row, then
@@ -638,7 +827,7 @@ fn exec_node(
         }
         PhysicalOp::AggregateSum => {
             let (rel, attr, pred) = sum_input(node)?;
-            exec_sum(engine, node, rel, attr, pred, &mut span, executed)
+            exec_sum(engine, node, rel, (attr, pred), policy, &mut span, executed)
         }
         PhysicalOp::AggregateGroupSum { key_attr } => {
             let (rel, value_attr, key_strategy) = group_input(node)?;
@@ -706,12 +895,22 @@ fn group_input(node: &PhysicalNode) -> Result<(RelationId, AttrId, ScanStrategy)
     }
 }
 
+/// The host policy of a node: the caller's on the pooled route, `Single`
+/// on every other (inline routes, and host fallbacks of device and
+/// scatter routes).
+fn host_policy(node: &PhysicalNode, policy: ThreadingPolicy) -> ThreadingPolicy {
+    match node.route {
+        Route::HostPooledMorsel => policy,
+        _ => ThreadingPolicy::Single,
+    }
+}
+
 fn exec_sum(
     engine: &dyn StorageEngine,
     node: &PhysicalNode,
     rel: RelationId,
-    attr: AttrId,
-    pred: Option<Predicate>,
+    (attr, pred): (AttrId, Option<Predicate>),
+    policy: ThreadingPolicy,
     span: &mut obs::SpanGuard,
     executed: &mut Route,
 ) -> Result<QueryOutput> {
@@ -755,7 +954,9 @@ fn exec_sum(
     // Sharded plans reduce at fragment granularity regardless of who
     // executes them, so the host fallback matches the gathered result.
     let seg_len = (node.partition_rows > 0).then_some(node.partition_rows as usize);
-    Ok(QueryOutput::Sum(reduce_column(engine, rel, attr, node.strategy, seg_len, pred.as_ref())?))
+    let policy = host_policy(node, policy);
+    let sum = reduce_column(engine, rel, attr, node.strategy, seg_len, pred.as_ref(), policy)?;
+    Ok(QueryOutput::Sum(sum))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -795,7 +996,7 @@ fn exec_group_sum(
         }
     }
     if node.partition_rows > 0 {
-        let keys = collect_keys(engine, rel, key_attr, key_strategy)?;
+        let (keys, _) = decode_keys(engine, rel, key_attr, key_strategy, ThreadingPolicy::Single)?;
         let values = collect_f64(engine, rel, value_attr, node.strategy)?;
         if keys.len() != values.len() {
             return Err(length_mismatch(keys.len(), values.len()));
@@ -806,8 +1007,8 @@ fn exec_group_sum(
             node.partition_rows as usize,
         )));
     }
-    let pooled = if node.route == Route::HostPooledMorsel { Some(policy) } else { None };
-    Ok(QueryOutput::Groups(group_sum_scans(engine, rel, key, (value_attr, node.strategy), pooled)?))
+    let policy = host_policy(node, policy);
+    Ok(QueryOutput::Groups(group_sum_scans(engine, rel, key, (value_attr, node.strategy), policy)?))
 }
 
 #[cfg(test)]

@@ -16,14 +16,20 @@
 //! subsequent [`MORSEL_ROWS`](crate::pool::MORSEL_ROWS)-row position
 //! ranges pulled off a shared cursor, and per-morsel results are folded in
 //! morsel order, so every policy produces bit-for-bit identical results.
+//! [`run_each`] runs operator passes whose per-morsel state the caller
+//! allocates and hands out, one piece per thread.
+
+use htapg_core::sync::Mutex;
 
 /// How an operator parallelizes over its input positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadingPolicy {
     /// Run on the calling thread; zero management overhead.
     Single,
-    /// Spawn `threads` workers; input is split into that many contiguous
-    /// blocks.
+    /// Run on the persistent [`pool`](crate::pool) with at most `threads`
+    /// participating threads: the caller plus up to `threads - 1` pool
+    /// workers, pulling [`MORSEL_ROWS`](crate::pool::MORSEL_ROWS)-row
+    /// morsels off a shared cursor. Inputs of one morsel run inline.
     Multi { threads: usize },
 }
 
@@ -88,6 +94,30 @@ where
             crate::pool::run_morsels(n, threads, work, combine, identity)
         }
     }
+}
+
+/// Run `f` once on every item: on the pool under `Multi` when there are
+/// at least two items (see [`run_tasks`](crate::pool::run_tasks)), in
+/// order on the caller otherwise. Each item goes to exactly one thread, so
+/// items can carry disjoint `&mut` pieces of buffers the caller allocated;
+/// the call returns once every item is done.
+pub(crate) fn run_each<S: Send>(
+    items: impl IntoIterator<Item = S>,
+    policy: ThreadingPolicy,
+    f: impl Fn(S) + Sync,
+) {
+    let mut items = items.into_iter();
+    let threads = policy.threads();
+    if threads <= 1 {
+        return items.for_each(f);
+    }
+    let Some(first) = items.next() else { return };
+    let Some(second) = items.next() else { return f(first) };
+    let cells: Vec<Mutex<Option<S>>> =
+        [first, second].into_iter().chain(items).map(|s| Mutex::new(Some(s))).collect();
+    crate::pool::run_tasks(cells.len() as u64, threads, |i| {
+        f(cells[i as usize].lock().take().expect("each item is claimed once"))
+    });
 }
 
 #[cfg(test)]

@@ -297,3 +297,79 @@ fn segment_reducer_matches_canonical_sums_over_any_block_split() {
         }
     });
 }
+
+/// Rows per pool morsel.
+const MORSEL: usize = htapg_exec::pool::MORSEL_ROWS as usize;
+
+/// Feed `values` to `r` in blocks of `splits` rows the way the pooled
+/// reduction does: each block's head, up to its first segment start, and
+/// its tail, from its last whole segment on, go to `r`; the whole segments
+/// in between go to forked reducers, cut at arbitrary segment boundaries,
+/// which `r` then appends in row order.
+fn feed_forked<K: Fn(f64) -> bool + Copy>(
+    r: &mut SegmentReducer<K>,
+    values: &[f64],
+    splits: &[usize],
+    rng: &mut Prng,
+) {
+    let seg = r.seg_len();
+    let mut at = 0;
+    for &len in splits {
+        let end = at + len;
+        let s0 = at.next_multiple_of(seg).min(end);
+        let s1 = (end - end % seg).max(s0);
+        r.push_f64s(&values[at..s0]);
+        let mut lo = s0;
+        while lo < s1 {
+            let hi = (lo + seg * rng.gen_range(0..=(s1 - lo) / seg)).max(lo + seg);
+            let mut fork = r.fork();
+            fork.push_f64s(&values[lo..hi]);
+            r.append(fork);
+            lo = hi;
+        }
+        r.push_f64s(&values[s1..end]);
+        at = end;
+    }
+}
+
+#[test]
+fn pooled_reduction_matches_canonical_sums_at_pool_scale() {
+    // Columns of 2 to 4 morsels: a segment length that divides the morsel
+    // (131_072 rows: 128), ones that do not (131_073: 129), a last morsel
+    // shorter than a segment (3 morsels + 50 rows: 193), and random ones.
+    let fixed = [2 * MORSEL, 2 * MORSEL + 1, 3 * MORSEL + 50];
+    check_cases(
+        "pooled_reduction_matches_canonical_sums_at_pool_scale",
+        6,
+        0xE8EC_0007,
+        |case, rng| {
+            let n = match fixed.get(case as usize) {
+                Some(&n) => n,
+                None => rng.gen_range(2 * MORSEL..=4 * MORSEL),
+            };
+            let seg = kernels::reduce_seg_len(n);
+            let values: Vec<f64> = (0..n)
+                .map(|_| rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-20i32..=20)))
+                .collect();
+            let pred = Predicate::Ge(0.0);
+            let keep = |v: f64| pred.matches(v);
+            let want = chunked_sum(&values, seg, |_| true);
+            let want_filtered = chunked_sum(&values, seg, keep);
+            for threads in [1usize, 2, 8, 32] {
+                let policy = ThreadingPolicy::Multi { threads };
+                let got = physical::pooled_canonical_sum(&values, policy);
+                assert_eq!(got.to_bits(), want.to_bits(), "{n} rows, {threads} threads");
+                let got = physical::pooled_canonical_filter_sum(&values, &pred, policy);
+                assert_eq!(got.to_bits(), want_filtered.to_bits(), "{n} rows, {threads} threads");
+            }
+            let splits = arb_splits(n, rng);
+            let mut r = SegmentReducer::new(seg);
+            feed_forked(&mut r, &values, &splits, rng);
+            assert_eq!(r.rows(), n);
+            assert_eq!(r.finish().to_bits(), want.to_bits(), "forked, {n} rows");
+            let mut r = SegmentReducer::with_filter(seg, Some(keep));
+            feed_forked(&mut r, &values, &splits, rng);
+            assert_eq!(r.finish().to_bits(), want_filtered.to_bits(), "forked filter, {n} rows");
+        },
+    );
+}

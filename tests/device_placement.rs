@@ -5,10 +5,12 @@
 use std::sync::Arc;
 
 use htapg::core::engine::StorageEngine;
-use htapg::core::{Error, Value};
+use htapg::core::plan::ScanStrategy;
+use htapg::core::{DataType, Error, Schema, Value};
 use htapg::device::{DeviceSpec, SimDevice};
 use htapg::engines::gputx::TxOp;
 use htapg::engines::{CogadbEngine, GputxEngine, ReferenceEngine};
+use htapg::exec::physical::group_sum_host;
 use htapg::workload::driver::load_items;
 use htapg::workload::tpcc::{item_attr, Generator};
 
@@ -125,4 +127,35 @@ fn htapg_bench_support_build(gen: &Generator, n: u64) -> htapg::core::Layout {
         layout.append(&schema, &gen.item(i)).unwrap();
     }
     layout
+}
+
+#[test]
+fn device_group_sum_rejects_non_integer_keys() {
+    // Text and Float64 key columns: every device group-sum refuses them
+    // with the host route's typed error instead of dropping their rows.
+    let schema =
+        Schema::of(&[("t", DataType::Text(4)), ("f", DataType::Float64), ("v", DataType::Float64)]);
+    let load = |e: &dyn StorageEngine| {
+        let rel = e.create_relation(schema.clone()).unwrap();
+        for i in 0..100 {
+            let rec =
+                vec![Value::Text("k".into()), Value::Float64(i as f64 / 4.0), (i as f64).into()];
+            e.insert(rel, &rec).unwrap();
+        }
+        rel
+    };
+    let cogadb = CogadbEngine::new();
+    // CoGaDB groups only over a resident value replica: place it first.
+    cogadb.place_column(load(&cogadb), 2).unwrap();
+    let (gputx, reference) = (GputxEngine::new(), ReferenceEngine::new());
+    load(&gputx);
+    load(&reference);
+    for e in [&gputx as &dyn StorageEngine, &reference, &cogadb] {
+        for (key, got) in [(0, "text"), (1, "float64")] {
+            let want = Error::NonNumericAggregate { attr: key, got };
+            assert_eq!(e.device_group_sum(0, key, 2), Err(want.clone()), "{}", e.name());
+            let host = group_sum_host(e, 0, key, 2, ScanStrategy::ValueVisit, None);
+            assert_eq!(host, Err(want), "{}", e.name());
+        }
+    }
 }

@@ -8,15 +8,23 @@
 //! (reference engine) columns. The reference engine's snapshot blocks get
 //! a suite of their own: patches on chunk edges, pending and aborted
 //! writes, rows changing group, and the same data before and after
-//! `maintain()` delegates the columns. The seed honors `HTAPG_SEED`.
+//! `maintain()` delegates the columns. A pool-scale case (more than three
+//! morsels) runs the planned aggregates and the host group-sum under
+//! `Single`, `Multi { threads: 2 }` and `multi8()` over one block, many
+//! paged blocks and patched snapshot blocks. The seed honors `HTAPG_SEED`.
 
 use htapg::core::engine::StorageEngine;
 use htapg::core::plan::{LogicalPlan, Predicate, ScanStrategy};
 use htapg::core::prng::{check_cases, Prng};
-use htapg::core::{DataType, RelationId, Schema, Value};
+use htapg::core::sync::RwLock;
+use htapg::core::{
+    AccessHint, AttrId, DataType, LayoutTemplate, Record, Relation, RelationId, RowId, Schema,
+    Value,
+};
 use htapg::engines::{PlainEngine, ReferenceEngine};
 use htapg::exec::physical::{self, QueryOutput};
 use htapg::exec::threading::ThreadingPolicy;
+use htapg::taxonomy::{survey, Classification};
 use std::collections::BTreeMap;
 
 const K64: u16 = 0;
@@ -276,4 +284,187 @@ fn reference_snapshot_blocks_are_bit_identical_to_volcano() {
             assert_same(&host_answers(&e, rel), &want, "drained overlay vs volcano");
         },
     );
+}
+
+/// Rows per page of [`PagedEngine`]: its columns arrive as ~200 blocks
+/// that cut segments and morsels anywhere.
+const PAGE_ROWS: u64 = 1000;
+
+/// A paged contiguous layout (PAX pages of [`PAGE_ROWS`]): one contiguous
+/// block per page and column.
+struct PagedEngine(RwLock<Option<Relation>>);
+
+impl StorageEngine for PagedEngine {
+    fn name(&self) -> &'static str {
+        "PAGED"
+    }
+
+    fn classification(&self) -> Classification {
+        survey::pax()
+    }
+
+    fn create_relation(&self, schema: Schema) -> htapg::core::Result<RelationId> {
+        let template = LayoutTemplate::pax(&schema, PAGE_ROWS);
+        *self.0.write() = Some(Relation::new(schema, template)?);
+        Ok(0)
+    }
+
+    fn schema(&self, _: RelationId) -> htapg::core::Result<Schema> {
+        Ok(self.0.read().as_ref().unwrap().schema().clone())
+    }
+
+    fn insert(&self, _: RelationId, record: &Record) -> htapg::core::Result<RowId> {
+        self.0.write().as_mut().unwrap().insert(record)
+    }
+
+    fn read_record(&self, _: RelationId, row: RowId) -> htapg::core::Result<Record> {
+        self.0.read().as_ref().unwrap().read_record(row)
+    }
+
+    fn read_field(&self, _: RelationId, row: RowId, attr: AttrId) -> htapg::core::Result<Value> {
+        self.0.read().as_ref().unwrap().read_value(row, attr, AccessHint::AttributeCentric)
+    }
+
+    fn update_field(
+        &self,
+        _: RelationId,
+        row: RowId,
+        attr: AttrId,
+        v: &Value,
+    ) -> htapg::core::Result<()> {
+        self.0.write().as_mut().unwrap().update_field(row, attr, v)
+    }
+
+    fn scan_column(
+        &self,
+        _: RelationId,
+        attr: AttrId,
+        visit: &mut dyn FnMut(RowId, &Value),
+    ) -> htapg::core::Result<()> {
+        let guard = self.0.read();
+        let rel = guard.as_ref().unwrap();
+        let ty = rel.schema().ty(attr)?;
+        rel.for_each_field(attr, |row, bytes| visit(row, &Value::decode(ty, bytes)))
+    }
+
+    fn with_column_bytes(
+        &self,
+        _: RelationId,
+        attr: AttrId,
+        visit: &mut dyn FnMut(&[u8]),
+    ) -> htapg::core::Result<bool> {
+        self.0.read().as_ref().unwrap().with_column_bytes(attr, visit)
+    }
+
+    fn row_count(&self, _: RelationId) -> htapg::core::Result<u64> {
+        Ok(self.0.read().as_ref().unwrap().row_count())
+    }
+}
+
+/// Assert `got == want`, naming the first differing group instead of
+/// printing thousands.
+fn same_groups(got: &[(i64, u64)], want: &[(i64, u64)], what: &str) {
+    if let Some(i) = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i)) {
+        let (g, w) = (got.get(i), want.get(i));
+        panic!("{what}: {} groups, want {}; group {i} is {g:?}, want {w:?}", got.len(), want.len());
+    }
+}
+
+/// Rows of the pool-scale case: more than 3 morsels of 65,536 rows, and a
+/// multiple of neither the morsel nor the canonical segment (197 rows).
+const POOL_ROWS: usize = 3 * 65_536 + 4_321;
+
+/// One row of the pool-scale relation: three key shapes, then the value.
+/// About 10k dense keys, as with TPC-C's `i_im_id`; a few keys, so every
+/// group is far longer than 1024 rows and spans every morsel; and a
+/// sparse span with both extremes.
+fn pool_row(rng: &mut Prng, sparse: &[i64]) -> [i64; 3] {
+    [rng.gen_range(1i64..=10_000), rng.gen_range(-2i64..2), sparse[rng.gen_range(0..sparse.len())]]
+}
+
+#[test]
+fn pooled_aggregates_are_bit_identical_to_volcano_at_pool_scale() {
+    check_cases("pooled_aggregates_at_pool_scale", 1, 0x6A0F_5E03, |_, rng| pool_scale_case(rng));
+}
+
+fn pool_scale_case(rng: &mut Prng) {
+    let mut sparse: Vec<i64> =
+        (0..1000).map(|_| (rng.next_u64() as i64) >> rng.gen_range(0u32..60)).collect();
+    sparse.extend([i64::MIN, i64::MAX]);
+    let schema = Schema::of(&[
+        ("dense", DataType::Int64),
+        ("few", DataType::Int64),
+        ("sparse", DataType::Int64),
+        ("v", DataType::Float64),
+    ]);
+    let (keys, v): ([AttrId; 3], AttrId) = ([0, 1, 2], 3);
+    let rows: Vec<([i64; 3], f64)> =
+        (0..POOL_ROWS).map(|_| (pool_row(rng, &sparse), arb_value(rng))).collect();
+    // Committed updates at different rows of a key and the value column:
+    // the reference engine's snapshot blocks cut the two apart, leaving
+    // blocks of one row, of under two morsels and of more than two.
+    let mut updates: Vec<(RowId, AttrId, Value)> = [1, 65_535, 65_536, POOL_ROWS - 1]
+        .into_iter()
+        .map(|row| (row as RowId, v, Value::Float64(arb_value(rng))))
+        .collect();
+    for row in [7, 150_000] {
+        updates.push((row, keys[0], Value::Int64(rng.gen_range(1i64..=10_000))));
+    }
+    let engines: [Box<dyn StorageEngine>; 3] = [
+        Box::new(PlainEngine::column_store()),
+        Box::new(PagedEngine(RwLock::new(None))),
+        Box::new(ReferenceEngine::new()),
+    ];
+    let mut oracles = None;
+    for engine in engines {
+        let e = engine.as_ref();
+        let rel = e.create_relation(schema.clone()).unwrap();
+        for (k, x) in &rows {
+            let rec = vec![Value::Int64(k[0]), Value::Int64(k[1]), Value::Int64(k[2]), (*x).into()];
+            e.insert(rel, &rec).unwrap();
+        }
+        // Scans, then maintenance: the reference engine moves to contiguous
+        // columns, which its updates below then patch.
+        for attr in keys.into_iter().chain([v]) {
+            e.with_column_bytes(rel, attr, &mut |_| {}).unwrap();
+        }
+        e.maintain().unwrap();
+        for (row, attr, value) in &updates {
+            e.update_field(rel, *row, *attr, value).unwrap();
+        }
+        // Every engine holds the same rows: the column store's Volcano
+        // oracles are every engine's.
+        let pred = Predicate::Ge(0.0);
+        let (sum, filtered, groups) = oracles.get_or_insert_with(|| {
+            let sum = physical::volcano_sum(e, rel, v).unwrap();
+            let filtered = physical::volcano_filter_sum(e, rel, v, &pred).unwrap();
+            let groups = keys.map(|k| bits(&physical::volcano_group_sum(e, rel, k, v).unwrap()));
+            (sum, filtered, groups)
+        });
+        let name = e.name();
+        let run = |logical: &LogicalPlan, policy| {
+            physical::execute(e, &e.plan(logical).unwrap(), policy).unwrap()
+        };
+        for policy in [
+            ThreadingPolicy::Single,
+            ThreadingPolicy::Multi { threads: 2 },
+            ThreadingPolicy::multi8(),
+        ] {
+            let got = run(&LogicalPlan::sum(rel, v), policy).as_sum().unwrap();
+            assert_eq!(got.to_bits(), sum.to_bits(), "{name} sum {policy:?}");
+            let got = run(&LogicalPlan::filter_sum(rel, v, pred), policy).as_sum().unwrap();
+            assert_eq!(got.to_bits(), filtered.to_bits(), "{name} filter_sum {policy:?}");
+            for (k, want) in keys.into_iter().zip(groups.iter()) {
+                let got = run(&LogicalPlan::group_sum(rel, k, v), policy);
+                same_groups(
+                    &bits(got.as_groups().unwrap()),
+                    want,
+                    &format!("{name} key {k} {policy:?}"),
+                );
+                let strategy = ScanStrategy::ContiguousBytes;
+                let got = physical::group_sum_host(e, rel, k, v, strategy, Some(policy)).unwrap();
+                same_groups(&bits(&got), want, &format!("{name} host key {k} {policy:?}"));
+            }
+        }
+    }
 }
