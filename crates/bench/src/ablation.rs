@@ -3,17 +3,26 @@
 
 use std::sync::Arc;
 
-use htapg_core::engine::{StorageEngine, StorageEngineExt};
-use htapg_core::{DataType, Value};
+use htapg_core::engine::StorageEngine;
+use htapg_core::plan::LogicalPlan;
+use htapg_core::{AttrId, DataType, RelationId, Value};
 use htapg_device::{DeviceSpec, SimDevice};
 use htapg_engines::gputx::TxOp;
 use htapg_engines::{CogadbEngine, GputxEngine, HyriseEngine, LStoreEngine};
+use htapg_exec::physical;
 use htapg_exec::scan::sum_at_positions_f64;
 use htapg_exec::threading::ThreadingPolicy;
 use htapg_workload::queries::sorted_positions;
 use htapg_workload::tpcc::{item_attr, Generator};
 
 use crate::{fig2, min_time_ms, render_sweep};
+
+/// A single-threaded planned `SUM(attr)`, through the analytic front door.
+fn planned_sum(engine: &dyn StorageEngine, rel: RelationId, attr: AttrId) -> f64 {
+    let plan = engine.plan(&LogicalPlan::sum(rel, attr)).unwrap();
+    let out = physical::execute(engine, &plan, ThreadingPolicy::Single).unwrap();
+    out.as_sum().expect("a planned sum answers a sum")
+}
 
 /// A1 — "on a tiny number of records ... sequential execution outperforms
 /// multi-threaded execution since thread-management costs dominate":
@@ -77,13 +86,13 @@ pub fn layout_mix(seed: u64) -> String {
         let mut rng = seeded(seed);
         let warm_positions = sorted_positions(&mut rng, n, 64);
         for _ in 0..10 {
-            engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
-            engine.materialize(rel, &warm_positions).unwrap();
+            physical::touch_column(engine.as_ref(), rel, item_attr::I_PRICE).unwrap();
+            engine.materialize_rows(rel, &warm_positions).unwrap();
         }
         engine.maintain().unwrap();
         let ms = min_time_ms(3, || {
-            engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
-            engine.materialize(rel, &warm_positions).unwrap();
+            planned_sum(engine.as_ref(), rel, item_attr::I_PRICE);
+            engine.materialize_rows(rel, &warm_positions).unwrap();
         });
         names.push(engine.name().to_string());
         vals.push(ms);
@@ -149,7 +158,7 @@ pub fn placement_wall(seed: u64) -> String {
         use htapg_workload::tpcc::customer_attr as c;
         for attr in [c::C_BALANCE, c::C_CREDIT_LIM, c::C_DISCOUNT, c::C_YTD_PAYMENT] {
             for _ in 0..3 {
-                e.sum_column_f64(rel, attr).unwrap();
+                physical::touch_column(&e, rel, attr).unwrap();
             }
         }
         let report = e.maintain().unwrap();
@@ -172,15 +181,15 @@ pub fn adapt_convergence(seed: u64) -> String {
     let n = 200_000u64;
     let hyrise = HyriseEngine::new();
     let rel = htapg_workload::driver::load_items(&hyrise, &gen, n).unwrap();
-    let before = min_time_ms(3, || hyrise.sum_column_f64(rel, item_attr::I_PRICE).unwrap());
+    let before = min_time_ms(3, || planned_sum(&hyrise, rel, item_attr::I_PRICE));
     for _ in 0..30 {
-        hyrise.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+        physical::touch_column(&hyrise, rel, item_attr::I_PRICE).unwrap();
     }
     let report = hyrise.maintain().unwrap();
-    let after = min_time_ms(3, || hyrise.sum_column_f64(rel, item_attr::I_PRICE).unwrap());
+    let after = min_time_ms(3, || planned_sum(&hyrise, rel, item_attr::I_PRICE));
     let statik = htapg_engines::PlainEngine::row_store();
     let rel_s = htapg_workload::driver::load_items(&statik, &gen, n).unwrap();
-    let static_ms = min_time_ms(3, || statik.sum_column_f64(rel_s, item_attr::I_PRICE).unwrap());
+    let static_ms = min_time_ms(3, || planned_sum(&statik, rel_s, item_attr::I_PRICE));
     format!(
         "## A5 — responsive adaptability (200k items, price scan)\n\
          HYRISE before reorganization: {before:.3} ms\n\
@@ -204,13 +213,13 @@ pub fn lstore_merge(seed: u64) -> String {
         for i in 0..updates {
             e.update_field(rel, (i * 31) % n, item_attr::I_PRICE, &Value::Float64(2.0)).unwrap();
         }
-        let read_ms = min_time_ms(3, || e.materialize(rel, &probe).unwrap());
-        let scan_ms = min_time_ms(3, || e.sum_column_f64(rel, item_attr::I_PRICE).unwrap());
+        let read_ms = min_time_ms(3, || e.materialize_rows(rel, &probe).unwrap());
+        let scan_ms = min_time_ms(3, || planned_sum(&e, rel, item_attr::I_PRICE));
         rows.push((updates, vec![read_ms, scan_ms, e.tail_len(rel).unwrap() as f64]));
     }
     e.maintain().unwrap();
-    let read_ms = min_time_ms(3, || e.materialize(rel, &probe).unwrap());
-    let scan_ms = min_time_ms(3, || e.sum_column_f64(rel, item_attr::I_PRICE).unwrap());
+    let read_ms = min_time_ms(3, || e.materialize_rows(rel, &probe).unwrap());
+    let scan_ms = min_time_ms(3, || planned_sum(&e, rel, item_attr::I_PRICE));
     let mut out = render_sweep(
         "A6 — L-Store: cost vs unmerged tail (50k items, 256-record probe)",
         "#updates",

@@ -168,7 +168,7 @@ fn print_fig1() {
     describe("initial (transactional shape)");
     // Analytical phase: the balance column gets scanned hard.
     for _ in 0..40 {
-        engine.sum_column_f64(rel, c::C_BALANCE).unwrap();
+        htapg_exec::physical::touch_column(&engine, rel, c::C_BALANCE).unwrap();
     }
     engine.maintain().unwrap();
     describe("after an analytical burst + maintain");

@@ -79,8 +79,8 @@ pub fn measure_with(seed: u64, rows: u64, rates: &[u64]) -> Vec<DeltaPoint> {
     let rel_c = load_items(&cliff, &gen, rows).expect("load cliff table");
     cliff.cache().set_delta_shipping(false);
     // Place the replica on both sides before anything is measured.
-    let warm_s = ship.device_sum_column(rel_s, item_attr::I_PRICE).expect("warm ship");
-    let warm_c = cliff.device_sum_column(rel_c, item_attr::I_PRICE).expect("warm cliff");
+    let warm_s = ship.offload_sum(rel_s, item_attr::I_PRICE, None).expect("warm ship");
+    let warm_c = cliff.offload_sum(rel_c, item_attr::I_PRICE, None).expect("warm cliff");
     assert_eq!(warm_s.to_bits(), warm_c.to_bits(), "warm sums must agree bit-for-bit");
 
     let mut points = Vec::new();
@@ -95,10 +95,10 @@ pub fn measure_with(seed: u64, rows: u64, rates: &[u64]) -> Vec<DeltaPoint> {
                 .expect("cliff burst");
             offset += w;
             let before_s = ship.device().ledger().snapshot();
-            let sum_s = ship.device_sum_column(rel_s, item_attr::I_PRICE).expect("ship sum");
+            let sum_s = ship.offload_sum(rel_s, item_attr::I_PRICE, None).expect("ship sum");
             let d_s = ship.device().ledger().snapshot().since(&before_s);
             let before_c = cliff.device().ledger().snapshot();
-            let sum_c = cliff.device_sum_column(rel_c, item_attr::I_PRICE).expect("cliff sum");
+            let sum_c = cliff.offload_sum(rel_c, item_attr::I_PRICE, None).expect("cliff sum");
             let d_c = cliff.device().ledger().snapshot().since(&before_c);
             assert_eq!(
                 sum_s.to_bits(),

@@ -12,6 +12,7 @@
 use htapg_core::engine::StorageEngine;
 use htapg_core::obs::{self, TraceReport, Tracer};
 use htapg_engines::ReferenceEngine;
+use htapg_exec::physical;
 use htapg_workload::driver::{load_customers, run_sequential};
 use htapg_workload::queries::{mixed_stream, MixConfig};
 use htapg_workload::tpcc::Generator;
@@ -49,9 +50,8 @@ pub fn run(seed: u64, quick: bool) -> ObsReport {
     // Analytic warm-up so `maintain` delegates the balance column to the
     // device — the traced scans then do real (virtual-time) device work.
     for _ in 0..40 {
-        engine
-            .sum_column_f64(rel, htapg_workload::tpcc::customer_attr::C_BALANCE)
-            .expect("warm-up scan");
+        let balance = htapg_workload::tpcc::customer_attr::C_BALANCE;
+        physical::touch_column(&engine, rel, balance).expect("warm-up scan");
     }
     engine.maintain().ok();
     let cfg = MixConfig { olap_fraction: 0.1, write_fraction: 0.5, ..Default::default() };

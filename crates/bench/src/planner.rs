@@ -138,7 +138,7 @@ pub fn measure(seed: u64, quick: bool) -> Vec<PlanPoint> {
         // Placement warm-up: device-capable engines reach their steady
         // delegation before anything is measured.
         for _ in 0..40 {
-            let _ = engine.sum_column_f64(rel, item_attr::I_PRICE);
+            let _ = physical::touch_column(engine, rel, item_attr::I_PRICE);
         }
         let _ = engine.maintain();
         // Cold pass: first planned execution per op class; the profiles

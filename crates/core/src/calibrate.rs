@@ -37,13 +37,11 @@ use std::sync::Arc;
 
 use htapg_taxonomy::Classification;
 
-use crate::costmodel::CacheSpec;
 use crate::engine::{MaintenanceReport, StorageEngine};
 use crate::error::Result;
 use crate::obs;
 use crate::plan::{
-    self, ColumnEvidence, DeviceCostProfile, EngineCapabilities, LogicalPlan, PhysicalPlan,
-    Predicate, TableEvidence,
+    ColumnEvidence, DeviceCostProfile, EngineCapabilities, Predicate, TableEvidence,
 };
 use crate::schema::{AttrId, Record, RelationId, RowId, Schema};
 use crate::types::Value;
@@ -261,9 +259,10 @@ impl CalibrationProfiles {
 }
 
 /// A calibrating wrapper around any [`StorageEngine`]: every call is
-/// delegated, but [`StorageEngine::plan`] routes through this wrapper's
-/// own [`CalibrationProfiles`] (and an optional device-profile override,
-/// used by the route-flip tests to seed a deliberately mis-priced device).
+/// delegated, but the default [`StorageEngine::plan`] routes through this
+/// wrapper's own [`CalibrationProfiles`] (returned by `calibration()`) and
+/// an optional device-profile override, used by the route-flip tests to
+/// seed a deliberately mis-priced device.
 pub struct Calibrated {
     inner: Box<dyn StorageEngine>,
     profiles: Arc<CalibrationProfiles>,
@@ -351,10 +350,6 @@ impl StorageEngine for Calibrated {
         self.inner.with_column_bytes(rel, attr, visit)
     }
 
-    fn sum_column_f64(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        self.inner.sum_column_f64(rel, attr)
-    }
-
     fn materialize_rows(&self, rel: RelationId, rows: &[RowId]) -> Result<Vec<Record>> {
         self.inner.materialize_rows(rel, rows)
     }
@@ -383,38 +378,17 @@ impl StorageEngine for Calibrated {
         self.inner.table_evidence(rel)
     }
 
-    fn plan(&self, logical: &LogicalPlan) -> Result<PhysicalPlan> {
-        let caps = self.capabilities();
-        let device = self.device_cost_profile();
-        let cache = CacheSpec::default();
-        plan::build_plan(
-            logical,
-            &plan::PlannerContext {
-                caps: &caps,
-                device: device.as_ref(),
-                cache: &cache,
-                calibration: Some(&self.profiles),
-            },
-            &mut |rel, attr| self.column_evidence(rel, attr),
-            &mut |rel| self.table_evidence(rel),
-        )
+    fn offload_sum(&self, rel: RelationId, attr: AttrId, pred: Option<&Predicate>) -> Result<f64> {
+        self.inner.offload_sum(rel, attr, pred)
     }
 
-    fn device_sum_column(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        self.inner.device_sum_column(rel, attr)
-    }
-
-    fn device_filter_sum(&self, rel: RelationId, attr: AttrId, pred: &Predicate) -> Result<f64> {
-        self.inner.device_filter_sum(rel, attr, pred)
-    }
-
-    fn device_group_sum(
+    fn offload_group_sum(
         &self,
         rel: RelationId,
         key_attr: AttrId,
         value_attr: AttrId,
     ) -> Result<Vec<(i64, f64)>> {
-        self.inner.device_group_sum(rel, key_attr, value_attr)
+        self.inner.offload_group_sum(rel, key_attr, value_attr)
     }
 
     fn trace_clock(&self) -> Option<Arc<dyn obs::VirtualClock>> {

@@ -98,39 +98,6 @@ pub trait StorageEngine: Send + Sync {
         Ok(false)
     }
 
-    /// Sum a numeric column (the paper's "sum prices" operation). The
-    /// default scans on the host, preferring the contiguous fast path;
-    /// device-backed engines override it to answer from a fresh device
-    /// replica (charging virtual kernel time) when one exists.
-    ///
-    /// Summing a non-numeric column is a typed error
-    /// ([`Error::NonNumericAggregate`]), never a silent `0.0` — the type
-    /// is checked up front, so both the fast path and the fallback reject
-    /// it before touching any data.
-    fn sum_column_f64(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        let ty = self.schema(rel)?.ty(attr)?;
-        if !ty.is_numeric() {
-            return Err(Error::NonNumericAggregate { attr, got: ty.name() });
-        }
-        let width = ty.width();
-        let mut sum = 0.0f64;
-        let used_fast = self.with_column_bytes(rel, attr, &mut |block| {
-            for chunk in block.chunks_exact(width) {
-                let x =
-                    Value::decode(ty, chunk).as_f64().expect("column type checked numeric above");
-                sum += x;
-            }
-        })?;
-        if used_fast {
-            return Ok(sum);
-        }
-        sum = 0.0;
-        self.scan_column(rel, attr, &mut |_, v| {
-            sum += v.as_f64().expect("column type checked numeric above");
-        })?;
-        Ok(sum)
-    }
-
     /// Materialize several rows in one call (the paper's "materialize 150
     /// customers" operation). The default is the per-row tuple loop;
     /// engines with contiguous NSM rows override it to serve a *sorted*
@@ -234,57 +201,31 @@ pub trait StorageEngine: Send + Sync {
         None
     }
 
-    /// Device route for `SUM(attr)`: answer from device memory, charging
-    /// virtual transfer/kernel time to the engine's ledger. The default
-    /// has no device; the physical executor falls back to the host
-    /// canonical reduction on any error, so a stale replica degrades
-    /// gracefully (and bit-identically).
-    fn device_sum_column(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        let _ = (rel, attr);
-        Err(Error::Internal("engine has no device sum".into()))
-    }
-
-    /// Device route for the fused `SUM(attr) WHERE pred(attr)` shape.
-    fn device_filter_sum(&self, rel: RelationId, attr: AttrId, pred: &Predicate) -> Result<f64> {
+    /// Off-host route for `SUM(attr)`, optionally predicated: the
+    /// `DevicePipelined` route of a device-backed engine (a resident
+    /// replica reduced by the canonical kernels) or the `Scatter` route of
+    /// a sharded one (per-fragment partials gathered in fragment order).
+    /// Either way the answer carries the bits of the host reduction over
+    /// the plan's geometry. The default has no such route; the physical
+    /// executor degrades to that host reduction on any error but a typed
+    /// [`Error::NonNumericAggregate`], so a stale replica, a device fault
+    /// or a failed gather costs speed, never the answer.
+    fn offload_sum(&self, rel: RelationId, attr: AttrId, pred: Option<&Predicate>) -> Result<f64> {
         let _ = (rel, attr, pred);
-        Err(Error::Internal("engine has no device filter-sum".into()))
+        Err(Error::Internal("engine has no off-host sum".into()))
     }
 
-    /// Device route for `SUM(value) GROUP BY key`: gather each group's
-    /// values from a resident replica (preserving row order) and reduce
-    /// per group. Returns `(key, sum)` ordered by key.
-    fn device_group_sum(
+    /// Off-host route for `SUM(value) GROUP BY key`, the group-sum
+    /// counterpart of [`offload_sum`](StorageEngine::offload_sum).
+    /// Returns `(key, sum)` ordered by key.
+    fn offload_group_sum(
         &self,
         rel: RelationId,
         key_attr: AttrId,
         value_attr: AttrId,
     ) -> Result<Vec<(i64, f64)>> {
         let _ = (rel, key_attr, value_attr);
-        Err(Error::Internal("engine has no device group-sum".into()))
-    }
-
-    /// Scatter route for `SUM(attr)` (optionally predicated): fan the
-    /// partial sums out to the owning cluster nodes and gather them in
-    /// canonical fragment order. Only sharded engines implement this; the
-    /// physical executor falls back to the host path (same sharded
-    /// reduction geometry) on any error, so a failed gather degrades
-    /// gracefully — and bit-identically.
-    fn scatter_sum(&self, rel: RelationId, attr: AttrId, pred: Option<&Predicate>) -> Result<f64> {
-        let _ = (rel, attr, pred);
-        Err(Error::Internal("engine has no scatter sum".into()))
-    }
-
-    /// Scatter route for `SUM(value) GROUP BY key`: per-shard keyed
-    /// partials merged per key over canonical fragment order. Returns
-    /// `(key, sum)` ordered by key.
-    fn scatter_group_sum(
-        &self,
-        rel: RelationId,
-        key_attr: AttrId,
-        value_attr: AttrId,
-    ) -> Result<Vec<(i64, f64)>> {
-        let _ = (rel, key_attr, value_attr);
-        Err(Error::Internal("engine has no scatter group-sum".into()))
+        Err(Error::Internal("engine has no off-host group-sum".into()))
     }
 
     /// The virtual clock this engine's work is charged against, for span
@@ -305,23 +246,6 @@ pub trait StorageEngine: Send + Sync {
         report.render(self.name())
     }
 }
-
-/// Blanket helpers available on every engine.
-///
-/// (`sum_column_f64` used to live here; it is now an *overridable* default
-/// method on [`StorageEngine`] so device-backed engines can route analytic
-/// sums to a fresh device replica.)
-pub trait StorageEngineExt: StorageEngine {
-    /// Materialize several rows (the paper's "materialize 150 customers"
-    /// operation). Delegates to the overridable
-    /// [`StorageEngine::materialize_rows`], so engines with a batch fast
-    /// path serve this too.
-    fn materialize(&self, rel: RelationId, rows: &[RowId]) -> Result<Vec<Record>> {
-        self.materialize_rows(rel, rows)
-    }
-}
-
-impl<T: StorageEngine + ?Sized> StorageEngineExt for T {}
 
 #[cfg(test)]
 mod tests {
@@ -422,20 +346,21 @@ mod tests {
     }
 
     #[test]
-    fn blanket_helpers_work() {
+    fn default_methods_work() {
         let e = Toy::new();
         let s = Schema::of(&[("k", DataType::Int64), ("price", DataType::Float64)]);
         let rel = e.create_relation(s).unwrap();
         for i in 0..100 {
             e.insert(rel, &vec![Value::Int64(i), Value::Float64(i as f64 * 0.5)]).unwrap();
         }
-        let sum = e.sum_column_f64(rel, 1).unwrap();
-        assert_eq!(sum, (0..100).map(|i| i as f64 * 0.5).sum::<f64>());
-        let recs = e.materialize(rel, &[3, 7]).unwrap();
+        let recs = e.materialize_rows(rel, &[3, 7]).unwrap();
         assert_eq!(recs[0][0], Value::Int64(3));
         assert_eq!(recs[1][1], Value::Float64(3.5));
         assert_eq!(e.row_count(rel).unwrap(), 100);
         assert!(!e.maintain().unwrap().did_anything());
+        // No off-host route: the executor answers on the host.
+        assert!(e.offload_sum(rel, 1, None).is_err());
+        assert!(e.offload_group_sum(rel, 0, 1).is_err());
     }
 
     #[test]
@@ -448,8 +373,8 @@ mod tests {
         assert_eq!(e.classification().name, "TOY");
     }
 
-    /// DSM variant of [`Toy`] that serves the contiguous fast path, to
-    /// exercise `sum_column_f64`'s `with_column_bytes` branch.
+    /// DSM variant of [`Toy`] that serves the contiguous fast path, so a
+    /// planned scan takes the `with_column_bytes` strategy.
     struct ToyDsm {
         inner: Toy,
     }
@@ -523,16 +448,17 @@ mod tests {
 
     #[test]
     fn non_numeric_sum_is_typed_error_on_fallback_path() {
-        // Toy is NSM: `with_column_bytes` declines, so the sum goes down
-        // the `scan_column` fallback — which must also reject up front.
+        // Toy is NSM: a planned sum visits values through `scan_column`,
+        // and planning rejects a non-numeric column before any scan.
         let e = Toy::new();
         let s = Schema::of(&[("name", DataType::Text(8)), ("price", DataType::Float64)]);
         let rel = e.create_relation(s).unwrap();
         e.insert(rel, &vec![Value::Text("x".into()), Value::Float64(1.5)]).unwrap();
-        let err = e.sum_column_f64(rel, 0).unwrap_err();
+        let err = e.plan(&LogicalPlan::sum(rel, 0)).unwrap_err();
         assert_eq!(err, crate::error::Error::NonNumericAggregate { attr: 0, got: "text" });
-        // The numeric column still sums.
-        assert_eq!(e.sum_column_f64(rel, 1).unwrap(), 1.5);
+        // The numeric column still plans, on the value-visit strategy.
+        let plan = e.plan(&LogicalPlan::sum(rel, 1)).unwrap();
+        assert_eq!(plan.root.strategy, crate::plan::ScanStrategy::ValueVisit);
     }
 
     #[test]
@@ -543,13 +469,14 @@ mod tests {
         for i in 0..10 {
             e.insert(rel, &vec![Value::Bool(i % 2 == 0), Value::Float64(i as f64)]).unwrap();
         }
-        // Sanity: the fast path is actually taken for the numeric column.
+        // Sanity: the fast path is actually served for the numeric column.
         let mut blocks = 0;
         assert!(e.with_column_bytes(rel, 1, &mut |_| blocks += 1).unwrap());
         assert!(blocks > 0);
-        let err = e.sum_column_f64(rel, 0).unwrap_err();
+        let err = e.plan(&LogicalPlan::sum(rel, 0)).unwrap_err();
         assert_eq!(err, crate::error::Error::NonNumericAggregate { attr: 0, got: "bool" });
-        assert_eq!(e.sum_column_f64(rel, 1).unwrap(), (0..10).sum::<i32>() as f64);
+        let plan = e.plan(&LogicalPlan::sum(rel, 1)).unwrap();
+        assert_eq!(plan.root.strategy, crate::plan::ScanStrategy::ContiguousBytes);
     }
 
     #[test]

@@ -519,6 +519,61 @@ pub fn keyed_fragment_partials_f64(
     Ok(out)
 }
 
+/// Group-sum of a device-resident packed `f64` column by `keys`, the
+/// (host-resident) integer key of every row. Group ids are ranks among the
+/// sorted distinct keys, and a stable counting sort gives each group a
+/// contiguous run of its values in row order. Each run then reduces
+/// canonically ([`reduce_seg_len`] of the group's rows, then the tree of
+/// its partials), so every group's sum is bit-identical to the canonical
+/// sum of its values. Three launches for any number of groups: the gather
+/// of all rows into group order, pass 1 over every group's segments, and
+/// the final combine of every group's partials. Returns `(key, sum)`
+/// ordered by key.
+pub fn group_sum_f64(device: &SimDevice, buf: BufferId, keys: &[i64]) -> Result<Vec<(i64, f64)>> {
+    let values = device.with_buffer(buf, as_f64s)??;
+    let n = values.len();
+    if keys.len() != n {
+        return Err(Error::Internal(format!("{} keys for a {n}-row value column", keys.len())));
+    }
+    let mut distinct = keys.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let ids: Vec<usize> =
+        keys.iter().map(|k| distinct.binary_search(k).expect("every key is listed")).collect();
+    // `start[g]..start[g + 1]` is group g's run in the gathered order.
+    let mut start = vec![0; distinct.len() + 1];
+    ids.iter().for_each(|&g| start[g + 1] += 1);
+    (1..start.len()).for_each(|g| start[g] += start[g - 1]);
+    let (mut next, mut grouped) = (start.clone(), vec![0.0; n]);
+    for (&g, &v) in ids.iter().zip(&values) {
+        grouped[next[g]] = v;
+        next[g] += 1;
+    }
+    let partials: Vec<Vec<f64>> = start
+        .windows(2)
+        .map(|run| {
+            let run = &grouped[run[0]..run[1]];
+            let mut reducer = SegmentReducer::new(reduce_seg_len(run.len()));
+            reducer.push_f64s(run);
+            reducer.partials()
+        })
+        .collect();
+    let combined = partials.iter().map(Vec::len).sum::<usize>();
+    let ex = Executor::new(device);
+    let launch = |blocks, threads, work: usize, cycles, bytes: usize| {
+        let cost = KernelCost {
+            work_items: work.max(1) as u64,
+            cycles_per_item: cycles,
+            bytes: bytes as u64,
+        };
+        ex.charge_launch(LaunchConfig::new(blocks, threads), cost)
+    };
+    launch(REDUCE_GRID.min(n.max(1) as u32), REDUCE_BLOCK, n, 8.0, n * 16)?; // gather
+    launch(REDUCE_GRID, REDUCE_BLOCK, n, 4.0, n * 8)?; // pass 1
+    launch(1, FINAL_BLOCK, combined, 4.0, combined * 8)?; // final combine
+    Ok(distinct.into_iter().zip(&partials).map(|(k, p)| (k, tree_sum(p))).collect())
+}
+
 /// Sum a packed little-endian `i64` column on the device (same geometry).
 pub fn reduce_sum_i64(device: &SimDevice, buf: BufferId) -> Result<i64> {
     let ex = Executor::new(device);
@@ -954,6 +1009,36 @@ mod tests {
         assert_eq!(partials[0], vec![(3, 2.0), (7, 4.0)]);
         assert_eq!(partials[1], vec![(3, 4.0), (9, 5.0)]);
         assert!(keyed_fragment_partials_f64(&d, buf, &keys[..3], 3).is_err());
+    }
+
+    #[test]
+    fn group_sum_reduces_each_group_canonically_in_three_launches() {
+        let d = SimDevice::with_defaults();
+        let values: Vec<f64> = (0..5_000).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
+        let buf = upload_f64(&d, &values);
+        // Dense and sparse keys, negative and extreme ones included.
+        let dense: Vec<i64> = (0..5_000).map(|i| i % 7 - 3).collect();
+        let sparse: Vec<i64> = (0..5_000).map(|i| [i64::MIN, 5, i64::MAX][i % 3]).collect();
+        for keys in [dense, sparse] {
+            let before = d.ledger().snapshot();
+            let got = group_sum_f64(&d, buf, &keys).unwrap();
+            assert_eq!(d.ledger().snapshot().since(&before).kernel_launches, 3);
+            let mut groups: std::collections::BTreeMap<i64, Vec<f64>> = Default::default();
+            for (&k, &v) in keys.iter().zip(&values) {
+                groups.entry(k).or_default().push(v);
+            }
+            let want: Vec<(i64, u64)> = groups
+                .into_iter()
+                .map(|(k, vs)| {
+                    let mut r = SegmentReducer::new(reduce_seg_len(vs.len()));
+                    r.push_f64s(&vs);
+                    (k, r.finish().to_bits())
+                })
+                .collect();
+            let got: Vec<(i64, u64)> = got.into_iter().map(|(k, s)| (k, s.to_bits())).collect();
+            assert_eq!(got, want);
+        }
+        assert!(group_sum_f64(&d, buf, &[1, 2]).is_err(), "one key per row");
     }
 
     #[test]

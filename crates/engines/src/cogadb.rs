@@ -9,9 +9,13 @@
 //!
 //! Columns live on the host (thin vectors); [`StorageEngine::maintain`]
 //! replicates the most-scanned columns into simulated device memory with
-//! all-or-nothing placement. [`CogadbEngine::sum_column_placed`] is the
+//! all-or-nothing placement. Planned analytics reach a fresh replica
+//! through the offload hooks ([`StorageEngine::offload_sum`],
+//! [`StorageEngine::offload_group_sum`]) and the shared device bodies in
+//! [`crate::common`]. [`CogadbEngine::sum_column_placed`] is the
 //! HYPE-scheduled operator: a learned linear cost model per processor picks
-//! CPU or GPU, then observes the actual cost to refine itself.
+//! CPU or GPU, then observes the actual cost to refine itself. Both
+//! placements reduce canonically, so HYPE's choice never moves a bit.
 //!
 //! Device replicas live in a shared [`DeviceColumnCache`], keyed by
 //! `(relation, attr)` and stamped with a per-attr version the engine bumps
@@ -33,10 +37,10 @@ use htapg_core::{
     RowId, Schema, Value,
 };
 use htapg_device::kernels;
-use htapg_device::{CachedColumn, DeltaTransport, DeviceColumnCache, SimDevice, StaleInfo};
+use htapg_device::{BufferId, DeltaTransport, DeviceColumnCache, SimDevice, StaleInfo};
 use htapg_taxonomy::{survey, Classification};
 
-use crate::common::Registry;
+use crate::common::{self, Registry};
 
 /// Which processor executed (or would execute) an operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,43 +182,42 @@ impl CogadbEngine {
         info.stale_rows > 0 && info.stale_rows * 2 <= info.rows
     }
 
-    /// A fresh replica, merging a delta-stale one in place when the log is
-    /// small enough to beat re-upload. Errors mean "answer on the host".
-    fn fresh_or_merged(&self, rel: RelationId, attr: AttrId, version: u64) -> Result<CachedColumn> {
-        if let Some(col) = self.cache.lookup(rel, attr, version)? {
-            return Ok(col);
-        }
-        if let Some(info) = self.cache.stale_info(rel, attr, version) {
-            if Self::merge_beats_reupload(&info) {
-                return self.cache.merge_deltas(rel, attr, version, DeltaTransport::Pcie);
+    /// Run `kernel` on a fresh replica of `attr` — a delta-stale one is
+    /// merged in place first when the log is small enough to beat
+    /// re-upload — within one registry read. Errors mean "answer on the
+    /// host".
+    fn with_fresh_replica<T>(
+        &self,
+        rel: RelationId,
+        attr: AttrId,
+        kernel: impl FnOnce(BufferId) -> Result<T>,
+    ) -> Result<T> {
+        self.rels.read(rel, |r| {
+            r.stats.record_scan(attr);
+            let version = r.versions.get(attr as usize).copied().unwrap_or(0);
+            if let Some(col) = self.cache.lookup(rel, attr, version)? {
+                return kernel(col.buf);
             }
-        }
-        Err(Error::Internal(format!("no fresh device replica of attr {attr}")))
+            match self.cache.stale_info(rel, attr, version) {
+                Some(info) if Self::merge_beats_reupload(&info) => {
+                    kernel(self.cache.merge_deltas(rel, attr, version, DeltaTransport::Pcie)?.buf)
+                }
+                _ => Err(Error::Internal(format!("no fresh device replica of attr {attr}"))),
+            }
+        })
     }
 
     /// Pack a host column into device-ready f64 bytes.
     fn pack_column(r: &CogadbRelation, attr: AttrId) -> Result<(Vec<u8>, u64)> {
         let ty = r.relation.schema().ty(attr)?;
-        match ty {
-            DataType::Text(_) | DataType::Bool => {
-                return Err(Error::TypeMismatch { expected: "numeric", got: ty.name() })
-            }
-            _ => {}
-        }
-        let mut out = Vec::new();
-        let mut rows = 0u64;
+        let dec = kernels::f64_decoder(ty)
+            .ok_or(Error::TypeMismatch { expected: "numeric", got: ty.name() })?;
+        let (mut out, mut x) = (Vec::new(), [0.0]);
         r.relation.for_each_field(attr, |_, bytes| {
-            let x = match ty {
-                DataType::Float64 => f64::from_le_bytes(bytes.try_into().unwrap()),
-                DataType::Int64 => i64::from_le_bytes(bytes.try_into().unwrap()) as f64,
-                DataType::Int32 | DataType::Date => {
-                    i32::from_le_bytes(bytes.try_into().unwrap()) as f64
-                }
-                _ => unreachable!(),
-            };
-            out.extend_from_slice(&x.to_le_bytes());
-            rows += 1;
+            (dec.decode)(bytes, &mut x);
+            out.extend_from_slice(&x[0].to_le_bytes());
         })?;
+        let rows = (out.len() / 8) as u64;
         Ok((out, rows))
     }
 
@@ -235,10 +238,15 @@ impl CogadbEngine {
     }
 
     /// HYPE-scheduled column sum: decides CPU vs GPU, executes, observes.
+    /// Both placements reduce canonically, so they agree to the bit;
+    /// summing a non-numeric column is a typed error.
     pub fn sum_column_placed(&self, rel: RelationId, attr: AttrId) -> Result<(f64, Placement)> {
         let device = self.device.clone();
         let handle = self.rels.get(rel)?;
         let r = handle.read();
+        let ty = r.relation.schema().ty(attr)?;
+        let dec =
+            kernels::f64_decoder(ty).ok_or(Error::NonNumericAggregate { attr, got: ty.name() })?;
         r.stats.record_scan(attr);
         let rows = r.relation.row_count();
         let version = r.versions[attr as usize];
@@ -255,19 +263,10 @@ impl CogadbEngine {
                 return Ok((sum, Placement::Gpu));
             }
         }
-        let ty = r.relation.schema().ty(attr)?;
         let t = Instant::now();
-        let mut sum = 0.0f64;
-        r.relation.for_each_field(attr, |_, bytes| {
-            sum += match ty {
-                DataType::Float64 => f64::from_le_bytes(bytes.try_into().unwrap()),
-                DataType::Int64 => i64::from_le_bytes(bytes.try_into().unwrap()) as f64,
-                DataType::Int32 | DataType::Date => {
-                    i32::from_le_bytes(bytes.try_into().unwrap()) as f64
-                }
-                _ => 0.0,
-            };
-        })?;
+        let mut reducer = kernels::SegmentReducer::new(kernels::reduce_seg_len(rows as usize));
+        r.relation.for_each_field(attr, |_, bytes| reducer.push_bytes(bytes, dec))?;
+        let sum = reducer.finish();
         let ns = t.elapsed().as_nanos() as f64;
         self.hype.lock().observe(Placement::Cpu, rows, ns);
         Ok((sum, Placement::Cpu))
@@ -400,50 +399,23 @@ impl StorageEngine for CogadbEngine {
         })
     }
 
-    fn device_sum_column(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        self.rels.read(rel, |r| {
-            r.stats.record_scan(attr);
-            let version = r.versions.get(attr as usize).copied().unwrap_or(0);
-            let col = self.fresh_or_merged(rel, attr, version)?;
-            kernels::reduce_sum_f64(&self.device, col.buf)
-        })
+    /// Device sum over a fresh (or cheaply merged) replica, reduced under
+    /// the registry read that found it.
+    fn offload_sum(&self, rel: RelationId, attr: AttrId, pred: Option<&Predicate>) -> Result<f64> {
+        self.with_fresh_replica(rel, attr, |buf| common::device_sum(&self.device, buf, pred))
     }
 
-    fn device_filter_sum(&self, rel: RelationId, attr: AttrId, pred: &Predicate) -> Result<f64> {
-        self.rels.read(rel, |r| {
-            r.stats.record_scan(attr);
-            let version = r.versions.get(attr as usize).copied().unwrap_or(0);
-            let col = self.fresh_or_merged(rel, attr, version)?;
-            kernels::filter_sum_f64(&self.device, col.buf, |v| pred.matches(v))
-        })
-    }
-
-    /// Device group-sum over a fresh value replica: keys scanned on the
-    /// host, per-group runs gathered and canonically reduced on the device.
-    fn device_group_sum(
+    /// Device group-sum: keys scanned on the host, values from a fresh
+    /// value replica.
+    fn offload_group_sum(
         &self,
         rel: RelationId,
         key_attr: AttrId,
         value_attr: AttrId,
     ) -> Result<Vec<(i64, f64)>> {
-        self.schema(rel)?.key_ty(key_attr)?;
-        let mut positions: std::collections::BTreeMap<i64, Vec<u64>> = Default::default();
-        self.scan_column(rel, key_attr, &mut |row, v| {
-            let k = v.as_i64().expect("key type checked integer above");
-            positions.entry(k).or_default().push(row);
-        })?;
-        self.rels.read(rel, |r| {
-            r.stats.record_scan(value_attr);
-            let version = r.versions.get(value_attr as usize).copied().unwrap_or(0);
-            let col = self.fresh_or_merged(rel, value_attr, version)?;
-            let mut out = Vec::with_capacity(positions.len());
-            for (key, pos) in &positions {
-                let gathered = kernels::gather(&self.device, col.buf, 8, pos)?;
-                let sum = kernels::reduce_sum_f64(&self.device, gathered);
-                self.device.free(gathered)?;
-                out.push((*key, sum?));
-            }
-            Ok(out)
+        let keys = common::scan_keys(self, rel, key_attr)?;
+        self.with_fresh_replica(rel, value_attr, |buf| {
+            common::device_group_sum(&self.device, buf, &keys)
         })
     }
 
@@ -537,7 +509,7 @@ mod tests {
         assert_eq!(e.read_record(rel, 9).unwrap(), rec(9));
         e.update_field(rel, 9, 1, &Value::Float64(1.5)).unwrap();
         assert_eq!(e.read_field(rel, 9, 1).unwrap(), Value::Float64(1.5));
-        assert_eq!(e.sum_column_f64(rel, 0).unwrap(), (0..100i64).sum::<i64>() as f64);
+        assert_eq!(crate::testing::planned_sum(&e, rel, 0), (0..100i64).sum::<i64>() as f64);
     }
 
     #[test]
@@ -545,7 +517,7 @@ mod tests {
         let e = CogadbEngine::new();
         let rel = loaded(&e, 1000);
         for _ in 0..10 {
-            e.sum_column_f64(rel, 1).unwrap();
+            htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         }
         let report = e.maintain().unwrap();
         assert!(report.fragments_moved >= 1);
@@ -558,7 +530,7 @@ mod tests {
         let e = CogadbEngine::with_device(Arc::new(SimDevice::new(0, DeviceSpec::tiny())));
         let rel = loaded(&e, 200_000); // 1.6 MB column > 1 MB device
         for _ in 0..5 {
-            e.sum_column_f64(rel, 1).unwrap();
+            htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         }
         let report = e.maintain().unwrap();
         assert_eq!(report.fragments_moved, 0, "placement must fail wholesale");
@@ -574,7 +546,7 @@ mod tests {
         let e = CogadbEngine::new();
         let rel = loaded(&e, 500);
         for _ in 0..5 {
-            e.sum_column_f64(rel, 1).unwrap();
+            htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         }
         e.maintain().unwrap();
         e.update_field(rel, 0, 1, &Value::Float64(1e6)).unwrap();
@@ -586,10 +558,35 @@ mod tests {
         // After refresh the device copy is usable again and correct.
         e.place_column(rel, 1).unwrap();
         let expect = (1..500).map(|i| i as f64).sum::<f64>() + 1e6;
+        let mut seen = Vec::new();
         for _ in 0..10 {
-            let (sum, _) = e.sum_column_placed(rel, 1).unwrap();
-            assert!((sum - expect).abs() < 1e-6);
+            let (sum, placement) = e.sum_column_placed(rel, 1).unwrap();
+            assert_eq!(sum.to_bits(), expect.to_bits(), "{placement:?}");
+            seen.push(placement);
         }
+        assert!(seen.contains(&Placement::Cpu) && seen.contains(&Placement::Gpu));
+    }
+
+    #[test]
+    fn placements_agree_to_the_bit_and_reject_non_numeric_columns() {
+        let e = CogadbEngine::new();
+        let rel = e.create_relation(schema()).unwrap();
+        for i in 0..3_000i64 {
+            let price = (i as f64 * 0.37).sin() * 1e3;
+            e.insert(rel, &vec![Value::Int64(i), Value::Float64(price), Value::Text("c".into())])
+                .unwrap();
+        }
+        let err = Error::NonNumericAggregate { attr: 2, got: "text" };
+        assert_eq!(e.sum_column_placed(rel, 2), Err(err));
+        e.place_column(rel, 1).unwrap();
+        let want = htapg_exec::physical::volcano_sum(&e, rel, 1).unwrap();
+        let mut seen = Vec::new();
+        for _ in 0..6 {
+            let (sum, placement) = e.sum_column_placed(rel, 1).unwrap();
+            assert_eq!(sum.to_bits(), want.to_bits(), "{placement:?}: {sum} vs {want}");
+            seen.push(placement);
+        }
+        assert!(seen.contains(&Placement::Cpu) && seen.contains(&Placement::Gpu));
     }
 
     #[test]
@@ -597,7 +594,7 @@ mod tests {
         let e = CogadbEngine::new();
         let rel = loaded(&e, 20_000);
         for _ in 0..3 {
-            e.sum_column_f64(rel, 1).unwrap();
+            htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         }
         e.maintain().unwrap();
         // Train: alternating probes gather samples for both processors.

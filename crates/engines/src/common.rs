@@ -3,7 +3,11 @@
 use htapg_core::sync::RwLock;
 use std::sync::Arc;
 
-use htapg_core::{Error, RelationId, Result};
+use htapg_core::engine::StorageEngine;
+use htapg_core::plan::Predicate;
+use htapg_core::retry::{with_retry, RetryPolicy};
+use htapg_core::{AttrId, Error, RelationId, Result};
+use htapg_device::{kernels, BufferId, SimDevice};
 
 /// A concurrent registry of per-relation states.
 ///
@@ -58,6 +62,51 @@ impl<T> Registry<T> {
     pub fn all(&self) -> Vec<Arc<RwLock<T>>> {
         self.items.read().clone()
     }
+}
+
+/// The device sum behind every device-backed engine's
+/// [`StorageEngine::offload_sum`]: the canonical two-pass reduction, or
+/// its fused filter variant, over the fresh packed-`f64` replica `buf`
+/// the engine found under its own placement and delta-merge policy. A
+/// transient launch fault is retried with virtual backoff charged to the
+/// device ledger.
+pub(crate) fn device_sum(
+    device: &SimDevice,
+    buf: BufferId,
+    pred: Option<&Predicate>,
+) -> Result<f64> {
+    with_retry(&RetryPolicy::default(), device.ledger(), || match pred {
+        None => kernels::reduce_sum_f64(device, buf),
+        Some(p) => kernels::filter_sum_f64(device, buf, |v| p.matches(v)),
+    })
+}
+
+/// The device group-sum behind [`StorageEngine::offload_group_sum`]:
+/// [`kernels::group_sum_f64`] over the value replica `buf` by the rows'
+/// `keys`, retried like [`device_sum`].
+pub(crate) fn device_group_sum(
+    device: &SimDevice,
+    buf: BufferId,
+    keys: &[i64],
+) -> Result<Vec<(i64, f64)>> {
+    with_retry(&RetryPolicy::default(), device.ledger(), || {
+        kernels::group_sum_f64(device, buf, keys)
+    })
+}
+
+/// The integer group key of every row, in row order, read through the
+/// engine's own column scan: a typed error for a non-integer key column.
+pub(crate) fn scan_keys(
+    engine: &dyn StorageEngine,
+    rel: RelationId,
+    key_attr: AttrId,
+) -> Result<Vec<i64>> {
+    engine.schema(rel)?.key_ty(key_attr)?;
+    let mut keys = Vec::with_capacity(engine.row_count(rel)? as usize);
+    engine.scan_column(rel, key_attr, &mut |_, v| {
+        keys.push(v.as_i64().expect("key type checked integer above"));
+    })?;
+    Ok(keys)
 }
 
 #[cfg(test)]

@@ -157,7 +157,7 @@ mod tests {
         e.update_field(rel, 7, 1, &Value::Float64(-7.0)).unwrap();
         // The record read (row side) and the scan (column side) agree.
         assert_eq!(e.read_record(rel, 7).unwrap()[1], Value::Float64(-7.0));
-        let sum = e.sum_column_f64(rel, 1).unwrap();
+        let sum = crate::testing::planned_sum(&e, rel, 1);
         let expect = (0..100).map(|i| i as f64).sum::<f64>() - 14.0;
         assert!((sum - expect).abs() < 1e-9);
         // Scans have the columnar fast path; record reads the row layout.
@@ -188,7 +188,7 @@ mod tests {
             e.insert(rel, &vec![Value::Int64(i), Value::Float64(1.0)]).unwrap();
         }
         e.maintain().unwrap();
-        assert_eq!(e.sum_column_f64(rel, 1).unwrap(), 50.0);
+        assert_eq!(crate::testing::planned_sum(&e, rel, 1), 50.0);
         assert_eq!(e.read_record(rel, 49).unwrap()[0], Value::Int64(49));
     }
 }

@@ -506,7 +506,7 @@ mod tests {
         assert_eq!(e.read_record(rel, 77).unwrap(), rec(77));
         e.update_field(rel, 77, 1, &Value::Float64(0.5)).unwrap();
         assert_eq!(e.read_field(rel, 77, 1).unwrap(), Value::Float64(0.5));
-        let sum = e.sum_column_f64(rel, 2).unwrap();
+        let sum = crate::testing::planned_sum(&e, rel, 2);
         assert_eq!(sum, (0..100).map(|i| i as f64).sum::<f64>());
     }
 
@@ -529,7 +529,7 @@ mod tests {
             e.insert(rel, &rec(i)).unwrap();
         }
         let before = e.cluster().ledger().snapshot().network_ns;
-        e.sum_column_f64(rel, 1).unwrap();
+        htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         let after = e.cluster().ledger().snapshot().network_ns;
         assert!(after > before, "scanning remote partitions must charge the network");
     }
@@ -556,7 +556,7 @@ mod tests {
         }
         assert_eq!(e.groups(rel).unwrap().len(), 1);
         for _ in 0..30 {
-            e.sum_column_f64(rel, 1).unwrap();
+            htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         }
         for i in 0..30 {
             e.read_field(rel, i, 0).unwrap();
@@ -594,7 +594,7 @@ mod tests {
         for i in 0..50 {
             assert_eq!(e.read_record(rel, i).unwrap(), rec(i as i64));
         }
-        let sum = e.sum_column_f64(rel, 1).unwrap();
+        let sum = crate::testing::planned_sum(&e, rel, 1);
         assert_eq!(sum, (0..50).map(|i| i as f64).sum::<f64>());
     }
 

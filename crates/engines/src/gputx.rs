@@ -11,25 +11,27 @@
 //! the single-op `StorageEngine` methods run a degenerate batch of one,
 //! paying the launch overhead and under-filled lanes the paper warns about.
 //!
-//! Analytic sums go through [`GputxEngine::sum_column_cached`]: a packed
-//! f64 replica of the typed column is materialized *device-side* (a
-//! widening map kernel — both ends live in device memory, so no PCIe) into
-//! the shared [`DeviceColumnCache`], stamped with a per-attr version bumped
-//! by every write wave. Repeat queries hit the cache and skip even the
+//! Planned analytics answer through the offload hooks
+//! ([`StorageEngine::offload_sum`], [`StorageEngine::offload_group_sum`]):
+//! a packed f64 replica of the typed column is materialized *device-side*
+//! (a widening map kernel — both ends live in device memory, so no PCIe)
+//! into the shared [`DeviceColumnCache`], stamped with a per-attr version
+//! bumped by every write wave, and reduced by the shared device bodies in
+//! [`crate::common`]. Repeat queries hit the cache and skip even the
 //! widening pass.
 
 use std::sync::Arc;
 
 use htapg_core::engine::{MaintenanceReport, StorageEngine};
 use htapg_core::plan::{ColumnEvidence, DeviceCostProfile, Predicate};
-use htapg_core::{AttrId, DataType, Error, Record, RelationId, Result, RowId, Schema, Value};
+use htapg_core::{AttrId, Error, Record, RelationId, Result, RowId, Schema, Value};
 use htapg_device::cache::CachedColumn;
 use htapg_device::kernels;
 use htapg_device::simt::{Executor, KernelCost, LaunchConfig};
 use htapg_device::{BufferId, DeltaTransport, DeviceColumnCache, DeviceSpec, SimDevice};
 use htapg_taxonomy::{survey, Classification};
 
-use crate::common::Registry;
+use crate::common::{self, Registry};
 
 /// One transaction operation for bulk execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,23 +142,6 @@ impl GputxEngine {
         })
     }
 
-    /// Analytic column sum through the device-resident cache: a packed f64
-    /// replica of the typed column is built by a device-side widening
-    /// kernel (no PCIe — source and destination both live in device
-    /// memory) and reduced; a repeat query at the same version hits the
-    /// cache and runs only the reduction.
-    pub fn sum_column_cached(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        let ty = self.rels.read(rel, |r| r.schema.ty(attr))?;
-        if matches!(ty, DataType::Text(_) | DataType::Bool) {
-            return Err(Error::TypeMismatch { expected: "numeric", got: ty.name() });
-        }
-        if self.rels.read(rel, |r| Ok(r.rows))? == 0 {
-            return Ok(0.0);
-        }
-        let packed = self.packed_replica(rel, attr)?;
-        kernels::reduce_sum_f64(&self.device, packed.buf)
-    }
-
     /// A fresh packed-f64 replica of `attr` in the shared cache, built by
     /// the device-side widening kernel on miss. Errors on non-numeric
     /// types and empty relations.
@@ -166,9 +151,8 @@ impl GputxEngine {
         self.rels.read(rel, |r| {
             let col = r.columns.get(attr as usize).ok_or(Error::UnknownAttribute(attr))?;
             let ty = r.schema.ty(attr)?;
-            if matches!(ty, DataType::Text(_) | DataType::Bool) {
-                return Err(Error::TypeMismatch { expected: "numeric", got: ty.name() });
-            }
+            let dec = kernels::f64_decoder(ty)
+                .ok_or(Error::TypeMismatch { expected: "numeric", got: ty.name() })?;
             if r.rows == 0 {
                 return Err(Error::Internal("empty relation has no packed replica".into()));
             }
@@ -188,22 +172,11 @@ impl GputxEngine {
                 }
             }
             cache.get_or_insert_with(rel, attr, version, rows, true, || {
-                let n = rows as usize;
-                let mut out = vec![0u8; n * 8];
+                let mut wide = vec![0.0; rows as usize];
                 device.with_buffer(col.buf, |bytes| {
-                    for i in 0..n {
-                        let f = &bytes[i * col.width..(i + 1) * col.width];
-                        let x = match ty {
-                            DataType::Float64 => f64::from_le_bytes(f.try_into().unwrap()),
-                            DataType::Int64 => i64::from_le_bytes(f.try_into().unwrap()) as f64,
-                            DataType::Int32 | DataType::Date => {
-                                i32::from_le_bytes(f.try_into().unwrap()) as f64
-                            }
-                            _ => unreachable!("numeric checked above"),
-                        };
-                        out[i * 8..(i + 1) * 8].copy_from_slice(&x.to_le_bytes());
-                    }
+                    (dec.decode)(&bytes[..wide.len() * dec.width], &mut wide)
                 })?;
+                let out: Vec<u8> = wide.iter().flat_map(|x| x.to_le_bytes()).collect();
                 let buf = device.alloc(out.len())?;
                 let built =
                     device.with_buffer_mut(buf, |dst| dst.copy_from_slice(&out)).and_then(|()| {
@@ -492,45 +465,24 @@ impl StorageEngine for GputxEngine {
         })
     }
 
-    fn device_sum_column(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        self.sum_column_cached(rel, attr)
-    }
-
-    fn device_filter_sum(&self, rel: RelationId, attr: AttrId, pred: &Predicate) -> Result<f64> {
-        if self.rels.read(rel, |r| Ok(r.rows))? == 0 {
-            return Ok(0.0);
-        }
+    /// Device sum over the packed replica (widened device-side on a miss;
+    /// a repeat query at the same version runs only the reduction).
+    fn offload_sum(&self, rel: RelationId, attr: AttrId, pred: Option<&Predicate>) -> Result<f64> {
         let packed = self.packed_replica(rel, attr)?;
-        kernels::filter_sum_f64(&self.device, packed.buf, |v| pred.matches(v))
+        common::device_sum(&self.device, packed.buf, pred)
     }
 
     /// Device group-sum: keys scanned from the device-resident key column,
-    /// per-group value runs gathered from the packed replica and reduced
-    /// with the canonical kernel (bit-identical to the host route).
-    fn device_group_sum(
+    /// values from the packed replica.
+    fn offload_group_sum(
         &self,
         rel: RelationId,
         key_attr: AttrId,
         value_attr: AttrId,
     ) -> Result<Vec<(i64, f64)>> {
-        self.schema(rel)?.key_ty(key_attr)?;
-        let mut positions: std::collections::BTreeMap<i64, Vec<u64>> = Default::default();
-        self.scan_column(rel, key_attr, &mut |row, v| {
-            let k = v.as_i64().expect("key type checked integer above");
-            positions.entry(k).or_default().push(row);
-        })?;
-        if positions.is_empty() {
-            return Ok(Vec::new());
-        }
+        let keys = common::scan_keys(self, rel, key_attr)?;
         let packed = self.packed_replica(rel, value_attr)?;
-        let mut out = Vec::with_capacity(positions.len());
-        for (key, pos) in &positions {
-            let gathered = kernels::gather(&self.device, packed.buf, 8, pos)?;
-            let sum = kernels::reduce_sum_f64(&self.device, gathered);
-            self.device.free(gathered)?;
-            out.push((*key, sum?));
-        }
-        Ok(out)
+        common::device_group_sum(&self.device, packed.buf, &keys)
     }
 }
 
@@ -557,7 +509,7 @@ mod tests {
         assert_eq!(e.read_record(rel, 42).unwrap(), rec(42));
         e.update_field(rel, 42, 1, &Value::Float64(-1.0)).unwrap();
         assert_eq!(e.read_field(rel, 42, 1).unwrap(), Value::Float64(-1.0));
-        let sum = e.sum_column_f64(rel, 0).unwrap();
+        let sum = crate::testing::planned_sum(&e, rel, 0);
         assert_eq!(sum, (0..100i64).sum::<i64>() as f64);
     }
 
@@ -657,16 +609,16 @@ mod tests {
         let e = GputxEngine::new();
         let rel = e.create_relation(schema()).unwrap();
         e.bulk_insert(rel, &(0..1000).map(rec).collect::<Vec<_>>()).unwrap();
-        let host = e.sum_column_f64(rel, 1).unwrap();
+        let host = htapg_exec::physical::volcano_sum(&e, rel, 1).unwrap();
         let before = e.device().ledger().snapshot();
-        let s1 = e.sum_column_cached(rel, 1).unwrap();
-        assert_eq!(s1, host);
+        let s1 = e.offload_sum(rel, 1, None).unwrap();
+        assert_eq!(s1.to_bits(), host.to_bits());
         let cold = e.device().ledger().snapshot().since(&before);
         assert_eq!(cold.cache_misses, 1);
         assert_eq!(cold.bytes_to_device, 0, "widening is device-side, never PCIe");
         // The repeat query hits the cache and skips the widening kernel.
         let before = e.device().ledger().snapshot();
-        let s2 = e.sum_column_cached(rel, 1).unwrap();
+        let s2 = e.offload_sum(rel, 1, None).unwrap();
         assert_eq!(s2.to_bits(), s1.to_bits());
         let warm = e.device().ledger().snapshot().since(&before);
         assert_eq!(warm.cache_hits, 1);
@@ -675,12 +627,12 @@ mod tests {
         // A write wave through the engine bumps the version: the replica is
         // rebuilt and the new value is visible.
         e.update_field(rel, 0, 1, &Value::Float64(500.0)).unwrap();
-        let s3 = e.sum_column_cached(rel, 1).unwrap();
+        let s3 = e.offload_sum(rel, 1, None).unwrap();
         assert_eq!(s3, host + 500.0); // row 0 held 0.0
                                       // Writes to *other* attrs leave this replica fresh.
         e.update_field(rel, 0, 0, &Value::Int64(-7)).unwrap();
         let before = e.device().ledger().snapshot();
-        assert_eq!(e.sum_column_cached(rel, 1).unwrap(), s3);
+        assert_eq!(e.offload_sum(rel, 1, None).unwrap().to_bits(), s3.to_bits());
         assert_eq!(e.device().ledger().snapshot().since(&before).cache_hits, 1);
     }
 

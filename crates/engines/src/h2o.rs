@@ -245,7 +245,7 @@ mod tests {
         // The NSM start means no contiguous fast path for price.
         assert!(!e.with_column_bytes(rel, 1, &mut |_| ()).unwrap());
         for _ in 0..40 {
-            e.sum_column_f64(rel, 1).unwrap();
+            htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         }
         let report = e.maintain().unwrap();
         assert_eq!(report.layouts_reorganized, 1);
@@ -274,7 +274,7 @@ mod tests {
             e.insert(rel, &rec(i)).unwrap();
         }
         for _ in 0..40 {
-            e.sum_column_f64(rel, 1).unwrap();
+            htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         }
         e.maintain().unwrap();
         assert_eq!(e.thin_columns(rel).unwrap(), vec![1]);
@@ -295,7 +295,7 @@ mod tests {
         }
         e.update_field(rel, 5, 1, &Value::Float64(99.5)).unwrap();
         for _ in 0..40 {
-            e.sum_column_f64(rel, 1).unwrap();
+            htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         }
         e.maintain().unwrap();
         assert_eq!(e.read_field(rel, 5, 1).unwrap(), Value::Float64(99.5));

@@ -194,7 +194,7 @@ mod tests {
         assert_eq!(e.containers(rel).unwrap().len(), 1, "starts as one NSM container");
         // Hammer the price column with scans.
         for _ in 0..50 {
-            e.sum_column_f64(rel, 1).unwrap();
+            htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         }
         let report = e.maintain().unwrap();
         assert_eq!(report.layouts_reorganized, 1);
@@ -202,7 +202,7 @@ mod tests {
         assert!(e.with_column_bytes(rel, 1, &mut |_| ()).unwrap());
         // Data intact after the rebuild.
         assert_eq!(e.read_record(rel, 123).unwrap(), rec(123, s.arity()));
-        let sum = e.sum_column_f64(rel, 1).unwrap();
+        let sum = crate::testing::planned_sum(&e, rel, 1);
         assert_eq!(sum, (0..500).map(|i| i as f64).sum::<f64>());
     }
 
@@ -215,12 +215,12 @@ mod tests {
             e.insert(rel, &rec(i, s.arity())).unwrap();
         }
         for _ in 0..50 {
-            e.sum_column_f64(rel, 1).unwrap();
+            htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         }
         assert_eq!(e.maintain().unwrap().layouts_reorganized, 1);
         // Same workload again: the layout is already right; no rebuild.
         for _ in 0..50 {
-            e.sum_column_f64(rel, 1).unwrap();
+            htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         }
         assert_eq!(e.maintain().unwrap().layouts_reorganized, 0);
     }
@@ -234,7 +234,7 @@ mod tests {
             e.insert(rel, &rec(i, s.arity())).unwrap();
         }
         for _ in 0..50 {
-            e.sum_column_f64(rel, 1).unwrap();
+            htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         }
         e.maintain().unwrap();
         // Shift to record-centric.

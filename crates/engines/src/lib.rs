@@ -53,6 +53,21 @@ pub use reference::ReferenceEngine;
 
 use htapg_core::engine::StorageEngine;
 
+#[cfg(test)]
+pub(crate) mod testing {
+    use htapg_core::engine::StorageEngine;
+    use htapg_core::plan::LogicalPlan;
+    use htapg_core::{AttrId, RelationId};
+    use htapg_exec::physical;
+    use htapg_exec::threading::ThreadingPolicy;
+
+    /// `SUM(attr)` through the analytic front door: plan, then execute.
+    pub(crate) fn planned_sum(engine: &dyn StorageEngine, rel: RelationId, attr: AttrId) -> f64 {
+        let plan = engine.plan(&LogicalPlan::sum(rel, attr)).unwrap();
+        physical::execute(engine, &plan, ThreadingPolicy::Single).unwrap().as_sum().unwrap()
+    }
+}
+
 /// Instantiate every Table 1 engine with default configuration, in the
 /// paper's order. (The reference engine is not part of Table 1 and is
 /// created separately.)

@@ -264,7 +264,7 @@ mod tests {
         e.update_field(rel, 10, 1, &Value::Float64(-1.0)).unwrap();
         // Record-centric read (NSM mirror) and scan (DSM mirror) agree.
         assert_eq!(e.read_record(rel, 10).unwrap()[1], Value::Float64(-1.0));
-        let sum = e.sum_column_f64(rel, 1).unwrap();
+        let sum = crate::testing::planned_sum(&e, rel, 1);
         let expect: f64 = (0..50).map(|i| i as f64).sum::<f64>() - 10.0 - 1.0;
         assert!((sum - expect).abs() < 1e-9);
     }

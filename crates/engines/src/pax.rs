@@ -324,7 +324,7 @@ mod tests {
         assert_eq!(e.read_record(rel, 99).unwrap(), rec(99));
         e.update_field(rel, 17, 1, &Value::Float64(0.0)).unwrap();
         assert_eq!(e.read_field(rel, 17, 1).unwrap(), Value::Float64(0.0));
-        let sum = e.sum_column_f64(rel, 0).unwrap();
+        let sum = crate::testing::planned_sum(&e, rel, 0);
         assert_eq!(sum, (0..100i64).sum::<i64>() as f64);
     }
 

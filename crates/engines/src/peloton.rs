@@ -433,7 +433,7 @@ mod tests {
         assert!(!e.with_column_bytes(rel, 1, &mut |_| ()).unwrap());
         e.maintain().unwrap();
         assert!(e.with_column_bytes(rel, 1, &mut |_| ()).unwrap());
-        let sum = e.sum_column_f64(rel, 1).unwrap();
+        let sum = crate::testing::planned_sum(&e, rel, 1);
         assert_eq!(sum, (0..8).map(|i| i as f64).sum::<f64>());
     }
 

@@ -194,7 +194,7 @@ mod tests {
         engine.update_field(rel, 42, 1, &Value::Float64(-1.0)).unwrap();
         let rec = engine.read_record(rel, 42).unwrap();
         assert_eq!(rec[1], Value::Float64(-1.0));
-        let sum = engine.sum_column_f64(rel, 1).unwrap();
+        let sum = crate::testing::planned_sum(engine, rel, 1);
         let expect: f64 = (0..200).map(|i| i as f64).sum::<f64>() - 42.0 - 1.0;
         assert!((sum - expect).abs() < 1e-9);
     }

@@ -36,13 +36,13 @@ use htapg_core::{
     Relation, RelationId, Result, RowId, Schema, Scheme, Value,
 };
 use htapg_device::kernels;
-use htapg_device::{DeltaTransport, DeviceColumnCache, SimDevice};
+use htapg_device::{BufferId, DeltaTransport, DeviceColumnCache, SimDevice};
 use htapg_taxonomy::{
     Classification, DataLocality, DataLocation, FragmentLinearization, FragmentScheme,
     LayoutAdaptability, LayoutFlexibility, LayoutHandling, ProcessorSupport, WorkloadSupport,
 };
 
-use crate::common::Registry;
+use crate::common::{self, Registry};
 
 /// Index of the transactional (primary) layout.
 const PRIMARY: usize = 0;
@@ -314,18 +314,21 @@ impl ReferenceEngine {
         })
     }
 
-    /// Snapshot sum (convenience for the HTAP driver and tests). Summing a
+    /// Snapshot sum: the one aggregate a plan cannot express (a past
+    /// timestamp). It reduces the snapshot blocks canonically, so at a
+    /// quiescent point it carries the bits of every planned sum. Summing a
     /// non-numeric column is a typed error, never a silent `0.0`.
     pub fn sum_column_as_of(&self, rel: RelationId, attr: AttrId, ts: Timestamp) -> Result<f64> {
-        let ty = self.schema(rel)?.ty(attr)?;
-        if !ty.is_numeric() {
-            return Err(Error::NonNumericAggregate { attr, got: ty.name() });
-        }
-        let mut sum = 0.0;
-        self.scan_column_as_of(rel, attr, ts, &mut |_, v| {
-            sum += v.as_f64().expect("column type checked numeric above");
-        })?;
-        Ok(sum)
+        self.rels.read(rel, |r| {
+            let ty = r.relation.schema().ty(attr)?;
+            let dec = kernels::f64_decoder(ty)
+                .ok_or(Error::NonNumericAggregate { attr, got: ty.name() })?;
+            r.stats.record_scan(attr);
+            let rows = r.relation.row_count() as usize;
+            let mut reducer = kernels::SegmentReducer::new(kernels::reduce_seg_len(rows));
+            r.snapshot_blocks(attr, ts, &mut |block| reducer.push_bytes(block, dec))?;
+            Ok(reducer.finish())
+        })
     }
 
     // ------------------------------------------------------------------
@@ -352,63 +355,6 @@ impl ReferenceEngine {
                 .map(|g| g.attrs.clone())
                 .collect())
         })
-    }
-
-    /// Sum a delegated column on the device (errors if no fresh replica;
-    /// call [`StorageEngine::maintain`] first). Transient launch faults are
-    /// retried with virtual backoff charged to the device ledger.
-    pub fn sum_column_device(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        self.rels.read(rel, |r| {
-            self.device_sum_at(rel, attr, r)?
-                .ok_or_else(|| Error::Internal(format!("no fresh device replica of attr {attr}")))
-        })
-    }
-
-    /// The device sum of `attr` at `r`'s version, within the caller's
-    /// registry read; `None` when no fresh replica is resident.
-    fn device_sum_at(&self, rel: RelationId, attr: AttrId, r: &RefRelation) -> Result<Option<f64>> {
-        // Device answers are still scans as far as the advisor is
-        // concerned — keep the delegation evidence flowing.
-        r.stats.record_scan(attr);
-        let Some(col) = self.cache.lookup(rel, attr, r.version)? else {
-            return Ok(None);
-        };
-        with_retry(&RetryPolicy::default(), self.device.ledger(), || {
-            kernels::reduce_sum_f64(&self.device, col.buf)
-        })
-        .map(Some)
-    }
-
-    /// Sum a column wherever it can be answered: on the device when a
-    /// fresh replica exists — or a delta-stale one is cheap to merge — and
-    /// the kernel (after retries) succeeds, otherwise on the host from the
-    /// current snapshot. Graceful degradation — a faulty device costs
-    /// speed, never availability or correctness.
-    pub fn sum_column_auto(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        // Freshness check and kernel run under one registry read: a commit
-        // in between would bump the version and strand the lookup.
-        let device_sum = self.rels.read(rel, |r| {
-            let ready = self.cache.contains(rel, attr, r.version)
-                || match self.cache.stale_info(rel, attr, r.version) {
-                    // A faulted or raced merge leaves the replica untouched
-                    // at its old version; answer on the host.
-                    Some(info) if info.stale_rows > 0 && Self::merge_beats_reupload(&info) => {
-                        self.cache.merge_deltas(rel, attr, r.version, DeltaTransport::Pcie).is_ok()
-                    }
-                    _ => false,
-                };
-            if !ready {
-                return Ok(None);
-            }
-            match self.device_sum_at(rel, attr, r) {
-                Err(e) if e.is_transient() => Ok(None), // fall through to the host
-                other => other,
-            }
-        })?;
-        match device_sum {
-            Some(sum) => Ok(sum),
-            None => self.sum_column_as_of(rel, attr, self.mgr.now()),
-        }
     }
 
     /// Engine-side merge-vs-reupload heuristic, mirroring the planner's
@@ -489,6 +435,25 @@ impl ReferenceEngine {
                     with_retry(&RetryPolicy::default(), device.ledger(), || device.upload(&bytes))
                 })
                 .map(|_| ())
+        })
+    }
+
+    /// Run `kernel` on the fresh device replica of `attr` within one
+    /// registry read; an error when none is resident at the current
+    /// version. Device answers are still scans as far as the advisor is
+    /// concerned, so the scan is recorded either way.
+    fn with_fresh_replica<T>(
+        &self,
+        rel: RelationId,
+        attr: AttrId,
+        kernel: impl FnOnce(BufferId) -> Result<T>,
+    ) -> Result<T> {
+        self.rels.read(rel, |r| {
+            r.stats.record_scan(attr);
+            let col = self.cache.lookup(rel, attr, r.version)?.ok_or_else(|| {
+                Error::Internal(format!("no fresh device replica of attr {attr}"))
+            })?;
+            kernel(col.buf)
         })
     }
 }
@@ -736,13 +701,6 @@ impl StorageEngine for ReferenceEngine {
         })
     }
 
-    /// Analytic sums route through [`ReferenceEngine::sum_column_auto`]:
-    /// a fresh device replica answers with a (virtual-time) kernel, a
-    /// missing or faulty one degrades gracefully to the host snapshot.
-    fn sum_column_f64(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
-        self.sum_column_auto(rel, attr)
-    }
-
     fn row_count(&self, rel: RelationId) -> Result<u64> {
         self.rels.read(rel, |r| Ok(r.relation.row_count()))
     }
@@ -778,58 +736,27 @@ impl StorageEngine for ReferenceEngine {
         })
     }
 
-    fn device_sum_column(&self, rel: RelationId, attr: AttrId) -> Result<f64> {
+    /// Device sum over the delegated replica: built on demand (a cold
+    /// upload, or a delta merge while the log is small), then reduced
+    /// under the same registry read that found it fresh, so a commit in
+    /// between cannot strand the lookup.
+    fn offload_sum(&self, rel: RelationId, attr: AttrId, pred: Option<&Predicate>) -> Result<f64> {
         self.ensure_device_replica(rel, attr)?;
-        self.sum_column_device(rel, attr)
+        self.with_fresh_replica(rel, attr, |buf| common::device_sum(&self.device, buf, pred))
     }
 
-    fn device_filter_sum(&self, rel: RelationId, attr: AttrId, pred: &Predicate) -> Result<f64> {
-        self.ensure_device_replica(rel, attr)?;
-        let device = self.device.clone();
-        self.rels.read(rel, |r| {
-            r.stats.record_scan(attr);
-            let col = self.cache.lookup(rel, attr, r.version)?.ok_or_else(|| {
-                Error::Internal(format!("no fresh device replica of attr {attr}"))
-            })?;
-            with_retry(&RetryPolicy::default(), device.ledger(), || {
-                kernels::filter_sum_f64(&device, col.buf, |v| pred.matches(v))
-            })
-        })
-    }
-
-    /// Device group-sum: keys are scanned on the host (grouping is
-    /// control-heavy), the per-group value runs are gathered from the
-    /// fresh value replica and reduced with the canonical kernel — so
-    /// every group's sum is bit-identical to the host route.
-    fn device_group_sum(
+    /// Device group-sum: keys are read from the current snapshot on the
+    /// host (grouping is control-heavy), values from the fresh replica.
+    fn offload_group_sum(
         &self,
         rel: RelationId,
         key_attr: AttrId,
         value_attr: AttrId,
     ) -> Result<Vec<(i64, f64)>> {
-        self.schema(rel)?.key_ty(key_attr)?;
+        let keys = common::scan_keys(self, rel, key_attr)?;
         self.ensure_device_replica(rel, value_attr)?;
-        let mut positions: std::collections::BTreeMap<i64, Vec<u64>> = Default::default();
-        self.scan_column(rel, key_attr, &mut |row, v| {
-            let k = v.as_i64().expect("key type checked integer above");
-            positions.entry(k).or_default().push(row);
-        })?;
-        let device = self.device.clone();
-        self.rels.read(rel, |r| {
-            r.stats.record_scan(value_attr);
-            let col = self.cache.lookup(rel, value_attr, r.version)?.ok_or_else(|| {
-                Error::Internal(format!("no fresh device replica of attr {value_attr}"))
-            })?;
-            let mut out = Vec::with_capacity(positions.len());
-            for (key, pos) in &positions {
-                let gathered = kernels::gather(&device, col.buf, 8, pos)?;
-                let sum = with_retry(&RetryPolicy::default(), device.ledger(), || {
-                    kernels::reduce_sum_f64(&device, gathered)
-                });
-                device.free(gathered)?;
-                out.push((*key, sum?));
-            }
-            Ok(out)
+        self.with_fresh_replica(rel, value_attr, |buf| {
+            common::device_group_sum(&self.device, buf, &keys)
         })
     }
 
@@ -1004,7 +931,7 @@ mod tests {
         assert_eq!(e.read_record(rel, 7).unwrap(), rec(7));
         e.update_field(rel, 7, 1, &Value::Float64(-5.0)).unwrap();
         assert_eq!(e.read_field(rel, 7, 1).unwrap(), Value::Float64(-5.0));
-        let sum = e.sum_column_f64(rel, 1).unwrap();
+        let sum = crate::testing::planned_sum(&e, rel, 1);
         let expect: f64 = (0..100).map(|i| i as f64).sum::<f64>() - 7.0 - 5.0;
         assert!((sum - expect).abs() < 1e-9);
     }
@@ -1021,7 +948,7 @@ mod tests {
         let old_sum = e.sum_column_as_of(rel, 1, snapshot_ts).unwrap();
         assert_eq!(old_sum, (0..50).map(|i| i as f64).sum::<f64>());
         // A fresh scan sees the new values.
-        let new_sum = e.sum_column_f64(rel, 1).unwrap();
+        let new_sum = crate::testing::planned_sum(&e, rel, 1);
         assert_eq!(new_sum, 50.0 * 1e6);
     }
 
@@ -1037,6 +964,29 @@ mod tests {
             Err(Error::NonNumericAggregate { attr: 0, got: "text" })
         ));
         assert_eq!(e.sum_column_as_of(rel, 1, ts).unwrap(), 1.5);
+    }
+
+    #[test]
+    fn snapshot_sum_reduces_canonically_past_pending_and_aborted_writes() {
+        let e = ReferenceEngine::new();
+        let rel = e.create_relation(schema()).unwrap();
+        for i in 0..3_000 {
+            let mut r = rec(i);
+            r[1] = Value::Float64((i as f64 * 0.37).sin() * 1e3);
+            e.insert(rel, &r).unwrap();
+        }
+        e.update_field(rel, 5, 1, &Value::Float64(0.3)).unwrap();
+        // A pending and an aborted write sit in the overlay, invisible to
+        // every snapshot.
+        let open = e.begin();
+        e.txn_update(rel, &open, 7, 1, Value::Float64(1e300)).unwrap();
+        let aborted = e.begin();
+        e.txn_update(rel, &aborted, 9, 1, Value::Float64(-1e300)).unwrap();
+        e.txn_abort(rel, &aborted).unwrap();
+        let snap = e.sum_column_as_of(rel, 1, e.txn_manager().now()).unwrap();
+        let oracle = htapg_exec::physical::volcano_sum(&e, rel, 1).unwrap();
+        assert_eq!(snap.to_bits(), oracle.to_bits(), "snapshot {snap} vs volcano {oracle}");
+        e.txn_abort(rel, &open).unwrap();
     }
 
     #[test]
@@ -1071,7 +1021,7 @@ mod tests {
         assert!(report.versions_pruned > 0, "merged chains must be reclaimed");
         // Base layouts now hold the merged values; the raw fast path agrees.
         assert_eq!(e.read_field(rel, 3, 1).unwrap(), Value::Float64(30.0));
-        let sum = e.sum_column_f64(rel, 1).unwrap();
+        let sum = crate::testing::planned_sum(&e, rel, 1);
         assert_eq!(sum, (0..20).map(|i| i as f64 * 10.0).sum::<f64>());
         // With no active transactions the overlay drains completely.
         e.rels
@@ -1086,34 +1036,34 @@ mod tests {
     fn scans_delegate_and_place_on_device() {
         let (e, rel) = loaded(500);
         for _ in 0..30 {
-            e.sum_column_f64(rel, 1).unwrap();
+            htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         }
         let report = e.maintain().unwrap();
         assert!(report.layouts_reorganized >= 1);
         assert_eq!(e.delegated(rel).unwrap(), vec![1]);
         assert!(report.fragments_moved >= 1);
         assert!(e.device_resident(rel).unwrap().contains(&1));
-        // The device sum agrees with the host.
-        let host = e.sum_column_f64(rel, 1).unwrap();
-        let dev = e.sum_column_device(rel, 1).unwrap();
-        assert!((host - dev).abs() < 1e-6);
+        // The device sum agrees with the host snapshot sum to the bit.
+        let host = e.sum_column_as_of(rel, 1, e.txn_manager().now()).unwrap();
+        let dev = e.offload_sum(rel, 1, None).unwrap();
+        assert_eq!(dev.to_bits(), host.to_bits());
         // Updates after placement are still correct (replica goes stale,
         // reads route to the overlay/base).
         e.update_field(rel, 0, 1, &Value::Float64(123.0)).unwrap();
         assert_eq!(e.read_field(rel, 0, 1).unwrap(), Value::Float64(123.0));
-        let host2 = e.sum_column_f64(rel, 1).unwrap();
+        let host2 = e.sum_column_as_of(rel, 1, e.txn_manager().now()).unwrap();
         assert!((host2 - (host + 123.0)).abs() < 1e-6);
         // Maintain refreshes the replica.
         e.maintain().unwrap();
-        let dev2 = e.sum_column_device(rel, 1).unwrap();
-        assert!((dev2 - host2).abs() < 1e-6);
+        let dev2 = e.offload_sum(rel, 1, None).unwrap();
+        assert_eq!(dev2.to_bits(), host2.to_bits());
     }
 
     #[test]
     fn delegation_survives_workload_shift() {
         let (e, rel) = loaded(200);
         for _ in 0..30 {
-            e.sum_column_f64(rel, 1).unwrap();
+            htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         }
         e.maintain().unwrap();
         assert_eq!(e.delegated(rel).unwrap(), vec![1]);
@@ -1141,7 +1091,7 @@ mod tests {
                 // Concurrent analytic scans never error and never see torn
                 // data.
                 for _ in 0..20 {
-                    let sum = e.sum_column_f64(rel, 1).unwrap();
+                    let sum = crate::testing::planned_sum(&e, rel, 1);
                     assert!(sum.is_finite());
                 }
                 return;
@@ -1160,7 +1110,7 @@ mod tests {
                 }
             }
         });
-        let final_sum = e.sum_column_f64(rel, 1).unwrap();
+        let final_sum = crate::testing::planned_sum(&e, rel, 1);
         // Some prefix of rows was set to 1.0; every value is either its
         // original i or 1.0 — the sum is bounded accordingly.
         let max: f64 = (0..200).map(|i| i as f64).sum();

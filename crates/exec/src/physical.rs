@@ -594,6 +594,17 @@ fn reduce_group(group: &[AtomicU64], buf: &mut [f64; REDUCE_GRID]) -> f64 {
     r.finish()
 }
 
+/// Visit every value of `attr` the way a host column scan does (the
+/// contiguous fast path, else value visits) and aggregate nothing: warms
+/// an engine's access statistics like a repeated analytic scan, without
+/// planning a query or charging a device.
+pub fn touch_column(engine: &dyn StorageEngine, rel: RelationId, attr: AttrId) -> Result<()> {
+    if !engine.with_column_bytes(rel, attr, &mut |_| {})? {
+        engine.scan_column(rel, attr, &mut |_, _| {})?;
+    }
+    Ok(())
+}
+
 /// The naive volcano oracle: tuple-at-a-time `read_field` per row, then
 /// the canonical reduction. Every planner route must be bit-identical to
 /// this (the property the planner tests check).
@@ -905,6 +916,36 @@ fn host_policy(node: &PhysicalNode, policy: ThreadingPolicy) -> ThreadingPolicy 
     }
 }
 
+/// Run an off-host node's engine hook (`DevicePipelined`, `Scatter`):
+/// `Ok(Some(_))` is its answer. Any error but a typed
+/// [`Error::NonNumericAggregate`] (a stale replica, a device fault, a
+/// failed gather, no hook) degrades to the host reduction of the same
+/// geometry, bit-identical and only differently priced: `Ok(None)`,
+/// recorded on the span so EXPLAIN shows the miss, and on `executed` so
+/// calibration attributes the residual to the route that actually ran.
+/// Host routes never call the hook.
+fn try_offload<T>(
+    node: &PhysicalNode,
+    span: &mut obs::SpanGuard,
+    executed: &mut Route,
+    offload: impl FnOnce() -> Result<T>,
+) -> Result<Option<T>> {
+    if !matches!(node.route, Route::DevicePipelined | Route::Scatter { .. }) {
+        return Ok(None);
+    }
+    match offload() {
+        Ok(out) => Ok(Some(out)),
+        Err(e @ Error::NonNumericAggregate { .. }) => Err(e),
+        Err(_) => {
+            if span.is_recording() {
+                span.arg("fallback", "host");
+            }
+            *executed = Route::InlineVolcano;
+            Ok(None)
+        }
+    }
+}
+
 fn exec_sum(
     engine: &dyn StorageEngine,
     node: &PhysicalNode,
@@ -914,42 +955,9 @@ fn exec_sum(
     span: &mut obs::SpanGuard,
     executed: &mut Route,
 ) -> Result<QueryOutput> {
-    if let Route::Scatter { .. } = node.route {
-        // Sharded placement: the engine fans the aggregate out to the
-        // owning shards and gathers the per-fragment partials in canonical
-        // order. On failure (exhausted retries, no hook) degrade to the
-        // host sharded reduction — same fragment geometry, bit-identical.
-        match engine.scatter_sum(rel, attr, pred.as_ref()) {
-            Ok(sum) => return Ok(QueryOutput::Sum(sum)),
-            Err(e) if !matches!(e, Error::NonNumericAggregate { .. }) => {
-                if span.is_recording() {
-                    span.arg("fallback", "host");
-                }
-                *executed = Route::InlineVolcano;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if node.route == Route::DevicePipelined {
-        let device_result = match pred {
-            None => engine.device_sum_column(rel, attr),
-            Some(ref p) => engine.device_filter_sum(rel, attr, p),
-        };
-        match device_result {
-            Ok(sum) => return Ok(QueryOutput::Sum(sum)),
-            // Stale replica, device fault, or no hook: degrade to the host
-            // canonical reduction — bit-identical, just differently
-            // priced. Recorded on the span so EXPLAIN shows the miss, and
-            // on `executed` so calibration attributes the residual to the
-            // route that actually ran.
-            Err(e) if !matches!(e, Error::NonNumericAggregate { .. }) => {
-                if span.is_recording() {
-                    span.arg("fallback", "host");
-                }
-                *executed = Route::InlineVolcano;
-            }
-            Err(e) => return Err(e),
-        }
+    let offload = || engine.offload_sum(rel, attr, pred.as_ref());
+    if let Some(sum) = try_offload(node, span, executed, offload)? {
+        return Ok(QueryOutput::Sum(sum));
     }
     // Sharded plans reduce at fragment granularity regardless of who
     // executes them, so the host fallback matches the gathered result.
@@ -971,29 +979,9 @@ fn exec_group_sum(
     executed: &mut Route,
 ) -> Result<QueryOutput> {
     let (key_attr, key_strategy) = key;
-    if let Route::Scatter { .. } = node.route {
-        match engine.scatter_group_sum(rel, key_attr, value_attr) {
-            Ok(groups) => return Ok(QueryOutput::Groups(groups)),
-            Err(e) if !matches!(e, Error::NonNumericAggregate { .. }) => {
-                if span.is_recording() {
-                    span.arg("fallback", "host");
-                }
-                *executed = Route::InlineVolcano;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if node.route == Route::DevicePipelined {
-        match engine.device_group_sum(rel, key_attr, value_attr) {
-            Ok(groups) => return Ok(QueryOutput::Groups(groups)),
-            Err(e) if !matches!(e, Error::NonNumericAggregate { .. }) => {
-                if span.is_recording() {
-                    span.arg("fallback", "host");
-                }
-                *executed = Route::InlineVolcano;
-            }
-            Err(e) => return Err(e),
-        }
+    let offload = || engine.offload_group_sum(rel, key_attr, value_attr);
+    if let Some(groups) = try_offload(node, span, executed, offload)? {
+        return Ok(QueryOutput::Groups(groups));
     }
     if node.partition_rows > 0 {
         let (keys, _) = decode_keys(engine, rel, key_attr, key_strategy, ThreadingPolicy::Single)?;

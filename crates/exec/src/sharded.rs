@@ -545,7 +545,7 @@ impl StorageEngine for ShardedEngine {
         })
     }
 
-    fn scatter_sum(&self, rel: RelationId, attr: AttrId, pred: Option<&Predicate>) -> Result<f64> {
+    fn offload_sum(&self, rel: RelationId, attr: AttrId, pred: Option<&Predicate>) -> Result<f64> {
         let mut span = obs::span("net", "scatter.sum");
         let rels = self.rels.read();
         let r = rels.get(rel as usize).ok_or(Error::UnknownRelation(rel))?;
@@ -575,7 +575,7 @@ impl StorageEngine for ShardedEngine {
         Ok(kernels::tree_sum(&partials))
     }
 
-    fn scatter_group_sum(
+    fn offload_group_sum(
         &self,
         rel: RelationId,
         key_attr: AttrId,

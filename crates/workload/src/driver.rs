@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use htapg_core::engine::StorageEngine;
 use htapg_core::plan::LogicalPlan;
-use htapg_core::{obs, AttrId, Error, RelationId, Result, Value};
+use htapg_core::{obs, AttrId, RelationId, Result, Value};
 use htapg_exec::threading::ThreadingPolicy;
 use htapg_exec::{physical, pool};
 
@@ -159,22 +159,6 @@ pub fn execute_op(engine: &dyn StorageEngine, rel: RelationId, op: &Op) -> Resul
         hist.record(clock.now_ns().saturating_sub(v0));
     }
     result
-}
-
-/// Plan-routed group-by: sum `value_attr` grouped by the integer
-/// `key_attr`, ordered by key. A thin wrapper over the planner + physical
-/// executor, kept for callers that want the grouped result directly.
-pub fn group_sum(
-    engine: &dyn StorageEngine,
-    rel: RelationId,
-    key_attr: u16,
-    value_attr: u16,
-) -> Result<Vec<(i64, f64)>> {
-    let plan = engine.plan(&LogicalPlan::group_sum(rel, key_attr, value_attr))?;
-    match physical::execute(engine, &plan, ThreadingPolicy::Single)? {
-        physical::QueryOutput::Groups(groups) => Ok(groups),
-        other => Err(Error::Internal(format!("group-sum plan returned {other:?}"))),
-    }
 }
 
 /// Run a pre-generated op stream sequentially, timing each op.
@@ -426,13 +410,11 @@ mod tests {
         let engine = Mem::new();
         let gen = Generator::new(8);
         let rel = load_customers(&engine, &gen, 300).unwrap();
-        let groups = group_sum(
-            &engine,
-            rel,
-            crate::tpcc::customer_attr::C_D_ID,
-            crate::tpcc::customer_attr::C_BALANCE,
-        )
-        .unwrap();
+        let (key, value) =
+            (crate::tpcc::customer_attr::C_D_ID, crate::tpcc::customer_attr::C_BALANCE);
+        let plan = engine.plan(&LogicalPlan::group_sum(rel, key, value)).unwrap();
+        let out = physical::execute(&engine, &plan, ThreadingPolicy::Single).unwrap();
+        let groups = out.as_groups().unwrap().to_vec();
         // Manual oracle.
         let mut expect: std::collections::HashMap<i64, f64> = std::collections::HashMap::new();
         for i in 0..300 {
@@ -469,7 +451,9 @@ mod tests {
         assert_eq!(engine.row_count(c).unwrap(), 50);
         assert_eq!(engine.row_count(i).unwrap(), 70);
         // Sum over the engine matches the generator's analytic expectation.
-        let sum = engine.sum_column_f64(i, crate::tpcc::item_attr::I_PRICE).unwrap();
+        let plan = engine.plan(&LogicalPlan::sum(i, crate::tpcc::item_attr::I_PRICE)).unwrap();
+        let out = physical::execute(&engine, &plan, ThreadingPolicy::Single).unwrap();
+        let sum = out.as_sum().unwrap();
         assert!((sum - gen.expected_item_price_sum(70)).abs() < 1e-9);
     }
 }

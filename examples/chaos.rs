@@ -9,12 +9,23 @@
 use std::sync::Arc;
 
 use htapg::core::engine::StorageEngine;
+use htapg::core::plan::{LogicalPlan, Route};
 use htapg::core::prng::env_seed;
+use htapg::core::RelationId;
 use htapg::device::cluster::SimCluster;
 use htapg::device::disk::DiskSpec;
 use htapg::device::{FaultPlan, FaultRates, FaultSite, SimDevice};
 use htapg::engines::{Es2Engine, MirrorsEngine, ReferenceEngine};
+use htapg::exec::{physical, ThreadingPolicy};
 use htapg::workload::tpcc::{item_attr, item_schema, Generator};
+
+/// A planned `SUM(price)` and the route that actually ran: a device fault
+/// degrades the device route to the host, with the same bits.
+fn planned_sum(engine: &dyn StorageEngine, rel: RelationId) -> (f64, Route) {
+    let plan = engine.plan(&LogicalPlan::sum(rel, item_attr::I_PRICE)).expect("plan");
+    let out = physical::execute_observed(engine, &plan, ThreadingPolicy::Single).expect("sum");
+    (out.output.as_sum().expect("a sum"), out.executed_route)
+}
 
 fn mirrors_run(seed: u64, rate: f64) -> (f64, String) {
     let plan = FaultPlan::seeded(seed, FaultRates::uniform(rate));
@@ -25,7 +36,7 @@ fn mirrors_run(seed: u64, rate: f64) -> (f64, String) {
     for i in 0..200 {
         engine.insert(rel, &gen.item(i)).expect("insert");
     }
-    let sum = engine.sum_column_f64(rel, item_attr::I_PRICE).expect("sum");
+    let (sum, _) = planned_sum(&engine, rel);
     (sum, plan.history_string())
 }
 
@@ -65,17 +76,20 @@ fn main() {
         engine.insert(rel, &gen.item(i)).expect("insert");
     }
     for _ in 0..30 {
-        engine.sum_column_f64(rel, item_attr::I_PRICE).expect("host sum");
+        physical::touch_column(&engine, rel, item_attr::I_PRICE).expect("scan");
     }
     engine.maintain().expect("maintain survives device faults");
-    let auto = engine.sum_column_auto(rel, item_attr::I_PRICE).expect("auto sum");
+    let (sum, route) = planned_sum(&engine, rel);
+    let oracle = physical::volcano_sum(&engine, rel, item_attr::I_PRICE).expect("oracle");
     let ops = plan.ops_at(FaultSite::DeviceTransfer)
         + plan.ops_at(FaultSite::DeviceAlloc)
         + plan.ops_at(FaultSite::KernelLaunch);
     println!(
-        "\n[reference] auto sum = {auto}: {ops} device ops rolled, {} faulted",
+        "\n[reference] planned sum = {sum} on {}: {ops} device ops rolled, {} faulted",
+        route.label(),
         plan.history_string().lines().count()
     );
+    assert_eq!(sum.to_bits(), oracle.to_bits(), "every route gives the oracle's bits");
 
     // ES²: replicate across a lossy interconnect, crash a node, heal.
     let plan = FaultPlan::seeded(seed, FaultRates::uniform(rate));

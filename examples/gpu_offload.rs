@@ -19,6 +19,7 @@ use htapg::engines::CogadbEngine;
 use htapg::exec::device_exec::{
     cached_offload_sum, offload_sum, pipelined_offload_sum, PipelineConfig,
 };
+use htapg::exec::physical;
 use htapg::workload::driver::load_items;
 use htapg::workload::tpcc::{item_attr, Generator};
 
@@ -33,7 +34,7 @@ fn main() {
 
     // Heat the price column, then let maintenance place it.
     for _ in 0..5 {
-        engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+        physical::touch_column(&engine, rel, item_attr::I_PRICE).unwrap();
     }
     let report = engine.maintain().unwrap();
     println!(
@@ -44,10 +45,13 @@ fn main() {
 
     // Train the HYPE scheduler: it alternates CPU/GPU to learn both cost
     // models, then settles on the cheaper processor.
+    // Both processors reduce canonically: the placement never moves a bit.
     println!("\nHYPE training and decisions:");
+    let mut first_sum = None;
     for i in 0..10 {
         let (sum, placement) = engine.sum_column_placed(rel, item_attr::I_PRICE).unwrap();
         println!("  scan {i:>2}: placed on {placement:?} (sum {sum:.2})");
+        assert_eq!(sum.to_bits(), first_sum.get_or_insert(sum).to_bits(), "{placement:?}");
     }
     let (_, final_placement) = engine.sum_column_placed(rel, item_attr::I_PRICE).unwrap();
     println!("after training the scheduler picks: {final_placement:?}");
@@ -67,7 +71,7 @@ fn main() {
     let tiny = CogadbEngine::with_device(Arc::new(SimDevice::new(1, DeviceSpec::tiny())));
     let rel2 = load_items(&tiny, &gen, n).unwrap();
     for _ in 0..5 {
-        tiny.sum_column_f64(rel2, item_attr::I_PRICE).unwrap();
+        physical::touch_column(&tiny, rel2, item_attr::I_PRICE).unwrap();
     }
     let report = tiny.maintain().unwrap();
     println!(

@@ -5,8 +5,10 @@
 //! ```
 
 use htapg::core::engine::StorageEngine;
+use htapg::core::plan::{LogicalPlan, Route};
 use htapg::core::Value;
 use htapg::engines::ReferenceEngine;
+use htapg::exec::{physical, ThreadingPolicy};
 use htapg::taxonomy::reference;
 use htapg::workload::tpcc::{item_attr, item_schema, Generator};
 
@@ -27,6 +29,15 @@ fn main() {
     let record = engine.read_record(rel, 4711).expect("point read");
     println!("item 4711 = {record:?}");
 
+    // Analytics have one front door: plan a logical query (the cost-based
+    // router picks host or device), then execute the plan.
+    let price_sum = LogicalPlan::sum(rel, item_attr::I_PRICE);
+    let run = |logical: &LogicalPlan| {
+        let plan = engine.plan(logical).expect("plan");
+        let out = physical::execute(&engine, &plan, ThreadingPolicy::Single).expect("execute");
+        (plan.route(), out.as_sum().expect("a sum"))
+    };
+
     // 4. A snapshot-isolated transaction.
     let txn = engine.begin();
     engine
@@ -36,14 +47,14 @@ fn main() {
     let snapshot_ts = engine.txn_manager().now();
     let sum_before = engine.sum_column_as_of(rel, item_attr::I_PRICE, snapshot_ts).unwrap();
     engine.txn_commit(rel, &txn).expect("commit");
-    let sum_after = engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+    let (_, sum_after) = run(&price_sum);
     println!("price sum before commit: {sum_before:.2}, after: {sum_after:.2}");
 
     // 5. Attribute-centric access (the OLAP side) drives adaptation:
     //    after enough scans, `maintain` delegates the price column to the
     //    analytic layout and places it in simulated device memory.
     for _ in 0..30 {
-        engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+        run(&price_sum);
     }
     let report = engine.maintain().expect("maintain");
     println!(
@@ -54,9 +65,12 @@ fn main() {
     println!("delegated columns: {:?}", engine.delegated(rel).unwrap());
     println!("device-resident columns: {:?}", engine.device_resident(rel).unwrap());
 
-    // 6. The same sum on the simulated GPU.
-    let device_sum = engine.sum_column_device(rel, item_attr::I_PRICE).expect("device sum");
-    println!("device sum: {device_sum:.2} (host said {sum_after:.2})");
+    // 6. The same planned sum now routes to the resident replica on the
+    //    simulated GPU, with the host's bits.
+    let (route, device_sum) = run(&price_sum);
+    assert_eq!(route, Route::DevicePipelined, "a warm replica routes to the device");
+    assert_eq!(device_sum.to_bits(), sum_after.to_bits(), "every route gives the same bits");
+    println!("{} sum: {device_sum:.2} (host said {sum_after:.2})", route.label());
     let snap = engine.device().ledger().snapshot();
     println!(
         "device ledger: {} kernel launches, {:.3} ms kernel time, {:.3} ms transfers",

@@ -8,8 +8,10 @@
 //! ```
 
 use htapg::core::engine::StorageEngine;
+use htapg::core::plan::LogicalPlan;
 use htapg::core::Value;
 use htapg::engines::LStoreEngine;
+use htapg::exec::{physical, ThreadingPolicy};
 use htapg::workload::driver::load_items;
 use htapg::workload::tpcc::{item_attr, Generator};
 
@@ -56,6 +58,7 @@ fn main() {
 
     // And current reads are served straight from the read-optimized base.
     let now = engine.read_field(rel, 42, item_attr::I_PRICE).unwrap();
-    let sum = engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+    let plan = engine.plan(&LogicalPlan::sum(rel, item_attr::I_PRICE)).unwrap();
+    let sum = physical::execute(&engine, &plan, ThreadingPolicy::Single).unwrap().as_sum().unwrap();
     println!("\ncurrent price: {now}; full price sum: {sum:.2}");
 }

@@ -24,9 +24,15 @@
 //!
 //! ## Quick start
 //!
+//! Analytics have one front door: plan a logical query, then execute the
+//! plan. The router picks the host or the device; every route gives the
+//! same bits as the Volcano oracle.
+//!
 //! ```
+//! use htapg::core::engine::StorageEngine;
+//! use htapg::core::plan::LogicalPlan;
 //! use htapg::engines::ReferenceEngine;
-//! use htapg::core::engine::{StorageEngine, StorageEngineExt};
+//! use htapg::exec::{physical, ThreadingPolicy};
 //! use htapg::workload::tpcc::{item_attr, item_schema, Generator};
 //!
 //! let engine = ReferenceEngine::new();
@@ -35,8 +41,12 @@
 //! for i in 0..1000 {
 //!     engine.insert(rel, &gen.item(i)).unwrap();
 //! }
-//! let total = engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+//! let plan = engine.plan(&LogicalPlan::sum(rel, item_attr::I_PRICE)).unwrap();
+//! let out = physical::execute(&engine, &plan, ThreadingPolicy::Single).unwrap();
+//! let total = out.as_sum().unwrap();
 //! assert!((total - gen.expected_item_price_sum(1000)).abs() < 1e-9);
+//! let oracle = physical::volcano_sum(&engine, rel, item_attr::I_PRICE).unwrap();
+//! assert_eq!(total.to_bits(), oracle.to_bits());
 //! ```
 
 pub use htapg_core as core;

@@ -3,10 +3,19 @@
 //! answers never change across reorganizations.
 
 use htapg::core::engine::StorageEngine;
-use htapg::core::Value;
+use htapg::core::plan::LogicalPlan;
+use htapg::core::{RelationId, Value};
 use htapg::engines::{Es2Engine, H2oEngine, HyriseEngine, PelotonEngine, ReferenceEngine};
+use htapg::exec::physical;
+use htapg::exec::threading::ThreadingPolicy;
 use htapg::workload::driver::load_items;
 use htapg::workload::tpcc::{item_attr, Generator};
+
+/// `SUM(price)` through the analytic front door: plan, then execute.
+fn planned_sum(engine: &dyn StorageEngine, rel: RelationId) -> f64 {
+    let plan = engine.plan(&LogicalPlan::sum(rel, item_attr::I_PRICE)).unwrap();
+    physical::execute(engine, &plan, ThreadingPolicy::Single).unwrap().as_sum().unwrap()
+}
 
 /// Exercise an engine with a scan-heavy phase then a record-heavy phase,
 /// calling maintain between phases; verify (a) something reorganized,
@@ -19,7 +28,7 @@ fn shift_workload(engine: &dyn StorageEngine, expect_reorg: bool) {
 
     // Phase 1: analytics.
     for _ in 0..40 {
-        let s = engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+        let s = planned_sum(engine, rel);
         assert!((s - expected_sum).abs() < 1e-6 * expected_sum, "{}", engine.name());
     }
     let r1 = engine.maintain().unwrap();
@@ -31,7 +40,7 @@ fn shift_workload(engine: &dyn StorageEngine, expect_reorg: bool) {
         );
     }
     // Answers survive the reorganization.
-    let s = engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+    let s = planned_sum(engine, rel);
     assert!((s - expected_sum).abs() < 1e-6 * expected_sum, "{} post-reorg", engine.name());
     assert_eq!(engine.read_record(rel, 1234).unwrap(), gen.item(1234), "{}", engine.name());
 
@@ -88,18 +97,18 @@ fn adaptation_is_monotone_work_not_thrash() {
     let gen = Generator::new(23);
     let rel = load_items(&engine, &gen, 1_000).unwrap();
     for _ in 0..30 {
-        engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+        physical::touch_column(&engine, rel, item_attr::I_PRICE).unwrap();
     }
     let first = engine.maintain().unwrap().layouts_reorganized;
     assert_eq!(first, 1);
     for _ in 0..30 {
-        engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+        physical::touch_column(&engine, rel, item_attr::I_PRICE).unwrap();
     }
     for round in 0..3 {
         let again = engine.maintain().unwrap().layouts_reorganized;
         assert_eq!(again, 0, "round {round} thrashed");
         for _ in 0..10 {
-            engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+            physical::touch_column(&engine, rel, item_attr::I_PRICE).unwrap();
         }
     }
 }

@@ -19,7 +19,9 @@ use htapg::core::obs::{self, TraceReport, Tracer};
 use htapg::core::plan::{DeviceCostProfile, LogicalPlan, Route};
 use htapg::core::prng::env_seed;
 use htapg::core::wal::{MemStorage, Wal};
-use htapg::core::{DataType, Layout, LayoutTemplate, Record, Schema, ShardingKind, Value};
+use htapg::core::{
+    DataType, Layout, LayoutTemplate, Record, RelationId, Schema, ShardingKind, Value,
+};
 use htapg::device::cluster::{NetSpec, SimCluster};
 use htapg::device::disk::DiskSpec;
 use htapg::device::{
@@ -36,8 +38,12 @@ use htapg::workload::tpcc::{item_attr, item_schema, Generator};
 const RATES: [f64; 3] = [0.0, 0.01, 0.1];
 const DEFAULT_SEED: u64 = 0xC4A0_5EED;
 
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs()))
+/// `SUM(price)` through the analytic front door: plan, then execute.
+/// Every route — device, host, or a device fault degraded to the host —
+/// gives the canonical bits, so runs compare by `to_bits`.
+fn planned_sum(engine: &dyn StorageEngine, rel: RelationId) -> f64 {
+    let plan = engine.plan(&LogicalPlan::sum(rel, item_attr::I_PRICE)).unwrap();
+    physical::execute(engine, &plan, ThreadingPolicy::Single).unwrap().as_sum().unwrap()
 }
 
 // ---------------------------------------------------------------------
@@ -60,7 +66,7 @@ fn run_reference(seed: u64, p: f64) -> (f64, Record, String) {
     // Make the price column scan-hot so maintain() delegates it and places
     // a replica on the (faulty) device.
     for _ in 0..30 {
-        engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+        physical::touch_column(&engine, rel, item_attr::I_PRICE).unwrap();
     }
     engine.maintain().unwrap();
     let mut sum = 0.0;
@@ -73,7 +79,7 @@ fn run_reference(seed: u64, p: f64) -> (f64, Record, String) {
         }
         engine.maintain().unwrap();
         for _ in 0..10 {
-            sum = engine.sum_column_auto(rel, item_attr::I_PRICE).unwrap();
+            sum = planned_sum(&engine, rel);
         }
     }
     let rec = engine.read_record(rel, 123).unwrap();
@@ -96,7 +102,7 @@ fn run_mirrors(seed: u64, p: f64) -> (f64, Vec<Vec<u8>>, String) {
             .update_field(rel, (k * 7) % 200, item_attr::I_PRICE, &Value::Float64(k as f64))
             .unwrap();
     }
-    let sum = engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+    let sum = planned_sum(&engine, rel);
     let pages = engine.persisted_pages(rel).unwrap();
     assert!(pages > 0, "workload must complete pages (HTAPG_SEED={seed})");
     let images: Vec<Vec<u8>> =
@@ -120,7 +126,7 @@ fn run_es2(seed: u64, p: f64) -> (f64, Vec<Record>, String) {
     // Crash node 1; the engine recovers its fragments from the followers.
     plan.mark_node_down(1);
     engine.heal_down_nodes(rel).unwrap();
-    let sum = engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+    let sum = planned_sum(&engine, rel);
     let recs: Vec<Record> = (0..120).map(|row| engine.read_record(rel, row).unwrap()).collect();
     plan.mark_node_up(1);
     (sum, recs, plan.history_string())
@@ -180,8 +186,9 @@ fn reference_engine_matches_fault_free_run_at_every_rate() {
     assert!(h0.is_empty(), "rate 0 must inject nothing (HTAPG_SEED={seed})");
     for &p in &RATES[1..] {
         let (sum, rec, history) = run_reference(seed, p);
-        assert!(
-            close(sum, want_sum),
+        assert_eq!(
+            sum.to_bits(),
+            want_sum.to_bits(),
             "rate {p}: sum {sum} != fault-free {want_sum} (HTAPG_SEED={seed})"
         );
         assert_eq!(rec, want_rec, "rate {p}: record diverged (HTAPG_SEED={seed})");
@@ -271,7 +278,7 @@ fn run_reference_pooled(seed: u64, p: f64) -> (f64, String) {
     }
     // Delegate the price column so analytic scans hit the faulty device.
     for _ in 0..30 {
-        engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+        physical::touch_column(&engine, rel, item_attr::I_PRICE).unwrap();
     }
     engine.maintain().unwrap();
     htapg::exec::pool::run_tasks(4, 4, |task| {
@@ -291,13 +298,13 @@ fn run_reference_pooled(seed: u64, p: f64) -> (f64, String) {
             // keep scans landing on the faulty device.
             for _ in 0..25 {
                 engine.maintain().unwrap();
-                let s = engine.sum_column_auto(rel, item_attr::I_PRICE).unwrap();
+                let s = planned_sum(&engine, rel);
                 assert!(s.is_finite());
             }
         }
     });
     engine.maintain().unwrap();
-    let sum = engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+    let sum = planned_sum(&engine, rel);
     (sum, plan.history_string())
 }
 
@@ -308,8 +315,9 @@ fn pooled_htap_load_matches_fault_free_run_at_every_rate() {
     assert!(h0.is_empty(), "rate 0 must inject nothing (HTAPG_SEED={seed})");
     for &p in &RATES[1..] {
         let (sum, history) = run_reference_pooled(seed, p);
-        assert!(
-            close(sum, want_sum),
+        assert_eq!(
+            sum.to_bits(),
+            want_sum.to_bits(),
             "rate {p}: pooled sum {sum} != fault-free {want_sum} (HTAPG_SEED={seed})"
         );
         if p >= 0.1 {
@@ -342,7 +350,7 @@ fn wal_written_under_torn_appends_recovers_all_committed_work() {
     let txn = engine.begin();
     engine.txn_update(rel, &txn, 5, item_attr::I_PRICE, Value::Float64(500.0)).unwrap();
     engine.txn_commit(rel, &txn).unwrap();
-    let want_sum = engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+    let want_sum = planned_sum(&engine, rel);
     assert!(plan.ops_at(FaultSite::WalAppend) > 0);
     assert!(!plan.history().is_empty(), "no WAL faults injected (HTAPG_SEED={seed})");
     drop(engine); // the crash
@@ -354,8 +362,8 @@ fn wal_written_under_torn_appends_recovers_all_committed_work() {
     assert!(!report.torn_tail, "repaired log must replay clean (HTAPG_SEED={seed})");
     assert_eq!(recovered.row_count(rel).unwrap(), 300);
     assert_eq!(recovered.read_field(rel, 5, item_attr::I_PRICE).unwrap(), Value::Float64(500.0));
-    let got = recovered.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
-    assert!((got - want_sum).abs() < 1e-9, "{got} vs {want_sum} (HTAPG_SEED={seed})");
+    let got = planned_sum(&recovered, rel);
+    assert_eq!(got.to_bits(), want_sum.to_bits(), "{got} vs {want_sum} (HTAPG_SEED={seed})");
 
     // A crash mid-append that nothing can repair: tear into the final
     // Commit frame. Recovery loses exactly that transaction, nothing else.
@@ -375,8 +383,8 @@ fn wal_written_under_torn_appends_recovers_all_committed_work() {
         Value::Float64(600.0),
         "uncommitted-by-the-log work must be discarded (HTAPG_SEED={seed})"
     );
-    let got2 = recovered2.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
-    assert!((got2 - want_sum).abs() < 1e-9, "{got2} vs {want_sum} (HTAPG_SEED={seed})");
+    let got2 = planned_sum(&recovered2, rel);
+    assert_eq!(got2.to_bits(), want_sum.to_bits(), "{got2} vs {want_sum} (HTAPG_SEED={seed})");
 }
 
 // ---------------------------------------------------------------------
@@ -391,7 +399,7 @@ fn fault_sequences_are_byte_identical_across_runs_of_one_seed() {
     let (s2, r2, h2) = run_reference(seed, 0.1);
     assert_eq!(h1, h2, "reference fault sequence diverged (HTAPG_SEED={seed})");
     assert_eq!(r1, r2);
-    assert!(close(s1, s2), "{s1} vs {s2} (HTAPG_SEED={seed})");
+    assert_eq!(s1.to_bits(), s2.to_bits(), "{s1} vs {s2} (HTAPG_SEED={seed})");
 
     let (m1, i1, mh1) = run_mirrors(seed, 0.1);
     let (m2, i2, mh2) = run_mirrors(seed, 0.1);
@@ -463,6 +471,10 @@ fn device_faults_do_not_poison_calibration() {
 
     let clock = engine.trace_clock().expect("reference engine has a ledger clock");
     let tracer = Tracer::new(clock);
+    // The tracer is process-global and this suite's other tests plan and
+    // execute concurrently: label this thread's spans to tell them apart.
+    const PROCESS: &str = "chaos.calibration";
+    let _process = obs::process_scope(PROCESS);
     obs::install(tracer.clone());
     const ROUNDS: u64 = 6;
     for round in 0..ROUNDS {
@@ -512,7 +524,8 @@ fn device_faults_do_not_poison_calibration() {
 
     // The trace agrees: every aggregate span records the degradation, and
     // the extracted residuals name the route that actually executed.
-    let report = TraceReport::from_spans(tracer.drain());
+    let own = tracer.drain().into_iter().filter(|span| span.process == PROCESS).collect();
+    let report = TraceReport::from_spans(own);
     let agg_spans: Vec<_> =
         report.nodes.iter().filter(|n| n.record.name == "plan.aggregate.sum").collect();
     assert_eq!(

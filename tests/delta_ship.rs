@@ -208,7 +208,7 @@ fn reference_repacks_a_replica_past_half_the_column_from_its_snapshot() {
                 e.insert(rel, &vec![Value::Int64(k), Value::Float64(rng.gen_range(-1e6..1e6))])
                     .unwrap();
             }
-            let sum = e.device_sum_column(rel, ATTR).unwrap();
+            let sum = e.offload_sum(rel, ATTR, None).unwrap();
             assert_eq!(sum.to_bits(), physical::volcano_sum(&e, rel, ATTR).unwrap().to_bits());
             // Commit writes to more than half the rows, some twice, so the
             // delta log outgrows the merge crossover.
@@ -229,7 +229,7 @@ fn reference_repacks_a_replica_past_half_the_column_from_its_snapshot() {
             e.txn_update(rel, &aborted, order[rows as usize - 1], ATTR, Value::Float64(-1e300))
                 .unwrap();
             e.txn_abort(rel, &aborted).unwrap();
-            let sum = e.device_sum_column(rel, ATTR).unwrap();
+            let sum = e.offload_sum(rel, ATTR, None).unwrap();
             let oracle = physical::volcano_sum(&e, rel, ATTR).unwrap();
             assert_eq!(sum.to_bits(), oracle.to_bits(), "re-packed replica vs volcano");
             let ev = e.column_evidence(rel, ATTR).unwrap();

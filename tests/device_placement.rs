@@ -6,13 +6,20 @@ use std::sync::Arc;
 
 use htapg::core::engine::StorageEngine;
 use htapg::core::plan::ScanStrategy;
-use htapg::core::{DataType, Error, Schema, Value};
+use htapg::core::{AttrId, DataType, Error, RelationId, Schema, Value};
 use htapg::device::{DeviceSpec, SimDevice};
 use htapg::engines::gputx::TxOp;
 use htapg::engines::{CogadbEngine, GputxEngine, ReferenceEngine};
-use htapg::exec::physical::group_sum_host;
+use htapg::exec::physical::{self, group_sum_host};
 use htapg::workload::driver::load_items;
 use htapg::workload::tpcc::{item_attr, Generator};
+
+/// The host's canonical reduction of a column, read through the engine's
+/// contiguous scan (a column scan, not per-row reads).
+fn host_sum(engine: &dyn StorageEngine, rel: RelationId, attr: AttrId) -> f64 {
+    let values = physical::collect_f64(engine, rel, attr, ScanStrategy::ContiguousBytes).unwrap();
+    physical::canonical_sum(&values)
+}
 
 #[test]
 fn cogadb_placement_respects_capacity_and_answers_match() {
@@ -24,21 +31,21 @@ fn cogadb_placement_respects_capacity_and_answers_match() {
     let rel = load_items(&engine, &gen, 40_000).unwrap();
     // Heat price more than id.
     for _ in 0..10 {
-        engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+        physical::touch_column(&engine, rel, item_attr::I_PRICE).unwrap();
     }
     for _ in 0..2 {
-        engine.sum_column_f64(rel, item_attr::I_ID).unwrap();
+        physical::touch_column(&engine, rel, item_attr::I_ID).unwrap();
     }
     let report = engine.maintain().unwrap();
     assert_eq!(report.fragments_moved, 1, "only the hottest column fits");
     assert_eq!(engine.device_resident(rel).unwrap(), vec![item_attr::I_PRICE]);
     // The placed copy answers identically.
     engine.place_column(rel, item_attr::I_PRICE).unwrap();
-    let host = engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+    let host = host_sum(&engine, rel, item_attr::I_PRICE);
     let mut saw_gpu = false;
     for _ in 0..10 {
         let (sum, placement) = engine.sum_column_placed(rel, item_attr::I_PRICE).unwrap();
-        assert!((sum - host).abs() < 1e-6 * host);
+        assert_eq!(sum.to_bits(), host.to_bits(), "{placement:?}");
         saw_gpu |= placement == htapg::engines::cogadb::Placement::Gpu;
     }
     assert!(saw_gpu, "the trained scheduler should try the device");
@@ -80,20 +87,22 @@ fn reference_engine_mixed_location_is_consistent_after_updates() {
     let engine = ReferenceEngine::new();
     let rel = load_items(&engine, &gen, 10_000).unwrap();
     for _ in 0..30 {
-        engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+        physical::touch_column(&engine, rel, item_attr::I_PRICE).unwrap();
     }
     engine.maintain().unwrap();
     assert!(engine.device_resident(rel).unwrap().contains(&item_attr::I_PRICE));
-    let d1 = engine.sum_column_device(rel, item_attr::I_PRICE).unwrap();
-    let h1 = engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
-    assert!((d1 - h1).abs() < 1e-6 * h1.abs());
+    let d1 = engine.offload_sum(rel, item_attr::I_PRICE, None).unwrap();
+    let h1 = host_sum(&engine, rel, item_attr::I_PRICE);
+    assert_eq!(d1.to_bits(), h1.to_bits());
     // Update → stale replica → refresh → agree again.
     engine.update_field(rel, 3, item_attr::I_PRICE, &Value::Float64(1000.0)).unwrap();
-    assert!(engine.sum_column_device(rel, item_attr::I_PRICE).is_err(), "stale replica unusable");
+    let ev = engine.column_evidence(rel, item_attr::I_PRICE).unwrap();
+    assert!(!ev.device_warm && ev.stale_rows == 1, "stale replica unusable as fresh");
     engine.maintain().unwrap();
-    let d2 = engine.sum_column_device(rel, item_attr::I_PRICE).unwrap();
-    let h2 = engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
-    assert!((d2 - h2).abs() < 1e-6 * h2.abs());
+    assert!(engine.column_evidence(rel, item_attr::I_PRICE).unwrap().device_warm, "refreshed");
+    let d2 = engine.offload_sum(rel, item_attr::I_PRICE, None).unwrap();
+    let h2 = host_sum(&engine, rel, item_attr::I_PRICE);
+    assert_eq!(d2.to_bits(), h2.to_bits());
     assert!(h2 > h1, "the big update must be reflected");
 }
 
@@ -153,7 +162,7 @@ fn device_group_sum_rejects_non_integer_keys() {
     for e in [&gputx as &dyn StorageEngine, &reference, &cogadb] {
         for (key, got) in [(0, "text"), (1, "float64")] {
             let want = Error::NonNumericAggregate { attr: key, got };
-            assert_eq!(e.device_group_sum(0, key, 2), Err(want.clone()), "{}", e.name());
+            assert_eq!(e.offload_group_sum(0, key, 2), Err(want.clone()), "{}", e.name());
             let host = group_sum_host(e, 0, key, 2, ScanStrategy::ValueVisit, None);
             assert_eq!(host, Err(want), "{}", e.name());
         }

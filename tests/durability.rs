@@ -8,6 +8,7 @@ use htapg::core::engine::StorageEngine;
 use htapg::core::wal::{MemStorage, Wal};
 use htapg::core::Value;
 use htapg::engines::ReferenceEngine;
+use htapg::exec::physical;
 use htapg::workload::tpcc::{item_attr, Generator};
 
 #[test]
@@ -34,7 +35,7 @@ fn full_state_survives_a_crash() {
     engine.txn_update(rel, &doomed, 9, item_attr::I_PRICE, Value::Float64(9e9)).unwrap();
     engine.txn_abort(rel, &doomed).unwrap();
 
-    let want_sum = engine.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
+    let want_sum = physical::volcano_sum(&engine, rel, item_attr::I_PRICE).unwrap();
     let want_rec8 = engine.read_record(rel, 8).unwrap();
     drop(engine); // the crash
 
@@ -48,8 +49,8 @@ fn full_state_survives_a_crash() {
     assert_eq!(recovered.read_record(rel, 8).unwrap(), want_rec8);
     // The aborted write was never redone.
     assert_ne!(recovered.read_field(rel, 9, item_attr::I_PRICE).unwrap(), Value::Float64(9e9));
-    let got_sum = recovered.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
-    assert!((got_sum - want_sum).abs() < 1e-9, "{got_sum} vs {want_sum}");
+    let got_sum = physical::volcano_sum(&recovered, rel, item_attr::I_PRICE).unwrap();
+    assert_eq!(got_sum.to_bits(), want_sum.to_bits(), "{got_sum} vs {want_sum}");
 }
 
 #[test]

@@ -5,9 +5,12 @@
 //! all engines plus a trivially correct oracle.
 
 use htapg::core::engine::StorageEngine;
+use htapg::core::plan::LogicalPlan;
 use htapg::core::prng::check_cases;
 use htapg::core::{Record, Value};
 use htapg::engines::{all_surveyed_engines, PlainEngine, ReferenceEngine};
+use htapg::exec::physical;
+use htapg::exec::threading::ThreadingPolicy;
 use htapg::workload::tpcc::{item_attr, item_schema, Generator};
 
 fn engines_under_test() -> Vec<Box<dyn StorageEngine>> {
@@ -72,11 +75,14 @@ fn randomized_workload_equivalence_case(rng: &mut htapg::core::prng::Prng) {
                 }
             }
             85..=94 => {
-                let want = oracle.sum_column_f64(oracle_rel, item_attr::I_PRICE).unwrap();
+                let want = physical::volcano_sum(&oracle, oracle_rel, item_attr::I_PRICE).unwrap();
                 for (e, &rel) in engines.iter().zip(&rels) {
-                    let got = e.sum_column_f64(rel, item_attr::I_PRICE).unwrap();
-                    assert!(
-                        (got - want).abs() < 1e-6 * want.abs().max(1.0),
+                    let plan = e.plan(&LogicalPlan::sum(rel, item_attr::I_PRICE)).unwrap();
+                    let out = physical::execute(e.as_ref(), &plan, ThreadingPolicy::Single);
+                    let got = out.unwrap().as_sum().unwrap();
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
                         "{} sum {got} vs oracle {want} at step {step}",
                         e.name()
                     );

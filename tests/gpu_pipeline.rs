@@ -20,6 +20,7 @@
 use std::sync::Arc;
 
 use htapg::core::engine::StorageEngine;
+use htapg::core::plan::ScanStrategy;
 use htapg::core::prng::{check_cases, Prng};
 use htapg::core::{DataType, Layout, LayoutTemplate, Schema, Value};
 use htapg::device::{DeviceColumnCache, DeviceSpec, SimDevice};
@@ -27,6 +28,7 @@ use htapg::engines::{CogadbEngine, ReferenceEngine};
 use htapg::exec::device_exec::{
     cached_offload_sum, offload_sum, pipelined_offload_sum, PipelineConfig,
 };
+use htapg::exec::physical;
 
 fn price_layout(n: u64, value: impl Fn(u64) -> f64) -> Layout {
     let s = Schema::of(&[("price", DataType::Float64)]);
@@ -110,30 +112,32 @@ fn engine_write_invalidates_and_next_query_reuploads() {
         e.insert(rel, &vec![Value::Int64(i), Value::Float64(i as f64)]).unwrap();
     }
     for _ in 0..30 {
-        e.sum_column_f64(rel, 1).unwrap();
+        physical::touch_column(&e, rel, 1).unwrap();
     }
     e.maintain().unwrap();
     assert!(e.device_resident(rel).unwrap().contains(&1));
 
-    let d1 = e.sum_column_device(rel, 1).unwrap();
+    let d1 = e.offload_sum(rel, 1, None).unwrap();
     let before = e.device().ledger().snapshot();
-    let d2 = e.sum_column_device(rel, 1).unwrap();
+    let d2 = e.offload_sum(rel, 1, None).unwrap();
     let delta = e.device().ledger().snapshot().since(&before);
     assert_eq!(d1.to_bits(), d2.to_bits());
     assert_eq!(delta.bytes_to_device, 0, "warm engine query must not touch PCIe");
     assert!(delta.cache_hits >= 1);
 
-    // A committed write makes the replica stale: the device path refuses,
-    // and the next maintain pays the PCIe re-upload.
+    // A committed write makes the replica stale: the planner no longer
+    // sees it warm, and the next maintain pays the PCIe refresh.
     e.update_field(rel, 0, 1, &Value::Float64(1e6)).unwrap();
-    assert!(e.sum_column_device(rel, 1).is_err(), "stale replica unusable");
+    assert!(!e.column_evidence(rel, 1).unwrap().device_warm, "stale replica unusable");
     let before = e.device().ledger().snapshot();
     e.maintain().unwrap();
     let delta = e.device().ledger().snapshot().since(&before);
     assert!(delta.bytes_to_device > 0, "refresh re-uploads over PCIe");
-    let d3 = e.sum_column_device(rel, 1).unwrap();
-    let host = e.sum_column_f64(rel, 1).unwrap();
-    assert!((d3 - host).abs() < 1e-6 * host.abs());
+    let d3 = e.offload_sum(rel, 1, None).unwrap();
+    let host = physical::canonical_sum(
+        &physical::collect_f64(&e, rel, 1, ScanStrategy::ContiguousBytes).unwrap(),
+    );
+    assert_eq!(d3.to_bits(), host.to_bits());
 }
 
 // ---------------------------------------------------------------------
@@ -180,7 +184,7 @@ fn query_pressure_evicts_lru_but_placement_stays_all_or_nothing() {
         e.insert(rel, &vec![Value::Float64(i as f64)]).unwrap();
     }
     for _ in 0..5 {
-        e.sum_column_f64(rel, 0).unwrap();
+        physical::touch_column(&e, rel, 0).unwrap();
     }
     let report = e.maintain().unwrap();
     assert_eq!(report.fragments_moved, 0, "1.6 MB column cannot be placed on a 1 MB device");

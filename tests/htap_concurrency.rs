@@ -9,11 +9,20 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use htapg::core::engine::StorageEngine;
-use htapg::core::{Error, Value};
+use htapg::core::plan::LogicalPlan;
+use htapg::core::{Error, RelationId, Value};
 use htapg::engines::{HyperEngine, LStoreEngine, PelotonEngine, PlainEngine, ReferenceEngine};
+use htapg::exec::physical;
+use htapg::exec::threading::ThreadingPolicy;
 use htapg::workload::driver::{load_customers, run_concurrent};
 use htapg::workload::queries::{mixed_stream, MixConfig};
 use htapg::workload::tpcc::{customer_attr, Generator};
+
+/// `SUM(balance)` through the analytic front door: plan, then execute.
+fn planned_balance_sum(engine: &dyn StorageEngine, rel: RelationId) -> f64 {
+    let plan = engine.plan(&LogicalPlan::sum(rel, customer_attr::C_BALANCE)).unwrap();
+    physical::execute(engine, &plan, ThreadingPolicy::Single).unwrap().as_sum().unwrap()
+}
 
 fn drive(engine: &dyn StorageEngine) {
     let gen = Generator::new(11);
@@ -130,7 +139,7 @@ fn reference_engine_snapshots_preserve_invariants_under_transfers() {
 
     // After everything settles (and merges), the total still holds.
     engine.maintain().unwrap();
-    let final_sum = engine.sum_column_f64(rel, customer_attr::C_BALANCE).unwrap();
+    let final_sum = planned_balance_sum(engine.as_ref(), rel);
     assert!((final_sum - total).abs() < 1e-6, "final {final_sum} vs {total}");
 }
 
@@ -161,7 +170,7 @@ fn long_snapshot_is_stable_during_write_burst() {
     // Register a real transaction pinning the snapshot before merging.
     let pin = engine.begin();
     let _ = pin;
-    let after_burst = engine.sum_column_f64(rel, customer_attr::C_BALANCE).unwrap();
+    let after_burst = planned_balance_sum(&engine, rel);
     assert_eq!(after_burst, 0.0);
     assert!(before != 0.0, "generated balances are non-zero in aggregate");
 }

@@ -57,7 +57,7 @@ fn planned_routes_are_bit_identical_to_volcano() {
             // reach warm replicas and the planner picks the device route.
             if rng.gen_range(0..2) == 1 {
                 for _ in 0..20 {
-                    let _ = engine.sum_column_f64(rel, item_attr::I_PRICE);
+                    let _ = physical::touch_column(engine, rel, item_attr::I_PRICE);
                 }
                 let _ = engine.maintain();
             }
@@ -107,7 +107,7 @@ fn warm_device_and_cold_host_routes_agree_bitwise() {
         warm.insert(rel_w, &gen.item(i)).unwrap();
     }
     for _ in 0..40 {
-        warm.sum_column_f64(rel_w, item_attr::I_PRICE).unwrap();
+        physical::touch_column(&warm, rel_w, item_attr::I_PRICE).unwrap();
     }
     warm.maintain().unwrap();
     let warm_plan = warm.plan(&LogicalPlan::sum(rel_w, item_attr::I_PRICE)).unwrap();

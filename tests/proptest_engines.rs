@@ -4,12 +4,15 @@
 //! in-repo [`Prng`] (seed honors `HTAPG_SEED`, printed on failure).
 
 use htapg::core::engine::StorageEngine;
+use htapg::core::plan::LogicalPlan;
 use htapg::core::prng::{check_cases, Prng};
 use htapg::core::{DataType, Schema, Value};
 use htapg::engines::{
     Es2Engine, H2oEngine, HyperEngine, HyriseEngine, LStoreEngine, MirrorsEngine, PaxEngine,
     PelotonEngine, PlainEngine, ReferenceEngine,
 };
+use htapg::exec::physical;
+use htapg::exec::threading::ThreadingPolicy;
 
 fn small_schema() -> Schema {
     Schema::of(&[("k", DataType::Int64), ("v", DataType::Float64), ("t", DataType::Text(5))])
@@ -121,15 +124,11 @@ fn engine_matches_oracle() {
                     );
                 }
                 EngOp::Sum => {
-                    let a = engine.sum_column_f64(rel_e, 1).unwrap();
-                    let b = oracle.sum_column_f64(rel_o, 1).unwrap();
-                    assert!(
-                        (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-                        "{}: {} vs {}",
-                        engine.name(),
-                        a,
-                        b
-                    );
+                    let plan = engine.plan(&LogicalPlan::sum(rel_e, 1)).unwrap();
+                    let out = physical::execute(engine.as_ref(), &plan, ThreadingPolicy::Single);
+                    let a = out.unwrap().as_sum().unwrap();
+                    let b = physical::volcano_sum(&oracle, rel_o, 1).unwrap();
+                    assert_eq!(a.to_bits(), b.to_bits(), "{}: {} vs {}", engine.name(), a, b);
                 }
                 EngOp::Maintain => {
                     engine.maintain().unwrap();

@@ -51,7 +51,8 @@ fn traced_sequential_run(seed: u64) -> (String, u64, u64) {
     // Analytic warm-up so `maintain` delegates the balance column to the
     // device — the traced scans then do real (virtual-time) device work.
     for _ in 0..40 {
-        engine.sum_column_f64(rel, htapg::workload::tpcc::customer_attr::C_BALANCE).unwrap();
+        let balance = htapg::workload::tpcc::customer_attr::C_BALANCE;
+        htapg::exec::physical::touch_column(&engine, rel, balance).unwrap();
     }
     engine.maintain().ok();
     let stream = mixed_stream(&gen, seed.wrapping_add(1), 3_000, 400, &mix());
