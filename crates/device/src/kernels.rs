@@ -519,46 +519,83 @@ pub fn keyed_fragment_partials_f64(
     Ok(out)
 }
 
+/// The group ids of integer keys, one rule for every group-sum: ids
+/// follow key order. While the keys' span is at most twice their count,
+/// key `k`'s id is `k - min` (some ids then count no row); a wider span
+/// ranks each key among the sorted distinct keys instead, so no array is
+/// sized by the span alone.
+pub struct GroupIds {
+    /// The key of every id.
+    pub keys: Vec<i64>,
+    /// Whether ids are ranks rather than `k - keys[0]`.
+    pub ranked: bool,
+}
+
+impl GroupIds {
+    /// The ids of `keys`, whose least and greatest are `min` and `max`.
+    pub fn new(keys: &[i64], (min, max): (i64, i64)) -> GroupIds {
+        if max.abs_diff(min) <= 2 * keys.len() as u64 {
+            return GroupIds { keys: (min..=max).collect(), ranked: false };
+        }
+        let mut distinct = keys.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        GroupIds { keys: distinct, ranked: true }
+    }
+
+    /// The id of `k`, one of the keys the ids were made for.
+    pub fn id(&self, k: i64) -> usize {
+        if self.ranked {
+            self.keys.binary_search(&k).expect("every key is ranked")
+        } else {
+            k.abs_diff(self.keys[0]) as usize
+        }
+    }
+}
+
 /// Group-sum of a device-resident packed `f64` column by `keys`, the
-/// (host-resident) integer key of every row. Group ids are ranks among the
-/// sorted distinct keys, and a stable counting sort gives each group a
-/// contiguous run of its values in row order. Each run then reduces
-/// canonically ([`reduce_seg_len`] of the group's rows, then the tree of
-/// its partials), so every group's sum is bit-identical to the canonical
-/// sum of its values. Three launches for any number of groups: the gather
-/// of all rows into group order, pass 1 over every group's segments, and
-/// the final combine of every group's partials. Returns `(key, sum)`
-/// ordered by key.
+/// (host-resident) integer key of every row. Rows group by [`GroupIds`],
+/// and a stable counting sort gathers each group's values into a
+/// contiguous run, in row order, of a device scratch buffer the size of
+/// the column (an allocation failure is the caller's to degrade on). Each
+/// run then reduces canonically ([`reduce_seg_len`] of the group's rows,
+/// then the tree of its partials), so every group's sum is bit-identical
+/// to the canonical sum of its values. Three launches for any number of
+/// groups: the gather of all rows into group order, pass 1 over every
+/// group's segments, and the final combine of every group's partials.
+/// Returns `(key, sum)` ordered by key.
 pub fn group_sum_f64(device: &SimDevice, buf: BufferId, keys: &[i64]) -> Result<Vec<(i64, f64)>> {
     let values = device.with_buffer(buf, as_f64s)??;
     let n = values.len();
     if keys.len() != n {
         return Err(Error::Internal(format!("{} keys for a {n}-row value column", keys.len())));
     }
-    let mut distinct = keys.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let ids: Vec<usize> =
-        keys.iter().map(|k| distinct.binary_search(k).expect("every key is listed")).collect();
+    let range = keys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    let groups = GroupIds::new(keys, range);
+    let ids: Vec<usize> = keys.iter().map(|&k| groups.id(k)).collect();
     // `start[g]..start[g + 1]` is group g's run in the gathered order.
-    let mut start = vec![0; distinct.len() + 1];
+    let mut start = vec![0; groups.keys.len() + 1];
     ids.iter().for_each(|&g| start[g + 1] += 1);
     (1..start.len()).for_each(|g| start[g] += start[g - 1]);
-    let (mut next, mut grouped) = (start.clone(), vec![0.0; n]);
-    for (&g, &v) in ids.iter().zip(&values) {
-        grouped[next[g]] = v;
-        next[g] += 1;
-    }
-    let partials: Vec<Vec<f64>> = start
-        .windows(2)
-        .map(|run| {
-            let run = &grouped[run[0]..run[1]];
-            let mut reducer = SegmentReducer::new(reduce_seg_len(run.len()));
-            reducer.push_f64s(run);
-            reducer.partials()
-        })
-        .collect();
-    let combined = partials.iter().map(Vec::len).sum::<usize>();
+    let gathered = device.alloc(n * 8)?;
+    let partials = device.with_buffer_mut(gathered, |bytes| {
+        let mut next = start.clone();
+        for (&g, v) in ids.iter().zip(&values) {
+            bytes[next[g] * 8..][..8].copy_from_slice(&v.to_le_bytes());
+            next[g] += 1;
+        }
+        let runs = start.windows(2).map(|run| (run[0], run[1] - run[0]));
+        let runs = runs.zip(&groups.keys).filter(|((_, rows), _)| *rows > 0);
+        let partials = runs.map(|((first, rows), &key)| {
+            let mut reducer = SegmentReducer::new(reduce_seg_len(rows));
+            reducer.push_bytes(&bytes[first * 8..][..rows * 8], F64_LE);
+            (key, reducer.partials())
+        });
+        partials.collect::<Vec<_>>()
+    });
+    device.free(gathered)?;
+    let partials = partials?;
+    let combined = partials.iter().map(|(_, p)| p.len()).sum::<usize>();
     let ex = Executor::new(device);
     let launch = |blocks, threads, work: usize, cycles, bytes: usize| {
         let cost = KernelCost {
@@ -571,7 +608,7 @@ pub fn group_sum_f64(device: &SimDevice, buf: BufferId, keys: &[i64]) -> Result<
     launch(REDUCE_GRID.min(n.max(1) as u32), REDUCE_BLOCK, n, 8.0, n * 16)?; // gather
     launch(REDUCE_GRID, REDUCE_BLOCK, n, 4.0, n * 8)?; // pass 1
     launch(1, FINAL_BLOCK, combined, 4.0, combined * 8)?; // final combine
-    Ok(distinct.into_iter().zip(&partials).map(|(k, p)| (k, tree_sum(p))).collect())
+    Ok(partials.into_iter().map(|(k, p)| (k, tree_sum(&p))).collect())
 }
 
 /// Sum a packed little-endian `i64` column on the device (same geometry).
@@ -785,6 +822,7 @@ pub fn filter_f64(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DeviceSpec;
 
     fn upload_f64(device: &SimDevice, values: &[f64]) -> BufferId {
         let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
@@ -1039,6 +1077,25 @@ mod tests {
             assert_eq!(got, want);
         }
         assert!(group_sum_f64(&d, buf, &[1, 2]).is_err(), "one key per row");
+    }
+
+    #[test]
+    fn group_sum_gathers_into_device_memory() {
+        // 40k values take 320 kB of a 1 MB device; the gather as much again.
+        let d = SimDevice::new(0, DeviceSpec::tiny());
+        let values: Vec<f64> = (0..40_000).map(|i| i as f64).collect();
+        let buf = upload_f64(&d, &values);
+        let keys: Vec<i64> = (0..40_000).map(|i| i % 3).collect();
+        assert_eq!(group_sum_f64(&d, buf, &keys).unwrap().len(), 3);
+        assert_eq!((d.used_bytes(), d.peak_bytes()), (320_000, 640_000), "scratch freed");
+        // Less room than the gather needs: no launch, nothing leaked.
+        let filler = d.alloc(d.free_bytes() - 319_999).unwrap();
+        let before = d.ledger().snapshot();
+        let err = group_sum_f64(&d, buf, &keys).unwrap_err();
+        assert!(matches!(err, Error::DeviceOutOfMemory { .. }), "{err}");
+        assert_eq!(d.ledger().snapshot().since(&before).kernel_launches, 0);
+        d.free(filler).unwrap();
+        assert_eq!(d.used_bytes(), 320_000);
     }
 
     #[test]

@@ -259,13 +259,15 @@ impl ReferenceEngine {
     /// Commit; returns the commit timestamp.
     pub fn txn_commit(&self, rel: RelationId, txn: &Txn) -> Result<Timestamp> {
         self.log(&LogRecord::Commit { txn: txn.id })?;
-        let (ts, writes) = self.rels.read(rel, |r| r.overlay.commit_with_writes(txn))?;
         // Written columns' device replicas are stale now: bump the version
         // and ship the committed writes into the cache's per-column delta
         // logs, so resident replicas stay mergeable instead of being
         // dropped (the invalidation cliff). Tombstones and non-numeric
         // values are unmergeable — those replicas are dropped as before.
+        // The writes become visible under the same registry write that
+        // bumps the version, so no reader sees them at the old version.
         self.rels.write(rel, |r| {
+            let (ts, writes) = r.overlay.commit_with_writes(txn)?;
             r.version += 1;
             let new_version = r.version;
             let mut touched: Vec<AttrId> = Vec::new();
@@ -281,9 +283,8 @@ impl ReferenceEngine {
             // Replicas of untouched columns advance across the commit for
             // free (their data did not change).
             self.cache.note_commit(rel, new_version, &touched);
-            Ok(())
-        })?;
-        Ok(ts)
+            Ok(ts)
+        })
     }
 
     /// Abort, rolling back the transaction's writes.
@@ -747,14 +748,19 @@ impl StorageEngine for ReferenceEngine {
 
     /// Device group-sum: keys are read from the current snapshot on the
     /// host (grouping is control-heavy), values from the fresh replica.
+    /// The order keeps both from one snapshot: the replica is made fresh
+    /// first and the keys read after it. Any commit after the replica's
+    /// version stamp, including one the key scan saw, bumps the version,
+    /// so the lookup misses and the query degrades to the host.
     fn offload_group_sum(
         &self,
         rel: RelationId,
         key_attr: AttrId,
         value_attr: AttrId,
     ) -> Result<Vec<(i64, f64)>> {
-        let keys = common::scan_keys(self, rel, key_attr)?;
+        self.schema(rel)?.key_ty(key_attr)?;
         self.ensure_device_replica(rel, value_attr)?;
+        let keys = common::scan_keys(self, rel, key_attr)?;
         self.with_fresh_replica(rel, value_attr, |buf| {
             common::device_group_sum(&self.device, buf, &keys)
         })

@@ -451,9 +451,8 @@ fn decode_keys(
 /// than two morsels):
 ///
 /// 1. decode the keys, each morsel folding its key range;
-/// 2. count each chunk's rows per group id (a key span wider than twice
-///    the rows first replaces each key by its rank among the distinct
-///    keys);
+/// 2. count each chunk's rows per group id ([`kernels::GroupIds`]; ranked
+///    ids first replace each key in place);
 /// 3. a prefix over (group, chunk) gives each chunk its first slot in
 ///    every group;
 /// 4. scatter the values, straight from the value scan, chunk by chunk;
@@ -472,30 +471,19 @@ fn group_sum_scans(
     policy: ThreadingPolicy,
 ) -> Result<Vec<(i64, f64)>> {
     let value_dec = numeric_decoder(engine, rel, value_attr)?;
-    let (mut keys, (mut min, max)) = decode_keys(engine, rel, key_attr, key_strategy, policy)?;
+    let (mut keys, range) = decode_keys(engine, rel, key_attr, key_strategy, policy)?;
     let rows = keys.len();
     if rows == 0 {
         return Ok(Vec::new());
     }
-    // A key's group id is `k - min` while the key span is at most twice
-    // the row count (some ids then count no row). A wider span first
-    // replaces each key by its rank among the sorted distinct keys, so no
-    // array is sized by the key span alone.
-    let id_keys: Vec<i64> = if max.abs_diff(min) <= 2 * rows as u64 {
-        (min..=max).collect()
-    } else {
-        let mut distinct = keys.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
+    let ids = kernels::GroupIds::new(&keys, range);
+    if ids.ranked {
+        // Rank each key once, in place: the passes below take `k - 0`.
         run_each(keys.chunks_mut(MORSEL), policy, |keys| {
-            for k in keys {
-                *k =
-                    distinct.binary_search(k).expect("every key is among the distinct keys") as i64;
-            }
+            keys.iter_mut().for_each(|k| *k = ids.id(*k) as i64);
         });
-        min = 0;
-        distinct
-    };
+    }
+    let (min, id_keys) = (if ids.ranked { 0 } else { ids.keys[0] }, ids.keys);
     let groups = id_keys.len();
     let id = |k: i64| k.abs_diff(min) as usize;
     // A chunk is the fewest whole morsels holding 8 rows per group: on

@@ -49,7 +49,7 @@ use htapg_core::{
 use htapg_device::cluster::{NetSpec, SimCluster};
 use htapg_device::faults::FaultPlan;
 use htapg_device::kernels;
-use htapg_device::{CostLedger, DeviceColumnCache, SimDevice};
+use htapg_device::{BufferId, CostLedger, DeviceColumnCache, SimDevice};
 use htapg_taxonomy::{
     Classification, DataLocality, DataLocation, FragmentLinearization, FragmentScheme,
     LayoutAdaptability, LayoutFlexibility, LayoutHandling, ProcessorSupport, WorkloadSupport,
@@ -215,7 +215,7 @@ impl ShardedEngine {
         r: &ShardRel,
         shard: usize,
         attr: AttrId,
-    ) -> Result<htapg_device::BufferId> {
+    ) -> Result<BufferId> {
         let store = &r.stores[shard];
         let mut bytes = Vec::with_capacity(store.len() * 8);
         for rec in store {
@@ -231,60 +231,6 @@ impl ShardedEngine {
             || with_retry(&self.retry, device.ledger(), || device.upload(&bytes)),
         )?;
         Ok(col.buf)
-    }
-
-    /// Per-shard partial sums (one per local fragment, local order).
-    fn shard_sum_partials(
-        &self,
-        rel: RelationId,
-        r: &ShardRel,
-        shard: usize,
-        attr: AttrId,
-        pred: Option<&Predicate>,
-    ) -> Result<(Vec<f64>, u64)> {
-        if r.stores[shard].is_empty() {
-            return Ok((Vec::new(), 0));
-        }
-        let device = &self.devices[shard];
-        let t0 = device.ledger().snapshot().wall_ns;
-        let buf = self.shard_replica(rel, r, shard, attr)?;
-        let part = self.sharding.partition_rows as usize;
-        let partials = with_retry(&self.retry, device.ledger(), || match pred {
-            None => kernels::reduce_fragment_partials_f64(device, buf, part),
-            Some(p) => kernels::filter_fragment_partials_f64(device, buf, part, &|v| p.matches(v)),
-        })?;
-        let exec = device.ledger().snapshot().wall_ns.saturating_sub(t0);
-        self.nodes[shard].op_ns.record(exec);
-        Ok((partials, exec))
-    }
-
-    /// Per-shard keyed partials (per local fragment, key-sorted inside).
-    #[allow(clippy::type_complexity)]
-    fn shard_group_partials(
-        &self,
-        rel: RelationId,
-        r: &ShardRel,
-        shard: usize,
-        key_attr: AttrId,
-        value_attr: AttrId,
-    ) -> Result<(Vec<Vec<(i64, f64)>>, u64)> {
-        if r.stores[shard].is_empty() {
-            return Ok((Vec::new(), 0));
-        }
-        let device = &self.devices[shard];
-        let t0 = device.ledger().snapshot().wall_ns;
-        let buf = self.shard_replica(rel, r, shard, value_attr)?;
-        let keys: Vec<i64> = r.stores[shard]
-            .iter()
-            .map(|rec| rec[key_attr as usize].as_i64())
-            .collect::<Result<_>>()?;
-        let part = self.sharding.partition_rows as usize;
-        let partials = with_retry(&self.retry, device.ledger(), || {
-            kernels::keyed_fragment_partials_f64(device, buf, &keys, part)
-        })?;
-        let exec = device.ledger().snapshot().wall_ns.saturating_sub(t0);
-        self.nodes[shard].op_ns.record(exec);
-        Ok((partials, exec))
     }
 
     /// Scatter phase 1: roll the request sends sequentially in canonical
@@ -344,6 +290,55 @@ impl ShardedEngine {
             exec.push(ns);
         }
         Ok((outs, exec))
+    }
+
+    /// One scatter-gather round: roll the requests, run `kernel` on every
+    /// non-empty shard's device replica of `attr` (with the shard's local
+    /// records and the fragment size), roll each shard's response
+    /// (`bytes` per fragment partial), settle the wall at the slowest
+    /// shard, and return every fragment's partial in global fragment order
+    /// — the shard-invariant canonical merge order.
+    fn scatter<T: Send>(
+        &self,
+        name: &'static str,
+        rel: RelationId,
+        attr: AttrId,
+        bytes: impl Fn(&T) -> u64,
+        kernel: impl Fn(&SimDevice, BufferId, &[Record], usize) -> Result<Vec<T>> + Sync,
+    ) -> Result<Vec<T>> {
+        let mut span = obs::span("net", name);
+        let rels = self.rels.read();
+        let r = rels.get(rel as usize).ok_or(Error::UnknownRelation(rel))?;
+        self.numeric_ty(r, attr)?;
+        let k = self.sharding.nodes as usize;
+        if span.is_recording() {
+            span.arg("shards", k as u64);
+        }
+        let cluster = self.cluster.read();
+        let mut rtt = self.roll_requests(&cluster, k)?;
+        let (per_shard, exec) = self.run_shards(k, |shard| {
+            if r.stores[shard].is_empty() {
+                return Ok((Vec::new(), 0));
+            }
+            let device = &self.devices[shard];
+            let t0 = device.ledger().snapshot().wall_ns;
+            let buf = self.shard_replica(rel, r, shard, attr)?;
+            let part = self.sharding.partition_rows as usize;
+            let partials = with_retry(&self.retry, device.ledger(), || {
+                kernel(device, buf, &r.stores[shard], part)
+            })?;
+            let exec = device.ledger().snapshot().wall_ns.saturating_sub(t0);
+            self.nodes[shard].op_ns.record(exec);
+            Ok((partials, exec))
+        })?;
+        let resp_bytes: Vec<u64> = per_shard.iter().map(|p| p.iter().map(&bytes).sum()).collect();
+        self.roll_responses(&cluster, &mut rtt, &resp_bytes)?;
+        let settle = (0..k).map(|i| exec[i] + rtt[i]).max().unwrap_or(0);
+        self.ledger.advance_wall(settle);
+        let mut per_shard: Vec<_> = per_shard.into_iter().map(Vec::into_iter).collect();
+        let next =
+            |f: &FragInfo| per_shard[f.shard as usize].next().expect("a partial per fragment");
+        Ok(r.frags.iter().map(next).collect())
     }
 
     fn numeric_ty(&self, r: &ShardRel, attr: AttrId) -> Result<DataType> {
@@ -546,32 +541,18 @@ impl StorageEngine for ShardedEngine {
     }
 
     fn offload_sum(&self, rel: RelationId, attr: AttrId, pred: Option<&Predicate>) -> Result<f64> {
-        let mut span = obs::span("net", "scatter.sum");
-        let rels = self.rels.read();
-        let r = rels.get(rel as usize).ok_or(Error::UnknownRelation(rel))?;
-        self.numeric_ty(r, attr)?;
-        let k = self.sharding.nodes as usize;
-        if span.is_recording() {
-            span.arg("shards", k as u64);
-        }
-        let cluster = self.cluster.read();
-        let mut rtt = self.roll_requests(&cluster, k)?;
-        let (per_shard, exec) =
-            self.run_shards(k, |shard| self.shard_sum_partials(rel, r, shard, attr, pred))?;
-        let resp_bytes: Vec<u64> =
-            per_shard.iter().map(|p| p.len() as u64 * SUM_PARTIAL_BYTES).collect();
-        self.roll_responses(&cluster, &mut rtt, &resp_bytes)?;
-        let settle = (0..k).map(|i| exec[i] + rtt[i]).max().unwrap_or(0);
-        self.ledger.advance_wall(settle);
-        // Gather: one partial per fragment, merged in global fragment
-        // order — the shard-invariant canonical reduction.
-        let mut next = vec![0usize; k];
-        let mut partials = Vec::with_capacity(r.frags.len());
-        for f in &r.frags {
-            let s = f.shard as usize;
-            partials.push(per_shard[s][next[s]]);
-            next[s] += 1;
-        }
+        let partials = self.scatter(
+            "scatter.sum",
+            rel,
+            attr,
+            |_| SUM_PARTIAL_BYTES,
+            |device, buf, _, part| match pred {
+                None => kernels::reduce_fragment_partials_f64(device, buf, part),
+                Some(p) => {
+                    kernels::filter_fragment_partials_f64(device, buf, part, &|v| p.matches(v))
+                }
+            },
+        )?;
         Ok(kernels::tree_sum(&partials))
     }
 
@@ -581,40 +562,25 @@ impl StorageEngine for ShardedEngine {
         key_attr: AttrId,
         value_attr: AttrId,
     ) -> Result<Vec<(i64, f64)>> {
-        let mut span = obs::span("net", "scatter.group_sum");
-        let rels = self.rels.read();
-        let r = rels.get(rel as usize).ok_or(Error::UnknownRelation(rel))?;
-        self.numeric_ty(r, value_attr)?;
-        let key_ty = r.schema.ty(key_attr)?;
-        if !matches!(key_ty, DataType::Int32 | DataType::Int64 | DataType::Date) {
-            return Err(Error::NonNumericAggregate { attr: key_attr, got: key_ty.name() });
-        }
-        let k = self.sharding.nodes as usize;
-        if span.is_recording() {
-            span.arg("shards", k as u64);
-        }
-        let cluster = self.cluster.read();
-        let mut rtt = self.roll_requests(&cluster, k)?;
-        let (per_shard, exec) = self.run_shards(k, |shard| {
-            self.shard_group_partials(rel, r, shard, key_attr, value_attr)
-        })?;
-        let resp_bytes: Vec<u64> = per_shard
-            .iter()
-            .map(|frags| frags.iter().map(|f| f.len() as u64).sum::<u64>() * GROUP_PARTIAL_BYTES)
-            .collect();
-        self.roll_responses(&cluster, &mut rtt, &resp_bytes)?;
-        let settle = (0..k).map(|i| exec[i] + rtt[i]).max().unwrap_or(0);
-        self.ledger.advance_wall(settle);
-        // Gather: per-key partial lists accumulate in global fragment
-        // order, then reduce canonically per key.
-        let mut next = vec![0usize; k];
+        self.with_rel(rel, |r| r.schema.key_ty(key_attr))?;
+        let frags = self.scatter(
+            "scatter.group_sum",
+            rel,
+            value_attr,
+            |frag: &Vec<(i64, f64)>| frag.len() as u64 * GROUP_PARTIAL_BYTES,
+            |device, buf, store, part| {
+                let keys: Vec<i64> = store
+                    .iter()
+                    .map(|rec| rec[key_attr as usize].as_i64())
+                    .collect::<Result<_>>()?;
+                kernels::keyed_fragment_partials_f64(device, buf, &keys, part)
+            },
+        )?;
+        // Each key's partials accumulate in global fragment order, then
+        // reduce canonically.
         let mut acc: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-        for f in &r.frags {
-            let s = f.shard as usize;
-            for &(key, partial) in &per_shard[s][next[s]] {
-                acc.entry(key).or_default().push(partial);
-            }
-            next[s] += 1;
+        for (key, partial) in frags.into_iter().flatten() {
+            acc.entry(key).or_default().push(partial);
         }
         Ok(acc.into_iter().map(|(key, ps)| (key, kernels::tree_sum(&ps))).collect())
     }

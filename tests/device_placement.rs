@@ -5,12 +5,13 @@
 use std::sync::Arc;
 
 use htapg::core::engine::StorageEngine;
-use htapg::core::plan::ScanStrategy;
+use htapg::core::plan::{LogicalPlan, Route, ScanStrategy};
 use htapg::core::{AttrId, DataType, Error, RelationId, Schema, Value};
 use htapg::device::{DeviceSpec, SimDevice};
 use htapg::engines::gputx::TxOp;
 use htapg::engines::{CogadbEngine, GputxEngine, ReferenceEngine};
-use htapg::exec::physical::{self, group_sum_host};
+use htapg::exec::physical::{self, group_sum_host, QueryOutput};
+use htapg::exec::threading::ThreadingPolicy;
 use htapg::workload::driver::load_items;
 use htapg::workload::tpcc::{item_attr, Generator};
 
@@ -167,4 +168,29 @@ fn device_group_sum_rejects_non_integer_keys() {
             assert_eq!(host, Err(want), "{}", e.name());
         }
     }
+}
+
+#[test]
+fn device_group_sum_degrades_when_its_gather_does_not_fit() {
+    // A 70k-row value replica (560 kB) fits the 1 MB device; gathering its
+    // rows into group order needs as much again. The planned group-sum
+    // degrades to the host with the host's bits and leaves only the
+    // replica resident, which still serves sums.
+    let engine = ReferenceEngine::with_device(Arc::new(SimDevice::new(0, DeviceSpec::tiny())));
+    let schema = Schema::of(&[("k", DataType::Int64), ("v", DataType::Float64)]);
+    let rel = engine.create_relation(schema).unwrap();
+    for i in 0..70_000 {
+        engine.insert(rel, &vec![Value::Int64(i % 10), Value::Float64(i as f64 * 0.37)]).unwrap();
+    }
+    let mut plan = engine.plan(&LogicalPlan::group_sum(rel, 0, 1)).unwrap();
+    plan.root.route = Route::DevicePipelined;
+    let out = physical::execute_observed(&engine, &plan, ThreadingPolicy::Single).unwrap();
+    assert_eq!(out.executed_route, Route::InlineVolcano, "the gather cannot fit");
+    let QueryOutput::Groups(got) = out.output else { panic!("not a group-sum") };
+    let want = physical::volcano_group_sum(&engine, rel, 0, 1).unwrap();
+    let bits = |g: &[(i64, f64)]| g.iter().map(|&(k, v)| (k, v.to_bits())).collect::<Vec<_>>();
+    assert_eq!(bits(&got), bits(&want));
+    assert_eq!(engine.device().used_bytes(), 560_000, "only the replica stays resident");
+    let sum = engine.offload_sum(rel, 1, None).unwrap();
+    assert_eq!(sum.to_bits(), host_sum(&engine, rel, 1).to_bits());
 }

@@ -3,10 +3,14 @@
 //! `DevicePipelined` route from its replica — warm, delta-stale, and (on
 //! the reference engine) cold — with the Volcano oracle's bits; transient
 //! kernel-launch faults are retried with virtual backoff on every engine;
-//! and a device group-sum costs three launches whatever its group count.
-//! The fault seed honors `HTAPG_SEED` and is printed on failure.
+//! a device group-sum costs three launches whatever its group count; and
+//! it groups one snapshot's values by the same snapshot's keys while
+//! transactions commit. The fault seed honors `HTAPG_SEED` and is printed
+//! on failure.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
+use std::time::Duration;
 
 use htapg::core::engine::StorageEngine;
 use htapg::core::plan::{LogicalPlan, Predicate, Route};
@@ -235,4 +239,66 @@ fn device_group_sum_charges_three_launches_for_any_group_count() {
             assert_eq!(launches, 3, "{}: {groups} group(s)", engine.name());
         }
     }
+}
+
+#[test]
+fn reference_group_sum_reads_keys_and_values_from_one_snapshot() {
+    const GROUPS: i64 = 4;
+    const ROWS: u64 = 512;
+    // Row 0 moves to another key with a new value in every commit; the
+    // other rows stay. Integer values sum to the same bits in any order,
+    // so each committed state's answer is plain arithmetic.
+    let mover = |i: u64| (i as i64 % GROUPS, 1_000.0 * (i + 1) as f64);
+    let still = |row: u64| (row as i64 % GROUPS, (row % 13) as f64);
+    let state = |i: u64| -> Vec<(i64, u64)> {
+        let mut sums = [0.0; GROUPS as usize];
+        for (k, v) in (1..ROWS).map(still).chain([mover(i)]) {
+            sums[k as usize] += v;
+        }
+        sums.iter().enumerate().map(|(k, s)| (k as i64, s.to_bits())).collect()
+    };
+    let engine = ReferenceEngine::new();
+    let rel = engine.create_relation(schema()).unwrap();
+    for (k, v) in [mover(0)].into_iter().chain((1..ROWS).map(still)) {
+        engine.insert(rel, &vec![Value::Int64(k), Value::Float64(v)]).unwrap();
+    }
+    let (committed, stop) = (AtomicU64::new(0), AtomicBool::new(false));
+    let (mut answered, mut torn) = (0, None);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            // Bounded, so a failing reader cannot leave the scope waiting.
+            for i in 1..=20_000 {
+                if stop.load(SeqCst) {
+                    break;
+                }
+                let (k, v) = mover(i);
+                let txn = engine.begin();
+                engine.txn_update(rel, &txn, 0, KEY, Value::Int64(k)).unwrap();
+                engine.txn_update(rel, &txn, 0, VALUE, Value::Float64(v)).unwrap();
+                engine.txn_commit(rel, &txn).unwrap();
+                committed.store(i, SeqCst);
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        });
+        for query in 0..20_000 {
+            let first = committed.load(SeqCst);
+            let got = engine.offload_group_sum(rel, KEY, VALUE);
+            // The commit after the last one counted may already be visible.
+            let last = committed.load(SeqCst) + 1;
+            // A commit past the replica's version fails the lookup: the
+            // planned query would degrade to the host.
+            let Ok(groups) = got else { continue };
+            answered += 1;
+            let got: Vec<_> = groups.iter().map(|&(k, v)| (k, v.to_bits())).collect();
+            if !(first..=last).any(|i| got == state(i)) {
+                torn = Some((query, groups, first..=last));
+            }
+            if torn.is_some() || answered == 300 {
+                break;
+            }
+        }
+        stop.store(true, SeqCst);
+    });
+    assert_eq!(torn, None, "a device answer matched no committed state");
+    assert!(answered > 0, "no query reached the device");
 }
