@@ -350,7 +350,7 @@ fn main() {
              cost model, executed through the physical interpreter; actual\n\
              virtual ns from the engine's own clock, 0 for host-only engines)\n"
         );
-        let points = planner::measure(seed, quick);
+        let points = planner::measure(seed, quick).unwrap_or_else(|e| panic!("planner: {e}"));
         print!("{}", planner::render(&points));
         let path = "BENCH_planner.json";
         match std::fs::write(path, planner::to_json(seed, &points)) {
@@ -409,7 +409,7 @@ fn main() {
     }
     if want("obs") {
         section("Observability — traced HTAP run on the virtual clock");
-        let report = obs::run(seed, quick);
+        let report = obs::run(seed, quick).unwrap_or_else(|e| panic!("obs: {e}"));
         print!("{}", obs::render(&report));
         // The full span tree has one node per op — print the header and
         // category table, leave the tree to --trace/Perfetto.

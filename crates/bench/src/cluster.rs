@@ -26,7 +26,7 @@ use htapg_core::plan::{LogicalPlan, Predicate, Route};
 use htapg_core::prng::Prng;
 use htapg_core::{DataType, Schema, ShardingKind, Value};
 use htapg_device::cluster::NetSpec;
-use htapg_exec::physical::{self, canonical_filter_sum, canonical_sum};
+use htapg_exec::physical::{self, canonical_sum, segmented_sum};
 use htapg_exec::{ShardedEngine, ThreadingPolicy};
 
 /// The scaling ladder of the acceptance sweep.
@@ -91,7 +91,7 @@ pub fn measure_with(seed: u64, rows: u64, node_counts: &[u32]) -> Vec<ClusterPoi
     // The flat single-node oracles: the whole sweep must reproduce these
     // bits at every node count (see `partition_rows`).
     let want_sum = canonical_sum(&values);
-    let want_filter = canonical_filter_sum(&values, &pred);
+    let want_filter = segmented_sum(&values, None, Some(&pred), ThreadingPolicy::Single);
 
     let mut points = Vec::new();
     for &nodes in node_counts {

@@ -39,21 +39,23 @@ pub struct ObsReport {
 }
 
 /// Run the traced workload. `quick` shrinks the table and stream for
-/// smoke runs.
-pub fn run(seed: u64, quick: bool) -> ObsReport {
+/// smoke runs. A failed load, warm-up scan or `maintain` fails the run,
+/// with the engine's name.
+pub fn run(seed: u64, quick: bool) -> Result<ObsReport, String> {
     let (rows, ops) = if quick { (2_000, 400) } else { (10_000, 2_000) };
     let engine = ReferenceEngine::new();
     let clock = engine.trace_clock().expect("reference engine exposes its ledger clock");
+    let named = |step: &str, e: htapg_core::Error| format!("{} {step}: {e}", engine.name());
 
     let gen = Generator::new(seed);
-    let rel = load_customers(&engine, &gen, rows).expect("load");
+    let rel = load_customers(&engine, &gen, rows).map_err(|e| named("load", e))?;
     // Analytic warm-up so `maintain` delegates the balance column to the
     // device — the traced scans then do real (virtual-time) device work.
     for _ in 0..40 {
         let balance = htapg_workload::tpcc::customer_attr::C_BALANCE;
-        physical::touch_column(&engine, rel, balance).expect("warm-up scan");
+        physical::touch_column(&engine, rel, balance).map_err(|e| named("warm-up scan", e))?;
     }
-    engine.maintain().ok();
+    engine.maintain().map_err(|e| named("maintain", e))?;
     let cfg = MixConfig { olap_fraction: 0.1, write_fraction: 0.5, ..Default::default() };
     let stream = mixed_stream(&gen, seed.wrapping_add(1), rows, ops, &cfg);
 
@@ -63,6 +65,7 @@ pub fn run(seed: u64, quick: bool) -> ObsReport {
     let base = obs::metrics().snapshot();
     obs::install(tracer.clone());
     let _proc = obs::process_scope(engine.name());
+    let mut maintained = Ok(());
     {
         let _root = obs::span("query", "htap.run");
         // Interleave background maintenance the way a real deployment
@@ -73,11 +76,15 @@ pub fn run(seed: u64, quick: bool) -> ObsReport {
         for batch in stream.chunks(stream.len().div_ceil(8).max(1)) {
             run_sequential(&engine, rel, batch);
             let _m = obs::span("maintain", "engine.maintain");
-            engine.maintain().ok();
+            if let Err(e) = engine.maintain() {
+                maintained = Err(named("maintain", e));
+                break;
+            }
         }
     }
     drop(_proc);
     obs::uninstall();
+    maintained?;
     let delta = obs::metrics().snapshot().since(&base);
 
     let spans = tracer.drain();
@@ -93,7 +100,7 @@ pub fn run(seed: u64, quick: bool) -> ObsReport {
             None => [0; 3],
         }
     };
-    ObsReport {
+    Ok(ObsReport {
         engine: engine.name(),
         seed,
         spans: span_count,
@@ -102,7 +109,7 @@ pub fn run(seed: u64, quick: bool) -> ObsReport {
         explain_text,
         quantiles: vec![("oltp", q("query.oltp.latency_ns")), ("olap", q("query.olap.latency_ns"))],
         counters: delta.counters.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
-    }
+    })
 }
 
 /// Serialize the report (minus the embedded Chrome trace, which goes to
@@ -157,7 +164,7 @@ mod tests {
 
     #[test]
     fn obs_run_produces_all_artifacts() {
-        let r = run(3, true);
+        let r = run(3, true).unwrap();
         assert!(r.spans > 0, "traced run records spans");
         assert!(r.wall_virtual_ns > 0, "virtual wall advanced");
         assert!(r.chrome_json.starts_with("{\"traceEvents\":["));

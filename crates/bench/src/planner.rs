@@ -121,8 +121,9 @@ fn op_classes(rel: RelationId, rows: u64) -> Vec<(&'static str, LogicalPlan)> {
 /// the device-capable ones reach their steady placement, then measured
 /// twice: a cold pass on the uncalibrated cost model, a calibration
 /// warm-up phase of observed executions, and a warm pass on the corrected
-/// estimates.
-pub fn measure(seed: u64, quick: bool) -> Vec<PlanPoint> {
+/// estimates. A failed load, warm-up scan, `maintain` or warm-up query
+/// fails the whole measurement, with the engine's name.
+pub fn measure(seed: u64, quick: bool) -> Result<Vec<PlanPoint>, String> {
     let rows = if quick { 4_000 } else { 20_000 };
     let warmup_rounds = if quick { 24 } else { 32 };
     let gen = Generator::new(seed);
@@ -131,16 +132,15 @@ pub fn measure(seed: u64, quick: bool) -> Vec<PlanPoint> {
     engines.push(Calibrated::new(Box::new(ReferenceEngine::new())));
     let mut points = Vec::new();
     for engine in &engines {
-        let rel = match load_items(engine, &gen, rows) {
-            Ok(rel) => rel,
-            Err(_) => continue,
-        };
+        let named = |step: &str, e: htapg_core::Error| format!("{} {step}: {e}", engine.name());
+        let rel = load_items(engine, &gen, rows).map_err(|e| named("load", e))?;
         // Placement warm-up: device-capable engines reach their steady
         // delegation before anything is measured.
         for _ in 0..40 {
-            let _ = physical::touch_column(engine, rel, item_attr::I_PRICE);
+            physical::touch_column(engine, rel, item_attr::I_PRICE)
+                .map_err(|e| named("warm-up scan", e))?;
         }
-        let _ = engine.maintain();
+        engine.maintain().map_err(|e| named("maintain", e))?;
         // Cold pass: first planned execution per op class; the profiles
         // are empty, so estimates are the raw analytic model's.
         for (op, logical) in op_classes(rel, rows) {
@@ -153,14 +153,14 @@ pub fn measure(seed: u64, quick: bool) -> Vec<PlanPoint> {
         // profiles past their warm-up threshold. maintain() per round
         // refreshes device replicas staled by the update op.
         for _ in 0..warmup_rounds {
-            let _ = engine.maintain();
-            for (_op, logical) in op_classes(rel, rows) {
-                if let Ok(plan) = engine.plan(&logical) {
-                    let _ = physical::execute_observed(engine, &plan, ThreadingPolicy::Single);
-                }
+            engine.maintain().map_err(|e| named("maintain", e))?;
+            for (op, logical) in op_classes(rel, rows) {
+                let plan = engine.plan(&logical).map_err(|e| named(op, e))?;
+                physical::execute_observed(engine, &plan, ThreadingPolicy::Single)
+                    .map_err(|e| named(op, e))?;
             }
         }
-        let _ = engine.maintain();
+        engine.maintain().map_err(|e| named("maintain", e))?;
         // Warm pass: identical op classes, now planned with calibrated
         // estimates.
         for (op, logical) in op_classes(rel, rows) {
@@ -170,7 +170,7 @@ pub fn measure(seed: u64, quick: bool) -> Vec<PlanPoint> {
             }
         }
     }
-    points
+    Ok(points)
 }
 
 /// Render the calibration table for the terminal.
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn measure_covers_every_engine_and_op_class() {
-        let points = measure(7, true);
+        let points = measure(7, true).unwrap();
         let engines: std::collections::BTreeSet<_> = points.iter().map(|p| p.engine).collect();
         assert!(engines.len() >= 5, "expected all engines, got {engines:?}");
         for op in
@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn warm_device_engines_take_the_device_route_for_sums() {
-        let points = measure(3, true);
+        let points = measure(3, true).unwrap();
         // The reference engine delegates the hot column to the device after
         // warm-up + maintain; the uncalibrated (cold) planner must route
         // its sum there. (The warm pass may legitimately flip to the host
@@ -301,7 +301,7 @@ mod tests {
 
     #[test]
     fn calibration_cuts_mean_error_at_least_10x() {
-        let points = measure(1, true);
+        let points = measure(1, true).unwrap();
         let cold = mean_rel_error_phase(&points, "cold");
         let warm = mean_rel_error_phase(&points, "warm");
         assert!(cold > 0.0, "cold pass must show real estimation error");

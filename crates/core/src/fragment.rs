@@ -67,11 +67,6 @@ impl FragmentSpec {
         self.capacity >= 2 && self.attrs.len() >= 2
     }
 
-    /// Row range covered at full capacity.
-    pub fn row_range(&self) -> std::ops::Range<RowId> {
-        self.first_row..self.first_row + self.capacity
-    }
-
     fn validate(&self) -> Result<()> {
         if self.attrs.is_empty() {
             return Err(Error::InvalidLayout("fragment covers no attributes".into()));
@@ -235,10 +230,6 @@ impl Fragment {
         self.location
     }
 
-    pub fn set_location(&mut self, loc: Location) {
-        self.location = loc;
-    }
-
     /// Number of tuplets currently stored.
     pub fn len(&self) -> u64 {
         self.len
@@ -271,11 +262,6 @@ impl Fragment {
     /// Does this fragment cover `(row, attr)` among *present* rows?
     pub fn contains(&self, row: RowId, attr: AttrId) -> bool {
         self.present_rows().contains(&row) && self.spec.attrs.contains(&attr)
-    }
-
-    /// Does this fragment's region cover `attr` at all?
-    pub fn covers_attr(&self, attr: AttrId) -> bool {
-        self.spec.attrs.contains(&attr)
     }
 
     fn attr_index(&self, attr: AttrId) -> Result<usize> {

@@ -247,10 +247,6 @@ impl Layout {
         &self.fragments
     }
 
-    pub fn fragments_mut(&mut self) -> &mut [Fragment] {
-        &mut self.fragments
-    }
-
     pub fn location(&self) -> Location {
         self.location
     }

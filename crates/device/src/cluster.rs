@@ -50,14 +50,6 @@ impl Node {
         self.blobs.lock().get(key).cloned()
     }
 
-    pub fn with_blob<R>(&self, key: &str, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        self.blobs.lock().get(key).map(|b| f(b))
-    }
-
-    pub fn with_blob_mut<R>(&self, key: &str, f: impl FnOnce(&mut Vec<u8>) -> R) -> Option<R> {
-        self.blobs.lock().get_mut(key).map(f)
-    }
-
     pub fn remove(&self, key: &str) -> Option<Vec<u8>> {
         self.blobs.lock().remove(key)
     }

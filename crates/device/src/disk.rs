@@ -228,11 +228,6 @@ impl DiskArray {
         let idx = (page + stripe as u64) % n;
         &self.disks[idx as usize]
     }
-
-    /// Total virtual disk time across the array.
-    pub fn total_disk_ns(&self) -> u64 {
-        self.disks.iter().map(|d| d.ledger().snapshot().disk_ns).sum()
-    }
 }
 
 #[cfg(test)]

@@ -201,10 +201,6 @@ impl FaultPlan {
         })
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     pub fn seed(&self) -> u64 {
         self.seed
     }

@@ -10,6 +10,8 @@
 //! bit-deterministic and independent of the launch geometry — the property
 //! tests rely on this.
 
+use std::ops::Range;
+
 use htapg_core::{DataType, Error, Result};
 
 use crate::memory::{BufferId, SimDevice};
@@ -406,8 +408,7 @@ pub fn reduce_final_f64(stream: &mut SimStream<'_>, partials: &[f64]) -> Result<
 
 /// Fused filter+sum over a device-resident packed `f64` column: one data
 /// pass (selection folded into the partial reduction) plus the small final
-/// combine — two launches, versus four for the unfused
-/// filter → gather → reduce chain.
+/// combine — two launches, with no selection pass or gather.
 pub fn filter_sum_f64(
     device: &SimDevice,
     buf: BufferId,
@@ -478,11 +479,10 @@ fn fragment_partials(
 
 /// Per-fragment keyed partials for a scattered group-sum: `keys` holds the
 /// (host-resident) group key of every row in the slice, `buf` the packed
-/// values. Each fragment groups its values by key in row order and reduces
-/// each group's values in tree order; inner vectors are sorted by key.
-/// A gather that, per key, tree-reduces the key's per-fragment partials
-/// concatenated in global fragment order is bit-identical for every
-/// placement. One launch (values + key traffic).
+/// values. Each fragment's partials are the [`group_tree_sums`] of its
+/// rows, sorted by key. A gather that groups every fragment's partials,
+/// concatenated in global fragment order, through [`group_tree_sums`] again
+/// is bit-identical for every placement. One launch (values + key traffic).
 pub fn keyed_fragment_partials_f64(
     device: &SimDevice,
     buf: BufferId,
@@ -501,17 +501,8 @@ pub fn keyed_fragment_partials_f64(
             keys.len()
         )));
     }
-    let mut out = Vec::with_capacity(n.div_ceil(frag_rows));
-    for (fi, frag) in values.chunks(frag_rows).enumerate() {
-        // Row order within the fragment, as a shared-memory grouping pass
-        // would see it.
-        let mut groups: std::collections::BTreeMap<i64, Vec<f64>> =
-            std::collections::BTreeMap::new();
-        for (i, &v) in frag.iter().enumerate() {
-            groups.entry(keys[fi * frag_rows + i]).or_default().push(v);
-        }
-        out.push(groups.into_iter().map(|(k, vs)| (k, tree_sum(&vs))).collect());
-    }
+    let frags = keys.chunks(frag_rows).zip(values.chunks(frag_rows));
+    let out: Vec<_> = frags.map(|(keys, values)| group_tree_sums(keys, values)).collect();
     ex.charge_launch(
         LaunchConfig::new(REDUCE_GRID.min(out.len().max(1) as u32), REDUCE_BLOCK),
         KernelCost { work_items: n.max(1) as u64, cycles_per_item: 8.0, bytes: (n * 16) as u64 },
@@ -553,42 +544,63 @@ impl GroupIds {
     }
 }
 
+/// A stable counting sort of rows by their keys' [`GroupIds`]: `place(row,
+/// slot)` runs once per row, in row order, with the row's slot in group
+/// order (groups in key order, each group's rows in row order). Returns
+/// every non-empty group's key and run of slots, ordered by key.
+fn sort_by_group(keys: &[i64], mut place: impl FnMut(usize, usize)) -> Vec<(i64, Range<usize>)> {
+    let range = keys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    let groups = GroupIds::new(keys, range);
+    let ids: Vec<usize> = keys.iter().map(|&k| groups.id(k)).collect();
+    // `start[g]..start[g + 1]` is group g's run of slots.
+    let mut start = vec![0; groups.keys.len() + 1];
+    ids.iter().for_each(|&g| start[g + 1] += 1);
+    (1..start.len()).for_each(|g| start[g] += start[g - 1]);
+    let mut next = start.clone();
+    for (row, &g) in ids.iter().enumerate() {
+        place(row, next[g]);
+        next[g] += 1;
+    }
+    let runs = start.windows(2).map(|run| run[0]..run[1]).zip(groups.keys);
+    runs.filter(|(run, _)| !run.is_empty()).map(|(run, key)| (key, run)).collect()
+}
+
+/// Group `values` by `keys` (one per value) and tree-sum each group's
+/// values in row order: `(key, sum)` ordered by key. The one grouping of
+/// every keyed partial — a fragment's groups, and the merge of fragments'
+/// partials in global fragment order.
+pub fn group_tree_sums(keys: &[i64], values: &[f64]) -> Vec<(i64, f64)> {
+    assert_eq!(keys.len(), values.len(), "one key per value");
+    let mut grouped = vec![0.0; values.len()];
+    let runs = sort_by_group(keys, |row, slot| grouped[slot] = values[row]);
+    runs.into_iter().map(|(key, run)| (key, tree_sum(&grouped[run]))).collect()
+}
+
 /// Group-sum of a device-resident packed `f64` column by `keys`, the
-/// (host-resident) integer key of every row. Rows group by [`GroupIds`],
-/// and a stable counting sort gathers each group's values into a
-/// contiguous run, in row order, of a device scratch buffer the size of
-/// the column (an allocation failure is the caller's to degrade on). Each
-/// run then reduces canonically ([`reduce_seg_len`] of the group's rows,
-/// then the tree of its partials), so every group's sum is bit-identical
-/// to the canonical sum of its values. Three launches for any number of
-/// groups: the gather of all rows into group order, pass 1 over every
-/// group's segments, and the final combine of every group's partials.
-/// Returns `(key, sum)` ordered by key.
+/// (host-resident) integer key of every row. The [`GroupIds`] counting
+/// sort gathers each group's values into a contiguous run, in row order,
+/// of a device scratch buffer the size of the column (an allocation
+/// failure is the caller's to degrade on). Each run then reduces
+/// canonically ([`reduce_seg_len`] of the group's rows, then the tree of
+/// its partials), so every group's sum is bit-identical to the canonical
+/// sum of its values. Three launches for any number of groups: the gather
+/// of all rows into group order, pass 1 over every group's segments, and
+/// the final combine of every group's partials. Returns `(key, sum)`
+/// ordered by key.
 pub fn group_sum_f64(device: &SimDevice, buf: BufferId, keys: &[i64]) -> Result<Vec<(i64, f64)>> {
     let values = device.with_buffer(buf, as_f64s)??;
     let n = values.len();
     if keys.len() != n {
         return Err(Error::Internal(format!("{} keys for a {n}-row value column", keys.len())));
     }
-    let range = keys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
-    let groups = GroupIds::new(keys, range);
-    let ids: Vec<usize> = keys.iter().map(|&k| groups.id(k)).collect();
-    // `start[g]..start[g + 1]` is group g's run in the gathered order.
-    let mut start = vec![0; groups.keys.len() + 1];
-    ids.iter().for_each(|&g| start[g + 1] += 1);
-    (1..start.len()).for_each(|g| start[g] += start[g - 1]);
     let gathered = device.alloc(n * 8)?;
     let partials = device.with_buffer_mut(gathered, |bytes| {
-        let mut next = start.clone();
-        for (&g, v) in ids.iter().zip(&values) {
-            bytes[next[g] * 8..][..8].copy_from_slice(&v.to_le_bytes());
-            next[g] += 1;
-        }
-        let runs = start.windows(2).map(|run| (run[0], run[1] - run[0]));
-        let runs = runs.zip(&groups.keys).filter(|((_, rows), _)| *rows > 0);
-        let partials = runs.map(|((first, rows), &key)| {
-            let mut reducer = SegmentReducer::new(reduce_seg_len(rows));
-            reducer.push_bytes(&bytes[first * 8..][..rows * 8], F64_LE);
+        let runs = sort_by_group(keys, |row, slot| {
+            bytes[slot * 8..][..8].copy_from_slice(&values[row].to_le_bytes())
+        });
+        let partials = runs.into_iter().map(|(key, run)| {
+            let mut reducer = SegmentReducer::new(reduce_seg_len(run.len()));
+            reducer.push_bytes(&bytes[run.start * 8..run.end * 8], F64_LE);
             (key, reducer.partials())
         });
         partials.collect::<Vec<_>>()
@@ -609,118 +621,6 @@ pub fn group_sum_f64(device: &SimDevice, buf: BufferId, keys: &[i64]) -> Result<
     launch(REDUCE_GRID, REDUCE_BLOCK, n, 4.0, n * 8)?; // pass 1
     launch(1, FINAL_BLOCK, combined, 4.0, combined * 8)?; // final combine
     Ok(partials.into_iter().map(|(k, p)| (k, tree_sum(&p))).collect())
-}
-
-/// Sum a packed little-endian `i64` column on the device (same geometry).
-pub fn reduce_sum_i64(device: &SimDevice, buf: BufferId) -> Result<i64> {
-    let ex = Executor::new(device);
-    let sum = device.with_buffer(buf, |bytes| {
-        if bytes.len() % 8 != 0 {
-            return Err(Error::Internal("buffer is not a packed i64 column".into()));
-        }
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
-            .fold(0i64, i64::wrapping_add))
-    })??;
-    let n = device.buffer_len(buf)? / 8;
-    ex.charge_launch(
-        LaunchConfig::new(REDUCE_GRID, REDUCE_BLOCK),
-        KernelCost { work_items: n as u64, cycles_per_item: 4.0, bytes: (n * 8) as u64 },
-    )?;
-    ex.charge_launch(
-        LaunchConfig::new(1, FINAL_BLOCK),
-        KernelCost {
-            work_items: REDUCE_GRID as u64,
-            cycles_per_item: 4.0,
-            bytes: REDUCE_GRID as u64 * 8,
-        },
-    )?;
-    Ok(sum)
-}
-
-/// Min and max of a device-resident packed `f64` column (same reduction
-/// geometry as the sum).
-pub fn reduce_min_max_f64(device: &SimDevice, buf: BufferId) -> Result<(f64, f64)> {
-    let ex = Executor::new(device);
-    let (min, max, n) = device.with_buffer(buf, |bytes| {
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut n = 0u64;
-        for c in bytes.chunks_exact(8) {
-            let v = f64::from_le_bytes(c.try_into().unwrap());
-            min = min.min(v);
-            max = max.max(v);
-            n += 1;
-        }
-        (min, max, n)
-    })?;
-    ex.charge_launch(
-        LaunchConfig::new(REDUCE_GRID, REDUCE_BLOCK),
-        KernelCost { work_items: n.max(1), cycles_per_item: 4.0, bytes: n * 8 },
-    )?;
-    ex.charge_launch(
-        LaunchConfig::new(1, FINAL_BLOCK),
-        KernelCost {
-            work_items: REDUCE_GRID as u64,
-            cycles_per_item: 4.0,
-            bytes: REDUCE_GRID as u64 * 8,
-        },
-    )?;
-    Ok((min, max))
-}
-
-/// Elementwise map over a packed `f64` column, in place (e.g. price scaling
-/// in bulk transactions).
-pub fn map_f64(device: &SimDevice, buf: BufferId, f: impl Fn(f64) -> f64) -> Result<()> {
-    let ex = Executor::new(device);
-    let n = device.buffer_len(buf)? / 8;
-    device.with_buffer_mut(buf, |bytes| {
-        for chunk in bytes.chunks_exact_mut(8) {
-            let v = f64::from_le_bytes(chunk.try_into().unwrap());
-            chunk.copy_from_slice(&f(v).to_le_bytes());
-        }
-    })?;
-    ex.charge_launch(
-        LaunchConfig::new(REDUCE_GRID, REDUCE_BLOCK),
-        KernelCost { work_items: n as u64, cycles_per_item: 6.0, bytes: (n * 16) as u64 },
-    )?;
-    Ok(())
-}
-
-/// Gather fixed-width elements at `positions` from a device column into a
-/// fresh device buffer (late materialization on the device).
-pub fn gather(
-    device: &SimDevice,
-    buf: BufferId,
-    width: usize,
-    positions: &[u64],
-) -> Result<BufferId> {
-    let ex = Executor::new(device);
-    let out_len = positions.len() * width;
-    let mut out = vec![0u8; out_len];
-    device.with_buffer(buf, |bytes| {
-        for (i, &p) in positions.iter().enumerate() {
-            let off = p as usize * width;
-            if off + width > bytes.len() {
-                return Err(Error::UnknownRow(p));
-            }
-            out[i * width..(i + 1) * width].copy_from_slice(&bytes[off..off + width]);
-        }
-        Ok(())
-    })??;
-    ex.charge_launch(
-        LaunchConfig::new(REDUCE_GRID.min(positions.len().max(1) as u32), REDUCE_BLOCK),
-        KernelCost {
-            work_items: positions.len() as u64,
-            cycles_per_item: 8.0,
-            bytes: (out_len * 2) as u64,
-        },
-    )?;
-    let result = device.alloc(out_len)?;
-    // Device-to-device copy: charged as kernel memory traffic, not PCIe.
-    device.with_buffer_mut(result, |b| b.copy_from_slice(&out))?;
-    Ok(result)
 }
 
 /// Byte width of one shipped delta pair: `(u64 row, f64 value)`.
@@ -794,31 +694,6 @@ fn scatter_decoded(
     Ok(())
 }
 
-/// Filter a packed `f64` column by a predicate, returning the qualifying
-/// positions (selection kernel with a host-side position list result).
-pub fn filter_f64(
-    device: &SimDevice,
-    buf: BufferId,
-    pred: impl Fn(f64) -> bool,
-) -> Result<Vec<u64>> {
-    let ex = Executor::new(device);
-    let positions = device.with_buffer(buf, |bytes| {
-        let mut out = Vec::new();
-        for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-            if pred(f64::from_le_bytes(chunk.try_into().unwrap())) {
-                out.push(i as u64);
-            }
-        }
-        out
-    })?;
-    let n = device.buffer_len(buf)? / 8;
-    ex.charge_launch(
-        LaunchConfig::new(REDUCE_GRID, REDUCE_BLOCK),
-        KernelCost { work_items: n as u64, cycles_per_item: 5.0, bytes: (n * 8) as u64 },
-    )?;
-    Ok(positions)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -872,53 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_i64() {
-        let d = SimDevice::with_defaults();
-        let values: Vec<i64> = (0..1000).map(|i| i * 3 - 500).collect();
-        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let buf = d.upload(&bytes).unwrap();
-        assert_eq!(reduce_sum_i64(&d, buf).unwrap(), values.iter().sum::<i64>());
-    }
-
-    #[test]
-    fn min_max_reduction() {
-        let d = SimDevice::with_defaults();
-        let buf = upload_f64(&d, &[3.0, -7.5, 10.0, 0.0]);
-        let before = d.ledger().snapshot();
-        let (min, max) = reduce_min_max_f64(&d, buf).unwrap();
-        assert_eq!((min, max), (-7.5, 10.0));
-        assert_eq!(d.ledger().snapshot().since(&before).kernel_launches, 2);
-    }
-
-    #[test]
-    fn map_scales_in_place() {
-        let d = SimDevice::with_defaults();
-        let buf = upload_f64(&d, &[1.0, 2.0, 4.0]);
-        map_f64(&d, buf, |v| v * 2.0).unwrap();
-        assert_eq!(reduce_sum_f64(&d, buf).unwrap(), 14.0);
-    }
-
-    #[test]
-    fn gather_collects_positions() {
-        let d = SimDevice::with_defaults();
-        let buf = upload_f64(&d, &[10.0, 20.0, 30.0, 40.0]);
-        let out = gather(&d, buf, 8, &[3, 1]).unwrap();
-        let bytes = d.download(out).unwrap();
-        let vals: Vec<f64> =
-            bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
-        assert_eq!(vals, vec![40.0, 20.0]);
-        assert!(gather(&d, buf, 8, &[9]).is_err());
-    }
-
-    #[test]
-    fn filter_returns_positions() {
-        let d = SimDevice::with_defaults();
-        let buf = upload_f64(&d, &[5.0, -1.0, 7.0, 0.0]);
-        let pos = filter_f64(&d, buf, |v| v > 0.0).unwrap();
-        assert_eq!(pos, vec![0, 2]);
-    }
-
-    #[test]
     fn split_partials_are_bit_identical_to_single_shot() {
         let d = SimDevice::with_defaults();
         let values: Vec<f64> = (0..50_000).map(|i| (i as f64).sin()).collect();
@@ -956,15 +784,6 @@ mod tests {
         assert_eq!(fused, expect);
         assert_eq!(fused_delta.kernel_launches, 2, "fused path is one pass + final");
         assert_eq!(fused_delta.wall_ns, fused_delta.kernel_ns);
-        // The unfused chain: filter + gather + two-pass reduce = 4 launches.
-        let before = d.ledger().snapshot();
-        let pos = filter_f64(&d, buf, |v| v > 0.0).unwrap();
-        let gathered = gather(&d, buf, 8, &pos).unwrap();
-        let unfused = reduce_sum_f64(&d, gathered).unwrap();
-        let unfused_delta = d.ledger().snapshot().since(&before);
-        assert_eq!(unfused, expect);
-        assert_eq!(unfused_delta.kernel_launches, 4);
-        assert!(fused_delta.kernel_ns < unfused_delta.kernel_ns);
     }
 
     #[test]
@@ -1047,6 +866,28 @@ mod tests {
         assert_eq!(partials[0], vec![(3, 2.0), (7, 4.0)]);
         assert_eq!(partials[1], vec![(3, 4.0), (9, 5.0)]);
         assert!(keyed_fragment_partials_f64(&d, buf, &keys[..3], 3).is_err());
+    }
+
+    #[test]
+    fn group_tree_sums_match_an_ordered_map_model() {
+        let values: Vec<f64> = (0..3_000).map(|i| (i as f64 * 0.61).cos() * 1e4).collect();
+        let dense: Vec<i64> = (0..3_000).map(|i| i % 11).collect();
+        // A span far beyond twice the rows takes the ranked ids.
+        let ranked: Vec<i64> = (0..3_000).map(|i| (i % 13) * 1_000_003 - (1 << 40)).collect();
+        let negative: Vec<i64> = (0..3_000).map(|i| -(i % 5) - 7).collect();
+        let cases =
+            [(&dense[..], &values[..]), (&ranked, &values), (&negative, &values), (&[], &[])];
+        for (keys, values) in cases {
+            let mut model: std::collections::BTreeMap<i64, Vec<f64>> = Default::default();
+            for (&k, &v) in keys.iter().zip(values) {
+                model.entry(k).or_default().push(v);
+            }
+            let want: Vec<(i64, u64)> =
+                model.into_iter().map(|(k, vs)| (k, tree_sum(&vs).to_bits())).collect();
+            let got: Vec<(i64, u64)> =
+                group_tree_sums(keys, values).into_iter().map(|(k, s)| (k, s.to_bits())).collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

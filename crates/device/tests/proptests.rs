@@ -13,15 +13,6 @@ fn upload_f64(device: &SimDevice, values: &[f64]) -> htapg_device::BufferId {
     device.upload(&bytes).unwrap()
 }
 
-fn arb_finite_f64(rng: &mut Prng) -> f64 {
-    loop {
-        let v = f64::from_bits(rng.next_u64());
-        if v.is_finite() {
-            return v;
-        }
-    }
-}
-
 #[test]
 fn reduction_is_accurate_and_deterministic() {
     check_cases("reduction_is_accurate_and_deterministic", 64, 0xDE71_CE01, |_, rng| {
@@ -113,44 +104,6 @@ fn in_place_kernels_match_the_recursive_oracle() {
         let frags: Vec<f64> = values.chunks(frag).map(tree_sum_recursive).collect();
         let got = kernels::reduce_fragment_partials_f64(&device, buf, frag).unwrap();
         assert_eq!(bits(&got), bits(&frags));
-    });
-}
-
-#[test]
-fn gather_matches_model() {
-    check_cases("gather_matches_model", 64, 0xDE71_CE02, |_, rng| {
-        let values: Vec<f64> =
-            (0..rng.gen_range(1usize..200)).map(|_| arb_finite_f64(rng)).collect();
-        let picks: Vec<u16> =
-            (0..rng.gen_range(0usize..50)).map(|_| rng.next_u64() as u16).collect();
-        let device = SimDevice::with_defaults();
-        let buf = upload_f64(&device, &values);
-        let positions: Vec<u64> = picks.iter().map(|&p| p as u64 % values.len() as u64).collect();
-        let out = kernels::gather(&device, buf, 8, &positions).unwrap();
-        let bytes = device.download(out).unwrap();
-        let got: Vec<f64> =
-            bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
-        let want: Vec<f64> = positions.iter().map(|&p| values[p as usize]).collect();
-        assert_eq!(got, want);
-    });
-}
-
-#[test]
-fn filter_matches_model() {
-    check_cases("filter_matches_model", 64, 0xDE71_CE03, |_, rng| {
-        let values: Vec<f64> =
-            (0..rng.gen_range(0usize..300)).map(|_| rng.gen_range(-100.0..100.0)).collect();
-        let threshold = rng.gen_range(-100.0..100.0);
-        let device = SimDevice::with_defaults();
-        let buf = upload_f64(&device, &values);
-        let got = kernels::filter_f64(&device, buf, |v| v > threshold).unwrap();
-        let want: Vec<u64> = values
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v > threshold)
-            .map(|(i, _)| i as u64)
-            .collect();
-        assert_eq!(got, want);
     });
 }
 

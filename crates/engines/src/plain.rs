@@ -78,16 +78,6 @@ impl PlainEngine {
     pub fn kind(&self) -> PlainKind {
         self.kind
     }
-
-    /// Direct access to a relation's layout for the execution layer (the
-    /// Figure 2 harness drives `htapg-exec` operators over raw layouts).
-    pub fn with_layout<R>(
-        &self,
-        rel: RelationId,
-        f: impl FnOnce(&htapg_core::Layout, &Schema) -> Result<R>,
-    ) -> Result<R> {
-        self.rels.read(rel, |r| f(&r.layouts()[0], r.schema()))
-    }
 }
 
 impl StorageEngine for PlainEngine {

@@ -177,11 +177,12 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Double-buffered upload + reduce on two streams (see the core routine
-/// [`pipelined_sum_into`] for the overlap structure). The column buffer is
-/// freed before returning. Returns `(sum, wall_ns)` where `wall_ns` is the
-/// overlapped critical path of the whole operation — compare with the
-/// serial path's `transfer_ns + kernel_ns`.
+/// Double-buffered upload + reduce on two streams: the column uploads
+/// chunk by chunk on a copy stream while a compute stream reduces every
+/// segment the uploaded prefix covers. The column buffer is freed before
+/// returning. Returns `(sum, wall_ns)` where `wall_ns` is the overlapped
+/// critical path of the whole operation — compare with the serial path's
+/// `transfer_ns + kernel_ns`.
 pub fn pipelined_offload_sum(
     device: &Arc<SimDevice>,
     layout: &Layout,
@@ -189,52 +190,9 @@ pub fn pipelined_offload_sum(
     ty: DataType,
     cfg: PipelineConfig,
 ) -> Result<(f64, u64)> {
-    pipelined_offload(device, layout, attr, ty, cfg, None)
-}
-
-/// Pipelined predicated aggregation: same overlap structure, but each
-/// chunk's pass-1 launch is the *fused* filter+sum kernel — one data pass,
-/// no separate selection launch.
-pub fn pipelined_offload_filter_sum(
-    device: &Arc<SimDevice>,
-    layout: &Layout,
-    attr: u16,
-    ty: DataType,
-    cfg: PipelineConfig,
-    pred: &dyn Fn(f64) -> bool,
-) -> Result<(f64, u64)> {
-    pipelined_offload(device, layout, attr, ty, cfg, Some(pred))
-}
-
-/// Fused filter+sum over a one-shot (serial) upload — the unpipelined
-/// counterpart of [`pipelined_offload_filter_sum`]; still saves the
-/// separate selection pass.
-pub fn offload_filter_sum(
-    device: &Arc<SimDevice>,
-    layout: &Layout,
-    attr: u16,
-    ty: DataType,
-    pred: impl Fn(f64) -> bool,
-) -> Result<f64> {
-    let col = upload_column(device, layout, attr, ty)?;
-    let sum = with_retry(&RetryPolicy::default(), device.ledger(), || {
-        kernels::filter_sum_f64(device, col.buf, &pred)
-    });
-    col.release()?;
-    sum
-}
-
-fn pipelined_offload(
-    device: &Arc<SimDevice>,
-    layout: &Layout,
-    attr: u16,
-    ty: DataType,
-    cfg: PipelineConfig,
-    pred: Option<&dyn Fn(f64) -> bool>,
-) -> Result<(f64, u64)> {
     let (bytes, rows) = pack_f64(layout, attr, ty)?;
     let buf = device.alloc(bytes.len())?;
-    let result = pipelined_sum_into(device, buf, &bytes, rows as usize, cfg, pred);
+    let result = pipelined_sum_into(device, buf, &bytes, rows as usize, cfg);
     device.free(buf)?;
     result
 }
@@ -254,7 +212,6 @@ fn pipelined_sum_into(
     bytes: &[u8],
     total_rows: usize,
     cfg: PipelineConfig,
-    pred: Option<&dyn Fn(f64) -> bool>,
 ) -> Result<(f64, u64)> {
     let policy = RetryPolicy::default();
     let mut copy = SimStream::new(device);
@@ -270,9 +227,8 @@ fn pipelined_sum_into(
     let trace_epoch = obs::current().map(|t| t.now_ns());
     let mut reduce_to = |compute: &mut SimStream<'_>, lo: usize, hi: usize| -> Result<()> {
         let k0 = compute.cursor_ns();
-        let part = with_retry(&policy, device.ledger(), || match pred {
-            None => kernels::reduce_partials_f64(compute, buf, total_rows, lo, hi),
-            Some(p) => kernels::filter_partials_f64(compute, buf, total_rows, lo, hi, p),
+        let part = with_retry(&policy, device.ledger(), || {
+            kernels::reduce_partials_f64(compute, buf, total_rows, lo, hi)
         })?;
         if let Some(epoch) = trace_epoch {
             obs::span_at(
@@ -369,7 +325,7 @@ pub fn cached_offload_sum(
     let mut pipelined: Option<f64> = None;
     let col = cache.get_or_insert_with(rel, attr, version, rows, true, || {
         let buf = device.alloc(bytes.len())?;
-        match pipelined_sum_into(&device, buf, &bytes, rows as usize, cfg, None) {
+        match pipelined_sum_into(&device, buf, &bytes, rows as usize, cfg) {
             Ok((sum, _wall)) => {
                 pipelined = Some(sum);
                 Ok(buf)
@@ -536,27 +492,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(serial.to_bits(), pipelined.to_bits());
-    }
-
-    #[test]
-    fn fused_filter_sum_serial_and_pipelined_agree() {
-        let (_, l) = setup(80_000);
-        let device = Arc::new(SimDevice::with_defaults());
-        let pred = |v: f64| v >= 1000.0;
-        let fused = offload_filter_sum(&device, &l, 1, DataType::Float64, pred).unwrap();
-        let (pipelined, _) = pipelined_offload_filter_sum(
-            &device,
-            &l,
-            1,
-            DataType::Float64,
-            PipelineConfig { chunk_rows: 7000 },
-            &pred,
-        )
-        .unwrap();
-        assert_eq!(fused.to_bits(), pipelined.to_bits());
-        let expect: f64 = (0..80_000).map(|i| i as f64 * 0.5).filter(|&v| v >= 1000.0).sum();
-        assert!((fused - expect).abs() < 1e-6 * expect);
-        assert_eq!(device.used_bytes(), 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! # htapg-exec
 //!
 //! The execution layer: the operators and execution policies the paper's
-//! Figure 2 experiment varies.
+//! Figure 2 experiment varies, and the physical-plan interpreter every
+//! analytic query runs through.
 //!
 //! * [`pool`] — the persistent morsel-driven executor pool every parallel
 //!   operator runs on (lazily started, `HTAPG_THREADS`-sized, deterministic
@@ -10,34 +11,27 @@
 //!   "blockwise partitioning of the input data (i.e., each thread operates
 //!   on one exclusive and subsequent list of input positions)", scheduled
 //!   as fixed-size morsels on the pool;
-//! * [`scan`] — attribute-centric operators (column sums, filters) over
-//!   zero-copy [`htapg_core::ColumnView`]s;
-//! * [`join`] — hash, sort-merge, and nested-loop equi-joins producing the
-//!   sorted position lists the paper's operators consume, plus hash
-//!   group-by aggregation;
-//! * [`materialize`] — record-centric operators (the "materialize 150
-//!   customers" operation), with late materialization from position lists;
-//! * [`volcano`] — the Volcano (tuple-at-a-time) processing model;
-//! * [`bulk`] — the bulk (vector-at-a-time) processing model with late
-//!   materialization, as used in the paper's experiments;
+//! * [`scan`] — Figure 2's attribute-centric operators (a column sum, a sum
+//!   at a sorted position list) over zero-copy [`htapg_core::ColumnView`]s;
+//! * [`materialize`] — Figure 2's record-centric operator (the
+//!   "materialize 150 customers" operation) over a sorted position list;
 //! * [`device_exec`] — offload to the simulated GPU: column placement,
 //!   resident-column caching, and the reduction-kernel sum (Figure 2's
 //!   "column-store / device" series);
 //! * [`physical`] — the physical-plan interpreter: executes the routed
 //!   [`htapg_core::PhysicalPlan`]s produced by the cost-based planner,
 //!   guaranteeing bit-identical results across the device-pipelined,
-//!   host-pooled-morsel, and inline-volcano routes.
+//!   host-pooled-morsel, inline-volcano and scatter routes through one
+//!   segmented reduction;
+//! * [`sharded`] — the N-node scatter-gather engine.
 
-pub mod bulk;
 pub mod device_exec;
-pub mod join;
 pub mod materialize;
 pub mod physical;
 pub mod pool;
 pub mod scan;
 pub mod sharded;
 pub mod threading;
-pub mod volcano;
 
 pub use physical::QueryOutput;
 pub use sharded::ShardedEngine;

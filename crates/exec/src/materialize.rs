@@ -1,5 +1,5 @@
-//! Record-centric operators: materialization of full records from position
-//! lists — the Q1 pattern (`SELECT * FROM R WHERE pk = c`) and Figure 2's
+//! The record-centric operator: materialization of full records from a
+//! position list — the Q1 pattern (`SELECT * FROM R WHERE pk = c`) and Figure 2's
 //! "materialize 150 customers" experiment.
 //!
 //! "We consider costs starting right after the output (i.e., sorted
@@ -10,15 +10,6 @@
 use htapg_core::{obs, Layout, Record, Result, RowId, Schema};
 
 use crate::threading::{run_blocks, ThreadingPolicy};
-
-/// Open an operator span recording the number of positions to materialize.
-fn op_span(name: &'static str, positions: &[RowId]) -> obs::SpanGuard {
-    let mut span = obs::span("op", name);
-    if span.is_recording() {
-        span.arg("rows", positions.len() as u64);
-    }
-    span
-}
 
 /// Materialize full records at `positions` under a threading policy.
 ///
@@ -31,7 +22,10 @@ pub fn materialize(
     positions: &[RowId],
     policy: ThreadingPolicy,
 ) -> Result<Vec<Record>> {
-    let _span = op_span("op.materialize", positions);
+    let mut span = obs::span("op", "op.materialize");
+    if span.is_recording() {
+        span.arg("rows", positions.len() as u64);
+    }
     // `run_blocks` folds morsel results in morsel order, so concatenation
     // already reproduces the order of `positions`.
     run_blocks(
@@ -41,38 +35,6 @@ pub fn materialize(
             let mut out = Vec::with_capacity((hi - lo) as usize);
             for &row in &positions[lo as usize..hi as usize] {
                 out.push(layout.read_record(schema, row)?);
-            }
-            Ok(out)
-        },
-        |acc: Result<Vec<Record>>, part| {
-            let mut acc = acc?;
-            acc.extend(part?);
-            Ok(acc)
-        },
-        Ok(Vec::with_capacity(positions.len())),
-    )
-}
-
-/// Materialize a projection (subset of attributes) at `positions`.
-pub fn materialize_projection(
-    layout: &Layout,
-    schema: &Schema,
-    attrs: &[u16],
-    positions: &[RowId],
-    policy: ThreadingPolicy,
-) -> Result<Vec<Record>> {
-    let _span = op_span("op.materialize.projection", positions);
-    run_blocks(
-        positions.len() as u64,
-        policy,
-        |lo, hi| -> Result<Vec<Record>> {
-            let mut out = Vec::with_capacity((hi - lo) as usize);
-            for &row in &positions[lo as usize..hi as usize] {
-                let mut rec = Vec::with_capacity(attrs.len());
-                for &a in attrs {
-                    rec.push(layout.read_value(schema, row, a)?);
-                }
-                out.push(rec);
             }
             Ok(out)
         },
@@ -130,15 +92,6 @@ mod tests {
         let c = materialize(&dsm, &s, &positions, ThreadingPolicy::multi8()).unwrap();
         assert_eq!(a, b);
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn projection_subset() {
-        let (s, nsm, _) = setup(50);
-        let recs =
-            materialize_projection(&nsm, &s, &[2, 0], &[7, 8], ThreadingPolicy::Single).unwrap();
-        assert_eq!(recs[0], vec![Value::Float64(10.5), Value::Int64(7)]);
-        assert_eq!(recs[1], vec![Value::Float64(12.0), Value::Int64(8)]);
     }
 
     #[test]

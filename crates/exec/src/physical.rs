@@ -57,79 +57,38 @@ impl QueryOutput {
     }
 }
 
-/// The canonical reduction: segment exactly like the device's pass 1
-/// (`reduce_seg_len`), tree-sum each segment, tree-sum the partials.
-/// Bit-identical to [`kernels::reduce_sum_f64`] over the same values.
-pub fn canonical_sum(values: &[f64]) -> f64 {
-    reduce_values(values, kernels::reduce_seg_len(values.len()), None)
-}
-
-/// [`canonical_sum`] on the pool: the whole segments that start in each
-/// morsel reduce there, on up to `policy.threads()` threads, and the
-/// partials join in row order — bit-identical for every policy and pool
-/// size. Fewer than two morsels of values reduce on the caller.
-pub fn pooled_canonical_sum(values: &[f64], policy: ThreadingPolicy) -> f64 {
-    pooled_reduce(values, None, policy)
-}
-
-/// Canonical *fused* filter+sum: per segment, compact the values matching
-/// `pred` and tree-sum the compacted slice — exactly the semantics of
-/// [`kernels::filter_partials_f64`], so host and device filtered sums are
-/// bit-identical.
-pub fn canonical_filter_sum(values: &[f64], pred: &Predicate) -> f64 {
-    reduce_values(values, kernels::reduce_seg_len(values.len()), Some(pred))
-}
-
-/// The *sharded* canonical reduction: one tree-ordered partial per
-/// placement fragment (`partition_rows` consecutive global rows), then a
-/// tree sum of the per-fragment partials in global fragment order.
-/// Fragments — not nodes — are the reduction unit, so the result is
-/// invariant under node count and placement policy: every cluster width
-/// produces exactly these partials, merely computing them on different
-/// nodes. Bit-identical to gathering
-/// [`kernels::reduce_fragment_partials_f64`] across shards.
-pub fn sharded_canonical_sum(values: &[f64], partition_rows: usize) -> f64 {
-    reduce_values(values, partition_rows, None)
-}
-
-/// Sharded fused filter+sum: per fragment, tree-sum the qualifying values
-/// (the host mirror of [`kernels::filter_fragment_partials_f64`]).
-pub fn sharded_canonical_filter_sum(
+/// The canonical segmented reduction, the one reduction every route
+/// shares: cut `values` into segments of `seg_len` rows (`None`: the flat
+/// [`kernels::reduce_seg_len`] of the device's pass 1; `Some(partition_rows)`:
+/// a sharded plan's placement fragments), tree-sum each segment's values —
+/// only those matching `pred` when there is one — and tree-sum the partials
+/// in row order. Bit-identical to the device kernels over the same values
+/// ([`kernels::reduce_sum_f64`], [`kernels::filter_sum_f64`], and gathering
+/// [`kernels::reduce_fragment_partials_f64`] or
+/// [`kernels::filter_fragment_partials_f64`] across shards). Under
+/// `policy`, the whole segments that start in each morsel reduce there, on
+/// the pool, and the partials join in row order: bit-identical for every
+/// policy and pool size. Fewer than two morsels of values reduce on the
+/// caller.
+pub fn segmented_sum(
     values: &[f64],
-    pred: &Predicate,
-    partition_rows: usize,
-) -> f64 {
-    reduce_values(values, partition_rows, Some(pred))
-}
-
-/// Sharded group-sum over collected key/value columns: each fragment
-/// groups its values by key in row order and tree-reduces per key; each
-/// key's final sum is the tree sum of its per-fragment partials in global
-/// fragment order. Returns `(key, sum)` ordered by key — the host mirror
-/// of gathering [`kernels::keyed_fragment_partials_f64`] across shards.
-pub fn sharded_group_sum(keys: &[i64], values: &[f64], partition_rows: usize) -> Vec<(i64, f64)> {
-    let part = partition_rows.max(1);
-    let mut acc: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-    for (kf, vf) in keys.chunks(part).zip(values.chunks(part)) {
-        let mut frag: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-        for (&k, &v) in kf.iter().zip(vf) {
-            frag.entry(k).or_default().push(v);
-        }
-        for (k, vs) in frag {
-            acc.entry(k).or_default().push(kernels::tree_sum(&vs));
-        }
-    }
-    acc.into_iter().map(|(k, partials)| (k, kernels::tree_sum(&partials))).collect()
-}
-
-/// [`canonical_filter_sum`] on the pool, split like
-/// [`pooled_canonical_sum`].
-pub fn pooled_canonical_filter_sum(
-    values: &[f64],
-    pred: &Predicate,
+    seg_len: Option<usize>,
+    pred: Option<&Predicate>,
     policy: ThreadingPolicy,
 ) -> f64 {
-    pooled_reduce(values, Some(pred), policy)
+    let mut r = reducer(seg_len.unwrap_or_else(|| kernels::reduce_seg_len(values.len())), pred);
+    push_block(&mut r, Block::Values(values), policy);
+    r.finish()
+}
+
+/// [`segmented_sum`] at the flat segmentation, unfiltered, on the caller.
+pub fn canonical_sum(values: &[f64]) -> f64 {
+    segmented_sum(values, None, None, ThreadingPolicy::Single)
+}
+
+/// [`segmented_sum`] at the flat segmentation, unfiltered, under `policy`.
+pub fn pooled_canonical_sum(values: &[f64], policy: ThreadingPolicy) -> f64 {
+    segmented_sum(values, None, None, policy)
 }
 
 /// A canonical reducer at `seg_len` rows per segment, keeping only the
@@ -139,18 +98,6 @@ fn reducer(
     pred: Option<&Predicate>,
 ) -> SegmentReducer<impl Fn(f64) -> bool + Copy + Send + Sync> {
     SegmentReducer::with_filter(seg_len, pred.map(|&p| move |v| p.matches(v)))
-}
-
-fn reduce_values(values: &[f64], seg_len: usize, pred: Option<&Predicate>) -> f64 {
-    let mut r = reducer(seg_len, pred);
-    r.push_f64s(values);
-    r.finish()
-}
-
-fn pooled_reduce(values: &[f64], pred: Option<&Predicate>, policy: ThreadingPolicy) -> f64 {
-    let mut r = reducer(kernels::reduce_seg_len(values.len()), pred);
-    push_block(&mut r, Block::Values(values), policy);
-    r.finish()
 }
 
 /// Rows per pool morsel.
@@ -246,7 +193,7 @@ fn reduce_column(
     // The row count moved between the two reads (a concurrent insert), so
     // the flat segmentation is off: collect, then segment what was read.
     let values = collect_f64(engine, rel, attr, strategy)?;
-    Ok(pooled_reduce(&values, pred, policy))
+    Ok(segmented_sum(&values, None, pred, policy))
 }
 
 /// The `f64` block decoder of a numeric column; a typed error otherwise.
@@ -607,7 +554,8 @@ pub fn volcano_filter_sum(
     attr: AttrId,
     pred: &Predicate,
 ) -> Result<f64> {
-    Ok(canonical_filter_sum(&volcano_values(engine, rel, attr)?, pred))
+    let values = volcano_values(engine, rel, attr)?;
+    Ok(segmented_sum(&values, None, Some(pred), ThreadingPolicy::Single))
 }
 
 /// Volcano oracle for group-sum.
@@ -628,29 +576,24 @@ pub fn volcano_group_sum(
 }
 
 /// Single-node volcano oracle for a *sharded* plan: tuple-at-a-time reads
-/// fed through the fragment-granularity reduction. Every scatter-gather
-/// execution, at any node count, must be bit-identical to this.
+/// fed through the fragment-granularity reduction, under an optional
+/// filter. Every scatter-gather execution, at any node count, must be
+/// bit-identical to this.
 pub fn sharded_volcano_sum(
     engine: &dyn StorageEngine,
     rel: RelationId,
     attr: AttrId,
+    pred: Option<&Predicate>,
     partition_rows: usize,
 ) -> Result<f64> {
-    Ok(sharded_canonical_sum(&volcano_values(engine, rel, attr)?, partition_rows))
+    let values = volcano_values(engine, rel, attr)?;
+    Ok(segmented_sum(&values, Some(partition_rows), pred, ThreadingPolicy::Single))
 }
 
-/// Sharded volcano oracle for the fused filter+sum shape.
-pub fn sharded_volcano_filter_sum(
-    engine: &dyn StorageEngine,
-    rel: RelationId,
-    attr: AttrId,
-    pred: &Predicate,
-    partition_rows: usize,
-) -> Result<f64> {
-    Ok(sharded_canonical_filter_sum(&volcano_values(engine, rel, attr)?, pred, partition_rows))
-}
-
-/// Sharded volcano oracle for group-sum.
+/// Sharded volcano oracle for group-sum: each fragment groups its values by
+/// key in row order and tree-sums each key's values; each key's sum is the
+/// tree sum of its per-fragment partials in global fragment order. Returns
+/// `(key, sum)` ordered by key.
 pub fn sharded_volcano_group_sum(
     engine: &dyn StorageEngine,
     rel: RelationId,
@@ -658,14 +601,19 @@ pub fn sharded_volcano_group_sum(
     value_attr: AttrId,
     partition_rows: usize,
 ) -> Result<Vec<(i64, f64)>> {
-    let rows = engine.row_count(rel)?;
-    let mut keys = Vec::with_capacity(rows as usize);
-    let mut values = Vec::with_capacity(rows as usize);
-    for row in 0..rows {
-        keys.push(engine.read_field(rel, row, key_attr)?.as_i64()?);
-        values.push(engine.read_field(rel, row, value_attr)?.as_f64()?);
+    let (rows, part) = (engine.row_count(rel)?, partition_rows.max(1) as u64);
+    let mut acc: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
+    for lo in (0..rows).step_by(part as usize) {
+        let mut frag: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
+        for row in lo..rows.min(lo + part) {
+            let k = engine.read_field(rel, row, key_attr)?.as_i64()?;
+            frag.entry(k).or_default().push(engine.read_field(rel, row, value_attr)?.as_f64()?);
+        }
+        for (k, vs) in frag {
+            acc.entry(k).or_default().push(kernels::tree_sum(&vs));
+        }
     }
-    Ok(sharded_group_sum(&keys, &values, partition_rows))
+    Ok(acc.into_iter().map(|(k, partials)| (k, kernels::tree_sum(&partials))).collect())
 }
 
 fn volcano_values(engine: &dyn StorageEngine, rel: RelationId, attr: AttrId) -> Result<Vec<f64>> {
@@ -972,16 +920,18 @@ fn exec_group_sum(
         return Ok(QueryOutput::Groups(groups));
     }
     if node.partition_rows > 0 {
+        // The host mirror of the scatter: each fragment's keyed partials,
+        // then their merge in global fragment order.
         let (keys, _) = decode_keys(engine, rel, key_attr, key_strategy, ThreadingPolicy::Single)?;
         let values = collect_f64(engine, rel, value_attr, node.strategy)?;
         if keys.len() != values.len() {
             return Err(length_mismatch(keys.len(), values.len()));
         }
-        return Ok(QueryOutput::Groups(sharded_group_sum(
-            &keys,
-            &values,
-            node.partition_rows as usize,
-        )));
+        let part = node.partition_rows as usize;
+        let frags = keys.chunks(part).zip(values.chunks(part));
+        let partials = frags.flat_map(|(keys, values)| kernels::group_tree_sums(keys, values));
+        let (keys, sums): (Vec<i64>, Vec<f64>) = partials.unzip();
+        return Ok(QueryOutput::Groups(kernels::group_tree_sums(&keys, &sums)));
     }
     let policy = host_policy(node, policy);
     Ok(QueryOutput::Groups(group_sum_scans(engine, rel, key, (value_attr, node.strategy), policy)?))
@@ -1115,13 +1065,9 @@ mod tests {
     fn filter_sum_is_bit_identical_to_device_fused_kernel() {
         let values: Vec<f64> = (0..50_000).map(|i| (i as f64) * 0.5 - 1000.0).collect();
         let pred = Predicate::Ge(0.0);
-        let host = canonical_filter_sum(&values, &pred);
-        for policy in [ThreadingPolicy::Single, ThreadingPolicy::multi8()] {
-            assert_eq!(
-                host.to_bits(),
-                pooled_canonical_filter_sum(&values, &pred, policy).to_bits()
-            );
-        }
+        let host = segmented_sum(&values, None, Some(&pred), ThreadingPolicy::Single);
+        let pooled = segmented_sum(&values, None, Some(&pred), ThreadingPolicy::multi8());
+        assert_eq!(host.to_bits(), pooled.to_bits());
         let device = htapg_device::SimDevice::with_defaults();
         let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
         let buf = device.alloc(bytes.len()).unwrap();
@@ -1136,7 +1082,7 @@ mod tests {
         // split of the fragments across nodes gathers to the same bits.
         let values: Vec<f64> = (0..40_000).map(|i| (i as f64) * 0.7 - 3000.0).collect();
         let part = 1024usize;
-        let whole = sharded_canonical_sum(&values, part);
+        let whole = segmented_sum(&values, Some(part), None, ThreadingPolicy::Single);
         // Simulate a 3-node round-robin placement: per-fragment partials
         // computed shard-locally, merged in global fragment order.
         let frags: Vec<&[f64]> = values.chunks(part).collect();
@@ -1153,22 +1099,22 @@ mod tests {
         // geometry coincides with the flat canonical reduction.
         let aligned: Vec<f64> = (0..1024 * 64).map(|i| (i as f64) * 0.3).collect();
         let seg = kernels::reduce_seg_len(aligned.len());
-        assert_eq!(
-            sharded_canonical_sum(&aligned, seg).to_bits(),
-            canonical_sum(&aligned).to_bits()
-        );
+        let sharded = segmented_sum(&aligned, Some(seg), None, ThreadingPolicy::Single);
+        assert_eq!(sharded.to_bits(), canonical_sum(&aligned).to_bits());
     }
 
     #[test]
-    fn sharded_group_sum_merges_fragment_partials_per_key() {
-        let keys = vec![7i64, 3, 7, 3, 9, 3];
-        let values = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let got = sharded_group_sum(&keys, &values, 3);
+    fn sharded_oracles_merge_fragment_partials_per_key() {
+        let e = toy_with_rows(0, &mut Prng::seed_from_u64(0));
+        for (k, v) in [(7, 1.0), (3, 2.0), (7, 3.0), (3, 4.0), (9, 5.0), (3, 6.0)] {
+            e.insert(0, &vec![Value::Int32(k), Value::Float64(v)]).unwrap();
+        }
+        let got = sharded_volcano_group_sum(&e, 0, 0, 1, 3).unwrap();
         // Fragment 0: {3: [2.0], 7: [1.0, 3.0]}; fragment 1: {3: [4.0, 6.0], 9: [5.0]}.
         assert_eq!(got, vec![(3, 12.0), (7, 4.0), (9, 5.0)]);
         // Filter variant keeps fragment geometry too.
         let pred = Predicate::Ge(3.0);
-        let fs = sharded_canonical_filter_sum(&values, &pred, 3);
+        let fs = sharded_volcano_sum(&e, 0, 1, Some(&pred), 3).unwrap();
         let frag0 = kernels::tree_sum(&[3.0]);
         let frag1 = kernels::tree_sum(&[4.0, 5.0, 6.0]);
         assert_eq!(fs.to_bits(), kernels::tree_sum(&[frag0, frag1]).to_bits());

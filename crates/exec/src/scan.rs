@@ -1,5 +1,6 @@
-//! Attribute-centric operators: sums, counts, and filters over column
-//! views — the Q2 pattern (`SELECT sum(a) FROM R`).
+//! Attribute-centric operators: a column sum and a sum at a sorted
+//! position list, over column views — the Q2 pattern (`SELECT sum(a) FROM
+//! R`) and Figure 2's "sum prices of 150 items".
 //!
 //! The operators read typed fields straight from [`ColumnView`]s, so the
 //! cache behaviour of the underlying layout (contiguous DSM vs strided NSM)
@@ -27,8 +28,7 @@ fn op_span(name: &'static str, rows: u64) -> obs::SpanGuard {
 /// `DataType` match runs **once**, outside the loop, and `$body` is
 /// instantiated per arm with `$read` bound to a concrete (inlinable)
 /// `&[u8] -> f64` decoder — so the hot loop carries no per-value dispatch.
-/// Shared by `sum_view_range`, `filter_positions`, `count_where`,
-/// `column_stats`, and `sum_at_positions_f64`.
+/// Shared by `sum_view_range` and `sum_at_positions_f64`.
 macro_rules! dispatch_typed {
     ($ty:expr, $read:ident => $body:expr) => {
         match $ty {
@@ -106,31 +106,11 @@ fn sum_view_range(view: &ColumnView<'_>, ty: DataType, lo: u64, hi: u64) -> f64 
     })
 }
 
-/// Sum an entire column of `layout` under a threading policy.
+/// Sum an entire column of `layout`, of element type `ty`, under a
+/// threading policy.
 ///
 /// Rows are blockwise-partitioned across the *logical* row space spanning
 /// all chunks, matching the paper's partitioning description.
-pub fn sum_column_f64(layout: &Layout, attr: u16, policy: ThreadingPolicy) -> Result<f64> {
-    sum_column_f64_typed(layout, attr, infer_type(layout, attr)?, policy)
-}
-
-/// Determine the column's data type from its field width.
-///
-/// Views are untyped; prefer the explicit-type entry point
-/// [`sum_column_f64_typed`] when the schema is at hand (8-byte fields are
-/// assumed to be `Float64` here).
-fn infer_type(layout: &Layout, attr: u16) -> Result<DataType> {
-    let views = layout.column_views(attr)?;
-    let width = views.first().map(|v| v.width).unwrap_or(8);
-    Ok(match width {
-        1 => DataType::Bool,
-        4 => DataType::Int32,
-        8 => DataType::Float64,
-        w => DataType::Text(w as u16),
-    })
-}
-
-/// Sum a column with an explicit element type.
 pub fn sum_column_f64_typed(
     layout: &Layout,
     attr: u16,
@@ -197,172 +177,6 @@ pub fn sum_at_positions_f64(
     Ok(sum)
 }
 
-/// Aggregate summary of one numeric column.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ColumnStats {
-    pub count: u64,
-    pub sum: f64,
-    pub min: f64,
-    pub max: f64,
-}
-
-impl ColumnStats {
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    fn identity() -> ColumnStats {
-        ColumnStats { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    fn merge(a: ColumnStats, b: ColumnStats) -> ColumnStats {
-        ColumnStats {
-            count: a.count + b.count,
-            sum: a.sum + b.sum,
-            min: a.min.min(b.min),
-            max: a.max.max(b.max),
-        }
-    }
-}
-
-/// Full-column count/sum/min/max in one pass, under a threading policy.
-pub fn column_stats(
-    layout: &Layout,
-    attr: u16,
-    ty: DataType,
-    policy: ThreadingPolicy,
-) -> Result<ColumnStats> {
-    check_numeric(ty)?;
-    let views = layout.column_views(attr)?;
-    let total_rows: u64 = views.iter().map(|v| v.rows).sum();
-    let _span = op_span("op.scan.stats", total_rows);
-    Ok(run_blocks(
-        total_rows,
-        policy,
-        |lo, hi| {
-            let mut acc = ColumnStats::identity();
-            for_view_ranges(&views, lo, hi, |v, v_lo, v_hi| {
-                stats_view_range(v, ty, v_lo, v_hi, &mut acc);
-            });
-            acc
-        },
-        ColumnStats::merge,
-        ColumnStats::identity(),
-    ))
-}
-
-/// Fold one view's rows `[lo, hi)` into `acc`, dispatch hoisted.
-fn stats_view_range(view: &ColumnView<'_>, ty: DataType, lo: u64, hi: u64, acc: &mut ColumnStats) {
-    #[inline]
-    fn fold(acc: &mut ColumnStats, x: f64) {
-        acc.count += 1;
-        acc.sum += x;
-        acc.min = acc.min.min(x);
-        acc.max = acc.max.max(x);
-    }
-    dispatch_typed!(ty, read => {
-        if let Some(block) = view.slice_rows(lo, hi).contiguous_bytes() {
-            for chunk in block.chunks_exact(view.width) {
-                fold(acc, read(chunk));
-            }
-        } else {
-            for i in lo..hi {
-                fold(acc, read(view.field(i as usize)));
-            }
-        }
-    })
-}
-
-/// Filter: collect row ids whose field satisfies `pred` (sequential —
-/// position lists must stay sorted, as the paper's join outputs are).
-pub fn filter_positions(
-    layout: &Layout,
-    attr: u16,
-    ty: DataType,
-    pred: impl Fn(f64) -> bool,
-) -> Result<Vec<RowId>> {
-    check_numeric(ty)?;
-    let views = layout.column_views(attr)?;
-    let _span = op_span("op.scan.filter", views.iter().map(|v| v.rows).sum());
-    let mut out = Vec::new();
-    for v in &views {
-        dispatch_typed!(ty, read => {
-            if let Some(block) = v.contiguous_bytes() {
-                for (i, chunk) in block.chunks_exact(v.width).enumerate() {
-                    if pred(read(chunk)) {
-                        out.push(v.first_row + i as u64);
-                    }
-                }
-            } else {
-                for i in 0..v.rows {
-                    if pred(read(v.field(i as usize))) {
-                        out.push(v.first_row + i);
-                    }
-                }
-            }
-        });
-    }
-    Ok(out)
-}
-
-/// Count rows matching `pred` under a threading policy.
-pub fn count_where(
-    layout: &Layout,
-    attr: u16,
-    ty: DataType,
-    policy: ThreadingPolicy,
-    pred: impl Fn(f64) -> bool + Sync,
-) -> Result<u64> {
-    check_numeric(ty)?;
-    let views = layout.column_views(attr)?;
-    let total_rows: u64 = views.iter().map(|v| v.rows).sum();
-    let _span = op_span("op.scan.count", total_rows);
-    Ok(run_blocks(
-        total_rows,
-        policy,
-        |lo, hi| {
-            let mut n = 0u64;
-            for_view_ranges(&views, lo, hi, |v, v_lo, v_hi| {
-                n += count_view_range(v, ty, v_lo, v_hi, &pred);
-            });
-            n
-        },
-        |a, b| a + b,
-        0,
-    ))
-}
-
-/// Count one view's rows in `[lo, hi)` matching `pred`, dispatch hoisted.
-fn count_view_range(
-    view: &ColumnView<'_>,
-    ty: DataType,
-    lo: u64,
-    hi: u64,
-    pred: &impl Fn(f64) -> bool,
-) -> u64 {
-    dispatch_typed!(ty, read => {
-        let mut n = 0u64;
-        if let Some(block) = view.slice_rows(lo, hi).contiguous_bytes() {
-            for chunk in block.chunks_exact(view.width) {
-                if pred(read(chunk)) {
-                    n += 1;
-                }
-            }
-        } else {
-            for i in lo..hi {
-                if pred(read(view.field(i as usize))) {
-                    n += 1;
-                }
-            }
-        }
-        n
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,13 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_via_inferred_type() {
-        let (_, l) = filled(LayoutTemplate::dsm_emulated, 100);
-        let got = sum_column_f64(&l, 1, ThreadingPolicy::Single).unwrap();
-        assert_eq!(got, (0..100).map(|i| i as f64 * 0.25).sum::<f64>());
-    }
-
-    #[test]
     fn sum_at_positions_matches_subset() {
         let (_, l) = filled(LayoutTemplate::nsm, 1000);
         let positions: Vec<u64> = (0..1000).step_by(7).collect();
@@ -418,18 +225,6 @@ mod tests {
             let got = sum_at_positions_f64(&l, 1, DataType::Float64, &positions, policy).unwrap();
             assert!((got - expect).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn filter_and_count_agree() {
-        let (_, l) = filled(LayoutTemplate::dsm, 500);
-        let pos = filter_positions(&l, 1, DataType::Float64, |v| v >= 100.0).unwrap();
-        let cnt = count_where(&l, 1, DataType::Float64, ThreadingPolicy::multi8(), |v| v >= 100.0)
-            .unwrap();
-        assert_eq!(pos.len() as u64, cnt);
-        // price = i * 0.25 >= 100 → i >= 400.
-        assert_eq!(pos.first(), Some(&400));
-        assert_eq!(pos.len(), 100);
     }
 
     #[test]
@@ -447,19 +242,6 @@ mod tests {
         }
         let got = sum_column_f64_typed(&l, 0, DataType::Int32, ThreadingPolicy::Single).unwrap();
         assert_eq!(got, (0..100).sum::<i32>() as f64);
-    }
-
-    #[test]
-    fn column_stats_one_pass() {
-        let (_, l) = filled(LayoutTemplate::dsm, 1000);
-        for policy in [ThreadingPolicy::Single, ThreadingPolicy::multi8()] {
-            let stats = column_stats(&l, 1, DataType::Float64, policy).unwrap();
-            assert_eq!(stats.count, 1000);
-            assert_eq!(stats.min, 0.0);
-            assert_eq!(stats.max, 999.0 * 0.25);
-            assert!((stats.sum - (0..1000).map(|i| i as f64 * 0.25).sum::<f64>()).abs() < 1e-9);
-            assert!((stats.mean() - stats.sum / 1000.0).abs() < 1e-12);
-        }
     }
 
     #[test]

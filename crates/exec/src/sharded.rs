@@ -28,8 +28,9 @@
 //! bit-identically regardless of pool interleaving, and every dropped
 //! message is retried (bounded, virtual-time backoff) or fails the whole
 //! gather: a partial gather is never returned.
+//!
+//! [`FaultSite::ClusterSend`]: htapg_device::faults::FaultSite::ClusterSend
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use htapg_core::calibrate::CalibrationProfiles;
@@ -167,11 +168,6 @@ impl ShardedEngine {
     /// Install a fault plan on the interconnect (chaos testing).
     pub fn set_fault_plan(&self, fault_plan: Arc<FaultPlan>) {
         self.cluster.write().set_fault_plan(fault_plan);
-    }
-
-    /// Rendered fault-injection history, for replay-identity assertions.
-    pub fn fault_history(&self) -> String {
-        self.cluster.read().fault_plan().history_string()
     }
 
     /// Rows currently stored at each node.
@@ -576,22 +572,16 @@ impl StorageEngine for ShardedEngine {
                 kernels::keyed_fragment_partials_f64(device, buf, &keys, part)
             },
         )?;
-        // Each key's partials accumulate in global fragment order, then
-        // reduce canonically.
-        let mut acc: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-        for (key, partial) in frags.into_iter().flatten() {
-            acc.entry(key).or_default().push(partial);
-        }
-        Ok(acc.into_iter().map(|(key, ps)| (key, kernels::tree_sum(&ps))).collect())
+        // Each key's partials group in global fragment order.
+        let (keys, partials): (Vec<i64>, Vec<f64>) = frags.into_iter().flatten().unzip();
+        Ok(kernels::group_tree_sums(&keys, &partials))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::{
-        execute, sharded_volcano_filter_sum, sharded_volcano_group_sum, sharded_volcano_sum,
-    };
+    use crate::physical::{execute, sharded_volcano_group_sum, sharded_volcano_sum};
     use crate::threading::ThreadingPolicy;
     use htapg_core::plan::{LogicalPlan, PhysicalOp, Route};
     use htapg_core::prng::Prng;
@@ -635,7 +625,7 @@ mod tests {
             assert_eq!(plan.root.route, Route::Scatter { shards: 4 });
             assert!(matches!(plan.root.children[0].op, PhysicalOp::Gather { shards: 4 }));
             let got = execute(&e, &plan, ThreadingPolicy::Single).unwrap();
-            let want = sharded_volcano_sum(&e, rel, 1, 256).unwrap();
+            let want = sharded_volcano_sum(&e, rel, 1, None, 256).unwrap();
             assert_eq!(got.as_sum().unwrap().to_bits(), want.to_bits(), "{kind:?}");
         }
     }
@@ -647,7 +637,7 @@ mod tests {
         let fplan = e.plan(&LogicalPlan::filter_sum(rel, 1, pred)).unwrap();
         assert_eq!(fplan.root.route, Route::Scatter { shards: 3 });
         let got = execute(&e, &fplan, ThreadingPolicy::Single).unwrap();
-        let want = sharded_volcano_filter_sum(&e, rel, 1, &pred, 128).unwrap();
+        let want = sharded_volcano_sum(&e, rel, 1, Some(&pred), 128).unwrap();
         assert_eq!(got.as_sum().unwrap().to_bits(), want.to_bits());
 
         let gplan = e.plan(&LogicalPlan::group_sum(rel, 0, 1)).unwrap();
@@ -710,7 +700,7 @@ mod tests {
         let plan = e.plan(&LogicalPlan::sum(rel, 1)).unwrap();
         let after = execute(&e, &plan, ThreadingPolicy::Single).unwrap().as_sum().unwrap();
         assert_ne!(before.to_bits(), after.to_bits());
-        let want = sharded_volcano_sum(&e, rel, 1, 128).unwrap();
+        let want = sharded_volcano_sum(&e, rel, 1, None, 128).unwrap();
         assert_eq!(after.to_bits(), want.to_bits());
         assert_eq!(e.read_field(rel, 7, 1).unwrap(), Value::Float64(0.0));
     }

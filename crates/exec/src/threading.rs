@@ -16,8 +16,8 @@
 //! subsequent [`MORSEL_ROWS`](crate::pool::MORSEL_ROWS)-row position
 //! ranges pulled off a shared cursor, and per-morsel results are folded in
 //! morsel order, so every policy produces bit-for-bit identical results.
-//! [`run_each`] runs operator passes whose per-morsel state the caller
-//! allocates and hands out, one piece per thread.
+//! The crate-private `run_each` runs operator passes whose per-morsel
+//! state the caller allocates and hands out, one piece per thread.
 
 use htapg_core::sync::Mutex;
 

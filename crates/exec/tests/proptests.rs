@@ -1,18 +1,19 @@
-//! Randomized property tests for the execution layer: the two processing
-//! models (Volcano and bulk) and all three join algorithms must agree on
-//! arbitrary data under arbitrary layouts and threading policies, and the
-//! streaming segment reducer must give the canonical reduction's bits
-//! whatever the block split. Driven by
-//! the deterministic in-repo [`Prng`] (seed honors `HTAPG_SEED`, printed on
-//! failure).
+//! Randomized property tests for the execution layer: Figure 2's
+//! attribute-centric sums and record-centric materialization must agree on
+//! arbitrary data under arbitrary layouts and threading policies, the
+//! keyed grouping must partition the total, and the streaming segment
+//! reducer must give the canonical reduction's bits whatever the block
+//! split. Driven by the deterministic in-repo [`Prng`] (seed honors
+//! `HTAPG_SEED`, printed on failure).
 
 use htapg_core::plan::Predicate;
 use htapg_core::prng::{check_cases, Prng};
-use htapg_core::{DataType, Layout, LayoutTemplate, Schema, Value};
+use htapg_core::{DataType, Layout, LayoutTemplate, RowId, Schema, Value};
 use htapg_device::kernels::{self, tree_sum, SegmentReducer};
-use htapg_exec::scan::{column_stats, sum_column_f64_typed};
+use htapg_exec::materialize::materialize;
+use htapg_exec::physical::{self, segmented_sum};
+use htapg_exec::scan::{sum_at_positions_f64, sum_column_f64_typed};
 use htapg_exec::threading::ThreadingPolicy;
-use htapg_exec::{bulk, join, physical, volcano};
 
 fn schema() -> Schema {
     Schema::of(&[("k", DataType::Int64), ("v", DataType::Float64)])
@@ -33,6 +34,18 @@ fn arb_rows(rng: &mut Prng) -> Vec<(i64, f64)> {
         .collect()
 }
 
+/// The rows whose value is positive, in row order: a sorted position list,
+/// like the output of the join that precedes Figure 2's operators.
+fn positive_positions(rows: &[(i64, f64)]) -> Vec<RowId> {
+    rows.iter().enumerate().filter(|(_, &(_, v))| v > 0.0).map(|(i, _)| i as RowId).collect()
+}
+
+/// The value field of every materialized record, summed in order.
+fn sum_records(layout: &Layout, positions: &[RowId], policy: ThreadingPolicy) -> f64 {
+    let records = materialize(layout, &schema(), positions, policy).unwrap();
+    records.iter().map(|r| r[1].as_f64().unwrap()).sum()
+}
+
 fn templates() -> Vec<LayoutTemplate> {
     let s = schema();
     vec![
@@ -47,23 +60,19 @@ fn templates() -> Vec<LayoutTemplate> {
 fn sums_agree_across_models_layouts_policies() {
     check_cases("sums_agree_across_models_layouts_policies", 48, 0xE8EC_0001, |_, rng| {
         let rows = arb_rows(rng);
-        let s = schema();
         let reference: f64 = rows.iter().map(|(_, v)| v).sum();
+        let all: Vec<RowId> = (0..rows.len() as RowId).collect();
         for template in templates() {
             let layout = build(template, &rows);
             for policy in [ThreadingPolicy::Single, ThreadingPolicy::multi8()] {
+                // Attribute-centric: the column scan, and the sum at every
+                // position; record-centric: the materialized records.
                 let scan = sum_column_f64_typed(&layout, 1, DataType::Float64, policy).unwrap();
                 assert!((scan - reference).abs() < 1e-6);
+                let at = sum_at_positions_f64(&layout, 1, DataType::Float64, &all, policy).unwrap();
+                assert!((at - reference).abs() < 1e-6);
+                assert!((sum_records(&layout, &all, policy) - reference).abs() < 1e-6);
             }
-            let vol = volcano::sum_f64(volcano::Scan::new(&layout, &s), 1).unwrap();
-            assert!((vol - reference).abs() < 1e-6);
-            let batches = bulk::scan_batches(&layout, &s, &[1], 32).unwrap();
-            let blk = bulk::sum_f64(&batches, 1).unwrap();
-            assert!((blk - reference).abs() < 1e-6);
-            let stats =
-                column_stats(&layout, 1, DataType::Float64, ThreadingPolicy::Single).unwrap();
-            assert_eq!(stats.count, rows.len() as u64);
-            assert!((stats.sum - reference).abs() < 1e-6);
         }
     });
 }
@@ -72,10 +81,10 @@ fn sums_agree_across_models_layouts_policies() {
 fn policies_are_bit_identical_on_arbitrary_layouts() {
     // The executor-pool determinism guarantee, as a property: every
     // threading policy folds the identical morsel partition in the
-    // identical order, so sums and stats are bit-for-bit equal — not
-    // merely within epsilon — on any layout, at any size. Sizes straddle
-    // the morsel boundary (64K rows) so both the inline path and the real
-    // pooled path are exercised.
+    // identical order, so sums are bit-for-bit equal — not merely within
+    // epsilon — and materialized records arrive in position order, on any
+    // layout, at any size. Sizes straddle the morsel boundary (64K rows)
+    // so both the inline path and the real pooled path are exercised.
     check_cases("policies_are_bit_identical_on_arbitrary_layouts", 9, 0xE8EC_0005, |case, rng| {
         let n = match case % 3 {
             0 => rng.gen_range(0usize..512),
@@ -87,80 +96,22 @@ fn policies_are_bit_identical_on_arbitrary_layouts() {
         let all = templates();
         let template = all[rng.gen_range(0usize..all.len())].clone();
         let layout = build(template, &rows);
-        let single_sum =
-            sum_column_f64_typed(&layout, 1, DataType::Float64, ThreadingPolicy::Single).unwrap();
-        let single_stats =
-            column_stats(&layout, 1, DataType::Float64, ThreadingPolicy::Single).unwrap();
-        let positions =
-            htapg_exec::scan::filter_positions(&layout, 1, DataType::Float64, |v| v > 0.0).unwrap();
-        let single_pos_sum = htapg_exec::scan::sum_at_positions_f64(
-            &layout,
-            1,
-            DataType::Float64,
-            &positions,
-            ThreadingPolicy::Single,
-        )
-        .unwrap();
+        let single = ThreadingPolicy::Single;
+        let single_sum = sum_column_f64_typed(&layout, 1, DataType::Float64, single).unwrap();
+        let positions = positive_positions(&rows);
+        let single_pos_sum =
+            sum_at_positions_f64(&layout, 1, DataType::Float64, &positions, single).unwrap();
+        let single_records = materialize(&layout, &schema(), &positions, single).unwrap();
         for threads in [2usize, 8, 32] {
             let policy = ThreadingPolicy::Multi { threads };
             let sum = sum_column_f64_typed(&layout, 1, DataType::Float64, policy).unwrap();
             assert_eq!(sum.to_bits(), single_sum.to_bits(), "sum, threads={threads}");
-            let stats = column_stats(&layout, 1, DataType::Float64, policy).unwrap();
-            assert_eq!(stats.count, single_stats.count, "count, threads={threads}");
-            assert_eq!(
-                stats.sum.to_bits(),
-                single_stats.sum.to_bits(),
-                "stats.sum, threads={threads}"
-            );
-            assert_eq!(
-                stats.min.to_bits(),
-                single_stats.min.to_bits(),
-                "stats.min, threads={threads}"
-            );
-            assert_eq!(
-                stats.max.to_bits(),
-                single_stats.max.to_bits(),
-                "stats.max, threads={threads}"
-            );
-            let hits =
-                htapg_exec::scan::count_where(&layout, 1, DataType::Float64, policy, |v| v > 0.0)
-                    .unwrap();
-            assert_eq!(hits, positions.len() as u64, "count_where, threads={threads}");
-            let pos_sum = htapg_exec::scan::sum_at_positions_f64(
-                &layout,
-                1,
-                DataType::Float64,
-                &positions,
-                policy,
-            )
-            .unwrap();
+            let pos_sum =
+                sum_at_positions_f64(&layout, 1, DataType::Float64, &positions, policy).unwrap();
             assert_eq!(pos_sum.to_bits(), single_pos_sum.to_bits(), "pos sum, threads={threads}");
+            let records = materialize(&layout, &schema(), &positions, policy).unwrap();
+            assert!(records == single_records, "materialize, threads={threads}");
         }
-    });
-}
-
-#[test]
-fn joins_agree_on_arbitrary_keys() {
-    check_cases("joins_agree_on_arbitrary_keys", 48, 0xE8EC_0002, |_, rng| {
-        let left = arb_rows(rng);
-        let right = arb_rows(rng);
-        let l = build(LayoutTemplate::dsm_emulated(&schema()), &left);
-        let r = build(LayoutTemplate::nsm(&schema()), &right);
-        let oracle =
-            join::nested_loop_join(&l, 0, DataType::Int64, &r, 0, DataType::Int64).unwrap();
-        let hashed = join::hash_join(&l, 0, DataType::Int64, &r, 0, DataType::Int64).unwrap();
-        let merged = join::merge_join(&l, 0, DataType::Int64, &r, 0, DataType::Int64).unwrap();
-        assert_eq!(&hashed, &oracle);
-        assert_eq!(&merged, &oracle);
-        // Volcano join counts the same number of matches.
-        let vol = volcano::count(volcano::HashJoinOp::new(
-            volcano::Scan::new(&l, &schema()),
-            volcano::Scan::new(&r, &schema()),
-            0,
-            0,
-        ))
-        .unwrap();
-        assert_eq!(vol as usize, oracle.len());
     });
 }
 
@@ -168,39 +119,16 @@ fn joins_agree_on_arbitrary_keys() {
 fn group_sum_partitions_the_total() {
     check_cases("group_sum_partitions_the_total", 48, 0xE8EC_0003, |_, rng| {
         let rows = arb_rows(rng);
-        let l = build(LayoutTemplate::dsm_emulated(&schema()), &rows);
-        let groups = join::group_sum_f64(&l, 0, DataType::Int64, 1, DataType::Float64).unwrap();
-        let total: f64 = rows.iter().map(|(_, v)| v).sum();
-        let group_total: f64 = groups.iter().map(|(_, s, _)| s).sum();
+        let (keys, values): (Vec<i64>, Vec<f64>) = rows.iter().copied().unzip();
+        let groups = kernels::group_tree_sums(&keys, &values);
+        let total: f64 = values.iter().sum();
+        let group_total: f64 = groups.iter().map(|(_, s)| s).sum();
         assert!((total - group_total).abs() < 1e-6);
-        let count_total: u64 = groups.iter().map(|(_, _, c)| c).sum();
-        assert_eq!(count_total, rows.len() as u64);
-        // Keys are distinct and sorted.
-        for w in groups.windows(2) {
-            assert!(w[0].0 < w[1].0);
-        }
-    });
-}
-
-#[test]
-fn filter_positions_match_volcano_filter() {
-    check_cases("filter_positions_match_volcano_filter", 48, 0xE8EC_0004, |_, rng| {
-        let rows = arb_rows(rng);
-        let threshold = rng.gen_range(-100.0..100.0);
-        let s = schema();
-        let l = build(LayoutTemplate::pax(&s, 8), &rows);
-        let positions =
-            htapg_exec::scan::filter_positions(&l, 1, DataType::Float64, |v| v > threshold)
-                .unwrap();
-        let vol = volcano::collect(volcano::Filter::new(
-            volcano::Scan::new(&l, &s),
-            move |rec| matches!(rec[1], Value::Float64(x) if x > threshold),
-        ))
-        .unwrap();
-        assert_eq!(positions.len(), vol.len());
-        for (&p, rec) in positions.iter().zip(&vol) {
-            assert_eq!(&l.read_record(&s, p).unwrap(), rec);
-        }
+        // One group per distinct key, in key order.
+        let mut distinct = keys.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(groups.iter().map(|&(k, _)| k).collect::<Vec<_>>(), distinct);
     });
 }
 
@@ -277,11 +205,12 @@ fn segment_reducer_matches_canonical_sums_over_any_block_split() {
         };
         let all = |_: f64| true;
         let keep = |v: f64| pred.matches(v);
+        let single = ThreadingPolicy::Single;
         for (got, want) in [
             (feed(seg, None), physical::canonical_sum(&values)),
-            (feed(seg, Some(&pred)), physical::canonical_filter_sum(&values, &pred)),
-            (feed(part, None), physical::sharded_canonical_sum(&values, part)),
-            (feed(part, Some(&pred)), physical::sharded_canonical_filter_sum(&values, &pred, part)),
+            (feed(seg, Some(&pred)), segmented_sum(&values, None, Some(&pred), single)),
+            (feed(part, None), segmented_sum(&values, Some(part), None, single)),
+            (feed(part, Some(&pred)), segmented_sum(&values, Some(part), Some(&pred), single)),
             (feed(seg, None), chunked_sum(&values, seg, all)),
             (feed(seg, Some(&pred)), chunked_sum(&values, seg, keep)),
             (feed(part, Some(&pred)), chunked_sum(&values, part, keep)),
@@ -292,8 +221,10 @@ fn segment_reducer_matches_canonical_sums_over_any_block_split() {
             let policy = ThreadingPolicy::Multi { threads };
             let pooled = physical::pooled_canonical_sum(&values, policy);
             assert_eq!(pooled.to_bits(), chunked_sum(&values, seg, all).to_bits());
-            let pooled = physical::pooled_canonical_filter_sum(&values, &pred, policy);
+            let pooled = segmented_sum(&values, None, Some(&pred), policy);
             assert_eq!(pooled.to_bits(), chunked_sum(&values, seg, keep).to_bits());
+            let pooled = segmented_sum(&values, Some(part), Some(&pred), policy);
+            assert_eq!(pooled.to_bits(), chunked_sum(&values, part, keep).to_bits());
         }
     });
 }
@@ -359,7 +290,7 @@ fn pooled_reduction_matches_canonical_sums_at_pool_scale() {
                 let policy = ThreadingPolicy::Multi { threads };
                 let got = physical::pooled_canonical_sum(&values, policy);
                 assert_eq!(got.to_bits(), want.to_bits(), "{n} rows, {threads} threads");
-                let got = physical::pooled_canonical_filter_sum(&values, &pred, policy);
+                let got = segmented_sum(&values, None, Some(&pred), policy);
                 assert_eq!(got.to_bits(), want_filtered.to_bits(), "{n} rows, {threads} threads");
             }
             let splits = arb_splits(n, rng);

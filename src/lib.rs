@@ -15,8 +15,8 @@
 //!   and the reference-design checklist;
 //! * [`device`] ([`htapg_device`]) — the simulated GPU, disk array, and
 //!   shared-nothing cluster substrates;
-//! * [`exec`] ([`htapg_exec`]) — bulk and Volcano processing models,
-//!   threading policies, and device offload;
+//! * [`exec`] ([`htapg_exec`]) — Figure 2's operators, threading
+//!   policies, device offload, and the physical-plan interpreter;
 //! * [`engines`] ([`htapg_engines`]) — the ten surveyed storage-engine
 //!   archetypes plus the reference HTAP CPU/GPU engine;
 //! * [`workload`] ([`htapg_workload`]) — TPC-C-shaped generators and the

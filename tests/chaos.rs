@@ -159,7 +159,8 @@ fn run_sharded(seed: u64, p: f64) -> (f64, Vec<(i64, f64)>, String) {
     }
     // Whatever the interconnect dropped, the gather is whole: the answer
     // matches the fragment-granularity volcano oracle bit for bit.
-    let oracle = physical::sharded_volcano_sum(&engine, rel, item_attr::I_PRICE, 128).unwrap();
+    let oracle =
+        physical::sharded_volcano_sum(&engine, rel, item_attr::I_PRICE, None, 128).unwrap();
     assert_eq!(
         sum.to_bits(),
         oracle.to_bits(),

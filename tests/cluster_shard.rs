@@ -1,9 +1,10 @@
 //! Sharded scale-out integration: partitioned placement over `SimCluster`
 //! (DESIGN.md §15) must be a *pure* scale-out — the scatter-gather plan
 //! returns the same bits as the single-node plan at every node count and
-//! for both partitioning kinds, the EXPLAIN root reconciles exactly with
-//! the cluster ledger's wall delta, and the HTAP driver can mix routed
-//! point ops with scatter analytics on the executor pool.
+//! for both partitioning kinds, dense keys and sparse ones alike, and so
+//! does its host fallback; the EXPLAIN root reconciles exactly with the
+//! cluster ledger's wall delta, and the HTAP driver can mix routed point
+//! ops with scatter analytics on the executor pool.
 
 use htapg::core::engine::StorageEngine;
 use htapg::core::obs::{self, TraceReport, Tracer};
@@ -11,9 +12,8 @@ use htapg::core::plan::{LogicalPlan, PhysicalOp, Predicate, Route};
 use htapg::core::prng::{check_cases, env_seed, Prng};
 use htapg::core::{DataType, RelationId, Schema, ShardingKind, Value};
 use htapg::device::cluster::NetSpec;
-use htapg::exec::physical::{
-    self, sharded_volcano_filter_sum, sharded_volcano_group_sum, sharded_volcano_sum,
-};
+use htapg::device::faults::FaultPlan;
+use htapg::exec::physical::{self, sharded_volcano_group_sum, sharded_volcano_sum};
 use htapg::exec::{ShardedEngine, ThreadingPolicy};
 use htapg::workload::driver::run_concurrent;
 use htapg::workload::queries::Op;
@@ -23,6 +23,12 @@ fn rows(rng: &mut Prng, n: u64) -> Vec<(i64, f64)> {
     (0..n)
         .map(|_| (rng.gen_range(0..24) as i64, rng.gen_range(0..1_000_000) as f64 / 7.0))
         .collect()
+}
+
+/// The same rows with sparse keys, negative ones included: their span is
+/// far more than twice any fragment's rows, so every grouping ranks them.
+fn sparse(data: &[(i64, f64)]) -> Vec<(i64, f64)> {
+    data.iter().map(|&(k, v)| (k * 1_000_003 - (1 << 40), v)).collect()
 }
 
 fn load(
@@ -87,12 +93,12 @@ fn scatter_gather_is_bit_identical_to_single_node_at_every_scale() {
             let p = part as usize;
             assert_eq!(
                 base_sum.to_bits(),
-                sharded_volcano_sum(&e1, r1, 1, p).unwrap().to_bits(),
+                sharded_volcano_sum(&e1, r1, 1, None, p).unwrap().to_bits(),
                 "case {case} {kind:?}: k=1 sum diverged from the volcano oracle"
             );
             assert_eq!(
                 base_filter.to_bits(),
-                sharded_volcano_filter_sum(&e1, r1, 1, &pred, p).unwrap().to_bits(),
+                sharded_volcano_sum(&e1, r1, 1, Some(&pred), p).unwrap().to_bits(),
                 "case {case} {kind:?}: k=1 filter-sum diverged from the volcano oracle"
             );
             assert_groups_bits(
@@ -118,8 +124,42 @@ fn scatter_gather_is_bit_identical_to_single_node_at_every_scale() {
                 );
                 assert_groups_bits(&run_group_sum(&e, rel), &base_groups, &what);
             }
+            // Sparse keys take the ranked group ids in every fragment and
+            // in the merge of the fragments' partials.
+            let sparse = sparse(&data);
+            let (e1, r1) = load(kind, 1, part, &sparse);
+            let want = sharded_volcano_group_sum(&e1, r1, 0, 1, p).unwrap();
+            for &nodes in &[1u32, 2, 4, 8] {
+                let (e, rel) = load(kind, nodes, part, &sparse);
+                let what =
+                    format!("case {case} {kind:?} nodes {nodes}: sparse group-sum vs oracle");
+                assert_groups_bits(&run_group_sum(&e, rel), &want, &what);
+            }
         }
     });
+}
+
+// ---------------------------------------------------------------------
+// The host fallback: a scatter that cannot reach a node degrades to the
+// host's fragment-granularity grouping, with the oracle's bits.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_degraded_group_sum_scatter_keeps_the_oracle_bits() {
+    let mut rng = Prng::seed_from_u64(env_seed(0xFA11));
+    let dense = rows(&mut rng, 3_000);
+    for data in [sparse(&dense), dense] {
+        let (e, rel) = load(ShardingKind::Hash, 4, 256, &data);
+        let want = sharded_volcano_group_sum(&e, rel, 0, 1, 256).unwrap();
+        let faults = FaultPlan::none();
+        e.set_fault_plan(faults.clone());
+        faults.mark_node_down(1);
+        let plan = e.plan(&LogicalPlan::group_sum(rel, 0, 1)).unwrap();
+        assert_eq!(plan.root.route, Route::Scatter { shards: 4 });
+        let out = physical::execute_observed(&e, &plan, ThreadingPolicy::Single).unwrap();
+        assert_eq!(out.executed_route, Route::InlineVolcano, "node 1 is down: host fallback");
+        assert_groups_bits(out.output.as_groups().unwrap(), &want, "host fallback vs oracle");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -207,7 +247,7 @@ fn driver_mixes_routed_point_ops_with_scatter_analytics() {
     // even after the concurrent write traffic.
     assert_eq!(
         run_sum(&e, rel).to_bits(),
-        sharded_volcano_sum(&e, rel, 1, 256).unwrap().to_bits(),
+        sharded_volcano_sum(&e, rel, 1, None, 256).unwrap().to_bits(),
         "post-run sum diverged from the oracle (HTAPG_SEED={seed})"
     );
 
