@@ -294,22 +294,38 @@ impl Fragment {
 
     /// Append one tuplet (values for covered attributes, in spec order).
     ///
-    /// Returns the row id assigned.
+    /// Returns the row id assigned. A rejected tuplet adds no row.
     pub fn append(&mut self, schema: &Schema, values: &[Value]) -> Result<RowId> {
         if values.len() != self.spec.attrs.len() {
             return Err(Error::Arity { expected: self.spec.attrs.len(), got: values.len() });
         }
+        self.push(schema, |idx, _| &values[idx])
+    }
+
+    /// Append the covered fields of a full-schema record, encoding each
+    /// straight into its slot. Returns the row id assigned.
+    pub(crate) fn append_record(&mut self, schema: &Schema, record: &[Value]) -> Result<RowId> {
+        self.push(schema, |_, attr| &record[attr as usize])
+    }
+
+    /// Encode `value(idx, attr)` for every covered attribute into the next
+    /// tuplet slot; the tuplet becomes present only once every field is
+    /// written, so an error leaves the present tuplets and `len` unchanged.
+    fn push<'v>(
+        &mut self,
+        schema: &Schema,
+        value: impl Fn(usize, AttrId) -> &'v Value,
+    ) -> Result<RowId> {
         if self.is_full() {
             return Err(Error::InvalidLayout("fragment is full".into()));
         }
         let row = self.spec.first_row + self.len;
-        self.len += 1;
-        for (idx, v) in values.iter().enumerate() {
-            let ty = schema.ty(self.spec.attrs[idx])?;
+        for (idx, &attr) in self.spec.attrs.iter().enumerate() {
             let off = self.field_offset(row, idx);
-            let w = self.widths[idx];
-            v.encode_into(ty, &mut self.data[off..off + w])?;
+            let field = &mut self.data[off..off + self.widths[idx]];
+            value(idx, attr).encode_into(schema.ty(attr)?, field)?;
         }
+        self.len += 1;
         Ok(row)
     }
 
@@ -468,14 +484,52 @@ impl Fragment {
         Ok(())
     }
 
+    /// Declare the first `len` tuplets present. A fragment under
+    /// construction takes its rows this way and then receives every
+    /// covered field through [`Fragment::copy_fields`].
+    pub(crate) fn set_len(&mut self, len: u64) {
+        assert!(len <= self.spec.capacity, "len {len} exceeds capacity {}", self.spec.capacity);
+        self.len = len;
+    }
+
+    /// Overwrite `attr`'s fields at rows `src.first_row..` with the field
+    /// bytes `src` views — Figure 3's linearizations are byte permutations
+    /// of one another, so re-linearizing never decodes a value.
+    pub(crate) fn copy_fields(&mut self, attr: AttrId, src: &ColumnView<'_>) -> Result<()> {
+        let idx = self.attr_index(attr)?;
+        let w = self.widths[idx];
+        assert_eq!(src.width, w, "copy between fields of different widths");
+        let end = src.first_row + src.rows;
+        if src.first_row < self.spec.first_row || end > self.spec.first_row + self.len {
+            return Err(Error::UnknownRow(end.saturating_sub(1)));
+        }
+        if src.rows == 0 {
+            return Ok(());
+        }
+        let first = self.field_offset(src.first_row, idx);
+        let stride = self.column_view(attr)?.stride;
+        match src.contiguous_bytes() {
+            Some(bytes) if stride == w => {
+                self.data[first..first + bytes.len()].copy_from_slice(bytes);
+            }
+            _ => {
+                for i in 0..src.rows as usize {
+                    let off = first + i * stride;
+                    self.data[off..off + w].copy_from_slice(src.field(i));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Re-linearize this fragment's populated region under a new order,
     /// returning a new fragment (used by responsive reorganization).
     pub fn relinearize(&self, schema: &Schema, order: Linearization) -> Result<Fragment> {
         let spec = FragmentSpec { order, ..self.spec.clone() };
         let mut out = Fragment::new_at(schema, spec, self.location)?;
-        for row in self.present_rows() {
-            let tuplet = self.read_tuplet(schema, row)?;
-            out.append(schema, &tuplet)?;
+        out.set_len(self.len);
+        for &attr in &self.spec.attrs {
+            out.copy_fields(attr, &self.column_view(attr)?)?;
         }
         Ok(out)
     }

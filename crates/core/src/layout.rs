@@ -286,25 +286,29 @@ impl Layout {
         specs
     }
 
-    /// Append a full-schema record; returns the assigned row id.
+    /// Append a full-schema record; returns the assigned row id. The record
+    /// is checked before any fragment changes, so a rejected record leaves
+    /// the layout as it was.
     pub fn append(&mut self, schema: &Schema, record: &Record) -> Result<RowId> {
         schema.check_record(record)?;
+        self.push_record(schema, record)
+    }
+
+    /// [`Layout::append`] of a record already checked against `schema`:
+    /// each field is encoded straight into its fragment slot.
+    pub(crate) fn push_record(&mut self, schema: &Schema, record: &Record) -> Result<RowId> {
         let row = self.rows;
         let slots = self.template.slots_per_chunk();
         match self.template.chunk_rows {
             Some(chunk) => {
                 let chunk_idx = (row / chunk) as usize;
                 if chunk_idx == self.fragments.len() / slots {
-                    for spec in self.chunk_specs(chunk_idx as u64 * chunk, chunk) {
-                        self.fragments.push(Fragment::new_at(schema, spec, self.location)?);
-                    }
+                    self.push_chunk(schema, chunk_idx as u64 * chunk, chunk)?;
                 }
             }
             None => {
                 if self.fragments.is_empty() {
-                    for spec in self.chunk_specs(0, INITIAL_CAPACITY) {
-                        self.fragments.push(Fragment::new_at(schema, spec, self.location)?);
-                    }
+                    self.push_chunk(schema, 0, INITIAL_CAPACITY)?;
                 } else if self.fragments[0].is_full() {
                     let cap = self.fragments[0].spec().capacity;
                     for f in &mut self.fragments {
@@ -313,28 +317,33 @@ impl Layout {
                 }
             }
         }
-        // Write the record's values into the fragments of the last chunk.
         let base = self.fragments.len() - slots;
-        let mut values_per_slot: Vec<Vec<Value>> = vec![Vec::new(); slots];
-        for (frag_slot, slot_values) in values_per_slot.iter_mut().enumerate() {
-            let spec = self.fragments[base + frag_slot].spec();
-            for &a in &spec.attrs {
-                slot_values.push(record[a as usize].clone());
-            }
-        }
-        for (frag_slot, vals) in values_per_slot.into_iter().enumerate() {
-            let got = self.fragments[base + frag_slot].append(schema, &vals)?;
+        for f in &mut self.fragments[base..] {
+            let got = f.append_record(schema, record)?;
             debug_assert_eq!(got, row);
         }
         self.rows += 1;
         Ok(row)
     }
 
+    /// Instantiate the fragments of one chunk.
+    fn push_chunk(&mut self, schema: &Schema, first_row: RowId, capacity: u64) -> Result<()> {
+        for spec in self.chunk_specs(first_row, capacity) {
+            self.fragments.push(Fragment::new_at(schema, spec, self.location)?);
+        }
+        Ok(())
+    }
+
+    /// Slot index (within a chunk) of the fragment covering `attr`.
+    fn slot(&self, attr: AttrId) -> Result<usize> {
+        self.attr_slot.get(attr as usize).copied().ok_or(Error::UnknownAttribute(attr))
+    }
+
     fn locate(&self, row: RowId, attr: AttrId) -> Result<usize> {
         if row >= self.rows {
             return Err(Error::UnknownRow(row));
         }
-        let slot = *self.attr_slot.get(attr as usize).ok_or(Error::UnknownAttribute(attr))?;
+        let slot = self.slot(attr)?;
         let slots = self.template.slots_per_chunk();
         let chunk_idx = match self.template.chunk_rows {
             Some(chunk) => (row / chunk) as usize,
@@ -371,7 +380,7 @@ impl Layout {
     /// Visit the raw bytes of every field of `attr`, in row order across all
     /// chunks.
     pub fn for_each_field(&self, attr: AttrId, mut f: impl FnMut(RowId, &[u8])) -> Result<()> {
-        let slot = *self.attr_slot.get(attr as usize).ok_or(Error::UnknownAttribute(attr))?;
+        let slot = self.slot(attr)?;
         let slots = self.template.slots_per_chunk();
         let chunks = if self.fragments.is_empty() { 0 } else { self.fragments.len() / slots };
         for c in 0..chunks {
@@ -384,7 +393,7 @@ impl Layout {
     /// fragment covering `attr` stores it contiguously. Returns `false`
     /// (calling `f` never) when the column is strided (NSM).
     pub fn with_column_bytes(&self, attr: AttrId, f: &mut dyn FnMut(&[u8])) -> Result<bool> {
-        let slot = *self.attr_slot.get(attr as usize).ok_or(Error::UnknownAttribute(attr))?;
+        let slot = self.slot(attr)?;
         let slots = self.template.slots_per_chunk();
         let chunks = if self.fragments.is_empty() { 0 } else { self.fragments.len() / slots };
         let mut blocks = Vec::with_capacity(chunks);
@@ -402,7 +411,7 @@ impl Layout {
 
     /// Zero-copy views of `attr`'s fields, one per chunk, in row order.
     pub fn column_views(&self, attr: AttrId) -> Result<Vec<crate::fragment::ColumnView<'_>>> {
-        let slot = *self.attr_slot.get(attr as usize).ok_or(Error::UnknownAttribute(attr))?;
+        let slot = self.slot(attr)?;
         let slots = self.template.slots_per_chunk();
         let chunks = if self.fragments.is_empty() { 0 } else { self.fragments.len() / slots };
         let mut out = Vec::with_capacity(chunks);
@@ -416,15 +425,74 @@ impl Layout {
     }
 
     /// Rebuild this layout's data under a new template (responsive
-    /// reorganization). Row ids are preserved.
+    /// reorganization). Row ids are preserved. The target is allocated for
+    /// every row at once, with the fragments [`Layout::append`] would have
+    /// built, and filled by copying field bytes out of this layout.
     pub fn rebuild(&self, schema: &Schema, template: LayoutTemplate) -> Result<Layout> {
         let mut out = Layout::new_at(schema, template, self.location)?;
-        for row in 0..self.rows {
-            let rec = self.read_record(schema, row)?;
-            let got = out.append(schema, &rec)?;
-            debug_assert_eq!(got, row);
+        if self.rows > 0 {
+            match out.template.chunk_rows {
+                Some(chunk) => {
+                    for first_row in (0..self.rows).step_by(chunk as usize) {
+                        out.push_chunk(schema, first_row, chunk)?;
+                    }
+                }
+                // Appends double the capacity from a power of two.
+                None => {
+                    out.push_chunk(schema, 0, self.rows.next_power_of_two().max(INITIAL_CAPACITY))?
+                }
+            }
+        }
+        out.rows = self.rows;
+        for f in &mut out.fragments {
+            let first = f.spec().first_row;
+            f.set_len((self.rows - first).min(f.spec().capacity));
+            for i in 0..f.spec().attrs.len() {
+                let attr = f.spec().attrs[i];
+                self.copy_into(f, attr)?;
+            }
         }
         Ok(out)
+    }
+
+    /// Copy `attr`'s fields from layout `src`, which holds the same rows,
+    /// as bytes. Re-delegation hands a column to its new authoritative
+    /// layout this way.
+    pub(crate) fn copy_column_from(&mut self, src: &Layout, attr: AttrId) -> Result<()> {
+        if src.rows != self.rows {
+            return Err(Error::Internal(format!(
+                "copy of attr {attr} between layouts of {} and {} rows",
+                src.rows, self.rows
+            )));
+        }
+        let slot = self.slot(attr)?;
+        let slots = self.template.slots_per_chunk();
+        for f in self.fragments.iter_mut().skip(slot).step_by(slots) {
+            src.copy_into(f, attr)?;
+        }
+        Ok(())
+    }
+
+    /// Copy this layout's fields of `attr` for the rows `dst` holds into
+    /// `dst`, one run per overlapping source fragment.
+    fn copy_into(&self, dst: &mut Fragment, attr: AttrId) -> Result<()> {
+        let rows = dst.present_rows();
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let slot = self.slot(attr)?;
+        let slots = self.template.slots_per_chunk();
+        let chunks = match self.template.chunk_rows {
+            Some(chunk) => (rows.start / chunk) as usize..=((rows.end - 1) / chunk) as usize,
+            None => 0..=0,
+        };
+        for c in chunks {
+            let view = self.fragments[c * slots + slot].column_view(attr)?;
+            let lo = rows.start.max(view.first_row);
+            let hi = rows.end.min(view.first_row + view.rows);
+            dst.copy_fields(attr, &view.slice_rows(lo - view.first_row, hi - view.first_row))?;
+        }
+        Ok(())
     }
 
     /// Bytes currently used by all fragments.

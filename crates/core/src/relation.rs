@@ -81,12 +81,14 @@ impl Relation {
     }
 
     /// Append a record. Every layout receives the record so row ids stay
-    /// aligned; see the module docs for delegation semantics.
+    /// aligned; see the module docs for delegation semantics. The record is
+    /// checked once, before the first layout changes, so a rejected record
+    /// leaves every layout as it was.
     pub fn insert(&mut self, record: &Record) -> Result<RowId> {
         self.schema.check_record(record)?;
         let mut assigned = None;
         for layout in &mut self.layouts {
-            let row = layout.append(&self.schema, record)?;
+            let row = layout.push_record(&self.schema, record)?;
             match assigned {
                 None => assigned = Some(row),
                 Some(prev) => debug_assert_eq!(prev, row, "layouts out of sync"),
@@ -214,6 +216,18 @@ impl Relation {
             }
             Scheme::Delegation(_) => Ok(false),
         }
+    }
+
+    /// Copy `attr`'s fields from layout `from` into layout `to` as bytes:
+    /// re-delegation makes `to` authoritative for the column this way.
+    pub fn copy_column(&mut self, attr: AttrId, from: usize, to: usize) -> Result<()> {
+        let n = self.layouts.len();
+        if from >= n || to >= n || from == to {
+            return Err(Error::InvalidLayout(format!("no copy from layout {from} to {to}")));
+        }
+        let (lo, hi) = self.layouts.split_at_mut(from.max(to));
+        let (src, dst) = if from < to { (&lo[from], &mut hi[0]) } else { (&hi[0], &mut lo[to]) };
+        dst.copy_column_from(src, attr)
     }
 
     /// Replace layout `idx` with a rebuild under `template` (responsive
@@ -349,6 +363,32 @@ mod tests {
         let mut blocks = 0;
         assert!(r.with_column_bytes(1, &mut |_| blocks += 1).unwrap());
         assert!(blocks >= 1);
+    }
+
+    #[test]
+    fn copy_column_moves_field_bytes_both_ways() {
+        let s = schema();
+        let mut r = Relation::with_layouts(
+            s.clone(),
+            vec![LayoutTemplate::nsm(&s), LayoutTemplate::pax(&s, 7)],
+            Scheme::Replication,
+        )
+        .unwrap();
+        for i in 0..20 {
+            r.insert(&rec(i)).unwrap();
+        }
+        // Let the two copies of attrs 1 and 2 diverge, then copy each way.
+        r.layouts_mut()[0].write_value(&s, 3, 1, &Value::Int64(-3)).unwrap();
+        r.layouts_mut()[1].write_value(&s, 19, 2, &Value::Text("new".into())).unwrap();
+        r.copy_column(1, 0, 1).unwrap();
+        r.copy_column(2, 1, 0).unwrap();
+        for l in r.layouts() {
+            assert_eq!(l.read_value(&s, 3, 1).unwrap(), Value::Int64(-3));
+            assert_eq!(l.read_value(&s, 19, 2).unwrap(), Value::Text("new".into()));
+            assert_eq!(l.read_record(&s, 4).unwrap(), rec(4));
+        }
+        assert!(r.copy_column(1, 0, 0).is_err());
+        assert!(r.copy_column(1, 0, 2).is_err());
     }
 
     #[test]

@@ -102,17 +102,15 @@ impl Schema {
         self.offsets.get(id as usize).copied().ok_or(Error::UnknownAttribute(id))
     }
 
-    /// Validate that a record matches this schema (arity and types).
+    /// Validate that a record can be stored under this schema: arity,
+    /// types and text widths. A record that passes encodes into any
+    /// layout of the schema without error, so storage checks it once,
+    /// before its first write.
     pub fn check_record(&self, values: &[Value]) -> Result<()> {
         if values.len() != self.attrs.len() {
             return Err(Error::Arity { expected: self.attrs.len(), got: values.len() });
         }
-        for (v, a) in values.iter().zip(&self.attrs) {
-            if !v.matches(a.ty) {
-                return Err(Error::TypeMismatch { expected: a.ty.name(), got: v.type_name() });
-            }
-        }
-        Ok(())
+        values.iter().zip(&self.attrs).try_for_each(|(v, a)| v.check(a.ty))
     }
 }
 
@@ -153,6 +151,10 @@ mod tests {
         assert!(matches!(s.check_record(&short), Err(Error::Arity { .. })));
         let wrong = vec![Value::Int64(1), Value::Int64(2), Value::Text("x".into())];
         assert!(matches!(s.check_record(&wrong), Err(Error::TypeMismatch { .. })));
+        let long = vec![Value::Int32(1), Value::Int64(2), Value::Text("x".repeat(11))];
+        assert_eq!(s.check_record(&long), Err(Error::TextTooLong { max: 10, got: 11 }));
+        let full = vec![Value::Int32(1), Value::Int64(2), Value::Text("x".repeat(10))];
+        assert!(s.check_record(&full).is_ok());
     }
 
     #[test]

@@ -92,31 +92,38 @@ impl Value {
         )
     }
 
+    /// Whether this value can be stored in a field of `ty`: it inhabits
+    /// the type and, for text, fits the width. [`Value::encode_into`]
+    /// succeeds exactly when this does.
+    pub fn check(&self, ty: DataType) -> Result<()> {
+        match (self, ty) {
+            (Value::Text(s), DataType::Text(n)) if s.len() > n as usize => {
+                Err(Error::TextTooLong { max: n as usize, got: s.len() })
+            }
+            _ if !self.matches(ty) => {
+                Err(Error::TypeMismatch { expected: ty.name(), got: self.type_name() })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Encode into exactly `ty.width()` bytes at `out`.
     ///
-    /// Returns an error on a type mismatch or an over-long text value;
+    /// Returns the error of [`Value::check`], leaving `out` untouched;
     /// panics if `out` has the wrong length (an addressing bug, not a data
     /// error).
     pub fn encode_into(&self, ty: DataType, out: &mut [u8]) -> Result<()> {
         assert_eq!(out.len(), ty.width(), "field slot width mismatch");
-        if !self.matches(ty) {
-            return Err(Error::TypeMismatch { expected: ty.name(), got: self.type_name() });
-        }
-        match (self, ty) {
-            (Value::Bool(b), DataType::Bool) => out[0] = *b as u8,
-            (Value::Int32(v), DataType::Int32) => out.copy_from_slice(&v.to_le_bytes()),
-            (Value::Int64(v), DataType::Int64) => out.copy_from_slice(&v.to_le_bytes()),
-            (Value::Float64(v), DataType::Float64) => out.copy_from_slice(&v.to_le_bytes()),
-            (Value::Date(v), DataType::Date) => out.copy_from_slice(&v.to_le_bytes()),
-            (Value::Text(s), DataType::Text(n)) => {
-                let bytes = s.as_bytes();
-                if bytes.len() > n as usize {
-                    return Err(Error::TextTooLong { max: n as usize, got: bytes.len() });
-                }
-                out[..bytes.len()].copy_from_slice(bytes);
-                out[bytes.len()..].fill(b' ');
+        self.check(ty)?;
+        match self {
+            Value::Bool(b) => out[0] = *b as u8,
+            Value::Int32(v) | Value::Date(v) => out.copy_from_slice(&v.to_le_bytes()),
+            Value::Int64(v) => out.copy_from_slice(&v.to_le_bytes()),
+            Value::Float64(v) => out.copy_from_slice(&v.to_le_bytes()),
+            Value::Text(s) => {
+                out[..s.len()].copy_from_slice(s.as_bytes());
+                out[s.len()..].fill(b' ');
             }
-            _ => unreachable!("matches() checked above"),
         }
         Ok(())
     }

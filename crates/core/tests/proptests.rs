@@ -104,6 +104,26 @@ fn arb_record(rng: &mut Prng) -> Vec<Value> {
     ]
 }
 
+/// `n >= 2` records whose first text is empty and whose last text fills
+/// its field: the two edges of a fixed-width text slot.
+fn arb_records_with_edge_texts(rng: &mut Prng, n: usize) -> Vec<Vec<Value>> {
+    let mut records: Vec<_> = (0..n).map(|_| arb_record(rng)).collect();
+    records[0][3] = Value::Text(String::new());
+    records[n - 1][3] = Value::Text("abcdef".into());
+    records
+}
+
+/// Fragment by fragment, `a` and `b` have the same specs and the same
+/// bytes.
+fn assert_same_fragments(a: &[htapg_core::Fragment], b: &[htapg_core::Fragment]) {
+    assert_eq!(a.len(), b.len(), "fragment count");
+    for (fa, fb) in a.iter().zip(b) {
+        assert_eq!(fa.spec(), fb.spec());
+        assert_eq!(fa.len(), fb.len());
+        assert_eq!(fa.raw(), fb.raw(), "bytes of {:?}", fa.spec());
+    }
+}
+
 #[test]
 fn any_layout_roundtrips_records() {
     check_cases("any_layout_roundtrips_records", 64, 0xC0DE_0002, |_, rng| {
@@ -131,44 +151,52 @@ fn rebuild_to_any_template_preserves_content() {
     check_cases("rebuild_to_any_template_preserves_content", 64, 0xC0DE_0003, |_, rng| {
         let from = arb_template(rng);
         let to = arb_template(rng);
-        let records: Vec<_> = (0..rng.gen_range(1usize..60)).map(|_| arb_record(rng)).collect();
+        let n = rng.gen_range(2usize..60);
+        let records = arb_records_with_edge_texts(rng, n);
         let s = test_schema();
         let mut layout = Layout::new(&s, from).unwrap();
+        let mut appended = Layout::new(&s, to.clone()).unwrap();
         for rec in &records {
             layout.append(&s, rec).unwrap();
+            appended.append(&s, rec).unwrap();
         }
         let rebuilt = layout.rebuild(&s, to).unwrap();
         for (i, rec) in records.iter().enumerate() {
             assert_eq!(&rebuilt.read_record(&s, i as u64).unwrap(), rec);
         }
+        // A byte copy: the same fragments, byte for byte, as appending the
+        // records under the target template.
+        assert_eq!(rebuilt.row_count(), appended.row_count());
+        assert_same_fragments(rebuilt.fragments(), appended.fragments());
     });
 }
 
 #[test]
 fn relinearize_is_lossless() {
     check_cases("relinearize_is_lossless", 64, 0xC0DE_0004, |_, rng| {
-        let records: Vec<_> = (0..rng.gen_range(2usize..50)).map(|_| arb_record(rng)).collect();
+        let n = rng.gen_range(2usize..50);
+        let records = arb_records_with_edge_texts(rng, n);
         let to_dsm = rng.gen_bool(0.5);
         let s = test_schema();
         let order = if to_dsm { Linearization::Dsm } else { Linearization::Nsm };
         let other = if to_dsm { Linearization::Nsm } else { Linearization::Dsm };
-        let mut frag = htapg_core::Fragment::new(
-            &s,
-            htapg_core::FragmentSpec {
-                first_row: 0,
-                capacity: records.len() as u64,
-                attrs: vec![0, 1, 2, 3],
-                order,
-            },
-        )
-        .unwrap();
+        // Spare capacity, so the unpopulated tail is compared too.
+        let capacity = records.len() as u64 + rng.gen_range(0u64..4);
+        let new_frag = |order| {
+            let spec =
+                htapg_core::FragmentSpec { first_row: 0, capacity, attrs: vec![0, 1, 2, 3], order };
+            htapg_core::Fragment::new(&s, spec).unwrap()
+        };
+        let (mut frag, mut appended) = (new_frag(order), new_frag(other));
         for rec in &records {
             frag.append(&s, rec).unwrap();
+            appended.append(&s, rec).unwrap();
         }
         let re = frag.relinearize(&s, other).unwrap();
         for i in 0..records.len() as u64 {
             assert_eq!(frag.read_tuplet(&s, i).unwrap(), re.read_tuplet(&s, i).unwrap());
         }
+        assert_same_fragments(&[re], &[appended]);
     });
 }
 

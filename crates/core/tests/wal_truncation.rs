@@ -54,7 +54,7 @@ fn assert_every_truncation(records: &[LogRecord], ctx: &str) {
     }
 }
 
-fn fixed_records() -> Vec<LogRecord> {
+fn fixed_records() -> Vec<LogRecord<'static>> {
     let schema = Schema::of(&[
         ("k", DataType::Int64),
         ("price", DataType::Float64),
@@ -71,7 +71,8 @@ fn fixed_records() -> Vec<LogRecord> {
                 Value::Float64(3.25),
                 Value::Bool(true),
                 Value::Text("tuple".into()),
-            ],
+            ]
+            .into(),
         },
         LogRecord::Update { rel: 0, row: 0, attr: 1, value: Value::Float64(-0.5), txn: 9 },
         LogRecord::Commit { txn: 9 },
@@ -104,7 +105,7 @@ fn random_value(rng: &mut Prng, ty: DataType) -> Value {
     }
 }
 
-fn random_records(rng: &mut Prng) -> Vec<LogRecord> {
+fn random_records(rng: &mut Prng) -> Vec<LogRecord<'static>> {
     let types = [DataType::Int64, DataType::Float64, DataType::Text(6), DataType::Bool];
     let arity = rng.gen_range(1usize..4);
     let attrs: Vec<(&str, DataType)> =
@@ -115,7 +116,7 @@ fn random_records(rng: &mut Prng) -> Vec<LogRecord> {
     for row in 0..n as u64 {
         let values: Vec<Value> =
             (0..arity).map(|a| random_value(rng, schema.attrs()[a].ty)).collect();
-        out.push(LogRecord::Insert { rel: 0, row, values });
+        out.push(LogRecord::Insert { rel: 0, row, values: values.into() });
         if rng.gen_bool(0.5) {
             let attr = rng.gen_range(0usize..arity) as u16;
             let value = random_value(rng, schema.attrs()[attr as usize].ty);

@@ -169,7 +169,7 @@ impl ReferenceEngine {
                     }
                 }
                 LogRecord::Insert { rel, row, values } => {
-                    let got = self.insert(rel, &values)?;
+                    let got = self.insert(rel, &values.into_owned())?;
                     if got != row {
                         return Err(Error::Internal(format!(
                             "recovery inserted row {got}, log says {row}"
@@ -373,25 +373,14 @@ impl ReferenceEngine {
     /// authoritative layout from the previously authoritative one so no
     /// region ever reads stale data.
     fn set_delegation(&self, r: &mut RefRelation, delegated: Vec<AttrId>) -> Result<()> {
-        let old = r.delegated.clone();
-        let schema = r.relation.schema().clone();
-        let rows = r.relation.row_count();
         // Newly delegated attrs: analytic layout takes over — copy current
-        // authoritative (primary) values in. Un-delegated attrs: primary
-        // takes back — copy analytic values out.
-        let moved_in: Vec<AttrId> =
-            delegated.iter().copied().filter(|a| !old.contains(a)).collect();
-        let moved_out: Vec<AttrId> =
-            old.iter().copied().filter(|a| !delegated.contains(a)).collect();
-        for row in 0..rows {
-            for &a in &moved_in {
-                let v = r.relation.layouts()[PRIMARY].read_value(&schema, row, a)?;
-                r.relation.layouts_mut()[ANALYTIC].write_value(&schema, row, a, &v)?;
-            }
-            for &a in &moved_out {
-                let v = r.relation.layouts()[ANALYTIC].read_value(&schema, row, a)?;
-                r.relation.layouts_mut()[PRIMARY].write_value(&schema, row, a, &v)?;
-            }
+        // authoritative (primary) fields in. Un-delegated attrs: primary
+        // takes back — copy analytic fields out.
+        for &a in delegated.iter().filter(|a| !r.delegated.contains(a)) {
+            r.relation.copy_column(a, PRIMARY, ANALYTIC)?;
+        }
+        for &a in r.delegated.iter().filter(|a| !delegated.contains(a)) {
+            r.relation.copy_column(a, ANALYTIC, PRIMARY)?;
         }
         r.delegated = delegated;
         // Install the new policy.
@@ -619,7 +608,7 @@ impl StorageEngine for ReferenceEngine {
             r.version += 1;
             Ok(row)
         })?;
-        self.log(&LogRecord::Insert { rel, row, values: record.clone() })?;
+        self.log(&LogRecord::Insert { rel, row, values: record.into() })?;
         Ok(row)
     }
 

@@ -399,19 +399,7 @@ impl StorageEngine for ShardedEngine {
     fn insert(&self, rel: RelationId, record: &Record) -> Result<RowId> {
         let mut rels = self.rels.write();
         let r = rels.get_mut(rel as usize).ok_or(Error::UnknownRelation(rel))?;
-        if record.len() != r.schema.arity() {
-            return Err(Error::Internal(format!(
-                "arity mismatch: {} values for {} attributes",
-                record.len(),
-                r.schema.arity()
-            )));
-        }
-        for (a, v) in record.iter().enumerate() {
-            let ty = r.schema.ty(a as AttrId)?;
-            if !v.matches(ty) {
-                return Err(Error::TypeMismatch { expected: ty.name(), got: v.type_name() });
-            }
-        }
+        r.schema.check_record(record)?;
         let row = r.rows;
         let f = self.sharding.fragment_of_row(row) as usize;
         if f == r.frags.len() {

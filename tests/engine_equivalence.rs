@@ -154,3 +154,40 @@ fn errors_are_uniform_across_engines() {
         assert!(engine.read_record(99, 0).is_err(), "{} bad relation", engine.name());
     }
 }
+
+/// An insert is all-or-nothing: a record whose text overflows its field is
+/// rejected before any storage changes, on every engine, so the relation
+/// keeps its row count and the next record lands intact in the next row.
+#[test]
+fn rejected_insert_leaves_every_engine_intact() {
+    use htapg::core::{Error, ShardingKind};
+    use htapg::exec::ShardedEngine;
+    let gen = Generator::new(5);
+    let mut engines = engines_under_test();
+    engines.push(Box::new(PlainEngine::row_store()));
+    engines.push(Box::new(PlainEngine::column_store()));
+    engines.push(Box::new(htapg::engines::EmulatedMultiEngine::new()));
+    engines.push(Box::new(ShardedEngine::new(ShardingKind::Hash, 2)));
+    for engine in engines {
+        let name = engine.name();
+        let rel = engine.create_relation(item_schema()).unwrap();
+        for i in 0..3 {
+            engine.insert(rel, &gen.item(i)).unwrap();
+        }
+        // Fields before and after the over-long one are valid.
+        let mut rejected = gen.item(3);
+        rejected[item_attr::I_NAME as usize] = Value::Text("x".repeat(7));
+        assert_eq!(
+            engine.insert(rel, &rejected),
+            Err(Error::TextTooLong { max: 6, got: 7 }),
+            "{name}: over-long text"
+        );
+        assert_eq!(engine.row_count(rel).unwrap(), 3, "{name}: row count after the rejection");
+        assert_eq!(engine.insert(rel, &gen.item(4)).unwrap(), 3, "{name}: next row id");
+        assert_eq!(engine.row_count(rel).unwrap(), 4, "{name}: row count");
+        assert_eq!(engine.read_record(rel, 3).unwrap(), gen.item(4), "{name}: next record");
+        for i in 0..3 {
+            assert_eq!(engine.read_record(rel, i).unwrap(), gen.item(i), "{name}: row {i}");
+        }
+    }
+}
