@@ -350,6 +350,15 @@ impl StorageEngine for Calibrated {
         self.inner.with_column_bytes(rel, attr, visit)
     }
 
+    fn with_aligned_blocks(
+        &self,
+        rel: RelationId,
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
+    ) -> Result<()> {
+        self.inner.with_aligned_blocks(rel, attrs, visit)
+    }
+
     fn materialize_rows(&self, rel: RelationId, rows: &[RowId]) -> Result<Vec<Record>> {
         self.inner.materialize_rows(rel, rows)
     }

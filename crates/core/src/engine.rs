@@ -98,6 +98,49 @@ pub trait StorageEngine: Send + Sync {
         Ok(false)
     }
 
+    /// Visit several columns at once, in row order, as row-aligned blocks:
+    /// each call of `visit` gets one block per attribute of `attrs`, in
+    /// that order, each holding the same rows as packed little-endian
+    /// fields. An engine that reads every block under one lock serves one
+    /// snapshot of all the columns. The default composes the one-column
+    /// reads ([`with_column_bytes`](StorageEngine::with_column_bytes),
+    /// else [`scan_column`](StorageEngine::scan_column)), each at its own
+    /// snapshot: it collects every column but the last whole, then streams
+    /// the last, and a relation that grew in between is an error.
+    fn with_aligned_blocks(
+        &self,
+        rel: RelationId,
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
+    ) -> Result<()> {
+        let Some((&last, head)) = attrs.split_last() else { return Ok(()) };
+        let schema = self.schema(rel)?;
+        let widths = attrs.iter().map(|&a| schema.width(a)).collect::<Result<Vec<_>>>()?;
+        let mut columns = Vec::with_capacity(head.len());
+        for &attr in head {
+            let mut column = Vec::new();
+            column_blocks(self, &schema, rel, attr, &mut |b| column.extend_from_slice(b))?;
+            columns.push(column);
+        }
+        let (mut rows, mut grew) = (0, false);
+        column_blocks(self, &schema, rel, last, &mut |block| {
+            let end = rows + block.len() / widths[head.len()];
+            grew |= columns.iter().zip(&widths).any(|(c, w)| c.len() < end * w);
+            if grew {
+                return;
+            }
+            let mut blocks: Vec<&[u8]> =
+                columns.iter().zip(&widths).map(|(c, w)| &c[rows * w..end * w]).collect();
+            blocks.push(block);
+            visit(&blocks);
+            rows = end;
+        })?;
+        if grew || columns.iter().zip(&widths).any(|(c, w)| c.len() != rows * w) {
+            return Err(Error::Internal("the relation grew between its column reads".into()));
+        }
+        Ok(())
+    }
+
     /// Materialize several rows in one call (the paper's "materialize 150
     /// customers" operation). The default is the per-row tuple loop;
     /// engines with contiguous NSM rows override it to serve a *sorted*
@@ -245,6 +288,44 @@ pub trait StorageEngine: Send + Sync {
     fn explain(&self, report: &obs::TraceReport) -> String {
         report.render(self.name())
     }
+}
+
+/// Rows per block of a column read through value visits.
+const VISIT_ROWS: usize = 2048;
+
+/// Visit `attr`'s fields in row order as packed little-endian blocks: the
+/// engine's own when it serves them, else value visits encoded a run of
+/// [`VISIT_ROWS`] at a time.
+fn column_blocks<E: StorageEngine + ?Sized>(
+    engine: &E,
+    schema: &Schema,
+    rel: RelationId,
+    attr: AttrId,
+    visit: &mut dyn FnMut(&[u8]),
+) -> Result<()> {
+    if engine.with_column_bytes(rel, attr, visit)? {
+        return Ok(());
+    }
+    let ty = schema.ty(attr)?;
+    let w = ty.width();
+    let (mut run, mut len, mut failed) = (vec![0; VISIT_ROWS * w], 0, None);
+    engine.scan_column(rel, attr, &mut |_, v| {
+        if let Err(e) = v.encode_into(ty, &mut run[len * w..(len + 1) * w]) {
+            failed.get_or_insert(e);
+        }
+        len += 1;
+        if len == VISIT_ROWS {
+            visit(&run);
+            len = 0;
+        }
+    })?;
+    if let Some(e) = failed {
+        return Err(e);
+    }
+    if len > 0 {
+        visit(&run[..len * w]);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -146,6 +146,26 @@ impl<'a> ColumnView<'a> {
             None
         }
     }
+
+    /// Append the view's fields to `out`, packed in row order: one copy
+    /// when contiguous, else one fixed-width move per field for the 4- and
+    /// 8-byte types.
+    pub fn gather_into(&self, out: &mut Vec<u8>) {
+        fn fields<const W: usize>(v: &ColumnView<'_>, out: &mut Vec<u8>) {
+            let at = out.len();
+            out.resize(at + v.rows as usize * W, 0);
+            let rows = v.data[v.offset..].chunks(v.stride);
+            for (dst, src) in out[at..].chunks_exact_mut(W).zip(rows) {
+                dst.copy_from_slice(&src[..W]);
+            }
+        }
+        match (self.contiguous_bytes(), self.width) {
+            (Some(bytes), _) => out.extend_from_slice(bytes),
+            (None, 4) => fields::<4>(self, out),
+            (None, 8) => fields::<8>(self, out),
+            (None, _) => (0..self.rows as usize).for_each(|i| out.extend_from_slice(self.field(i))),
+        }
+    }
 }
 
 /// A materialized fragment: spec + typed addressing + raw bytes.

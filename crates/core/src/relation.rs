@@ -18,6 +18,10 @@ use crate::scheme::{AccessHint, Scheme};
 use crate::types::Value;
 use htapg_taxonomy::FragmentLinearization;
 
+/// Rows per block a strided column is gathered in by
+/// [`Relation::with_aligned_blocks`].
+pub const GATHER_ROWS: u64 = 4096;
+
 /// A relation with one or more alternative layouts.
 #[derive(Debug, Clone)]
 pub struct Relation {
@@ -216,6 +220,102 @@ impl Relation {
             }
             Scheme::Delegation(_) => Ok(false),
         }
+    }
+
+    /// The layout a column scan of `attr` reads: the only one, the
+    /// column-structured replica, or the layout that owns every row of the
+    /// column under delegation (an error if the column is split).
+    fn scan_layout(&self, attr: AttrId) -> Result<usize> {
+        let policy = match &self.scheme {
+            Scheme::Single => return Ok(0),
+            Scheme::Replication => return Ok(self.pick_replica(AccessHint::AttributeCentric)),
+            Scheme::Delegation(policy) => policy,
+        };
+        let mut covering = policy.rules().iter().filter(|r| {
+            r.attrs.as_ref().is_none_or(|attrs| attrs.contains(&attr)) && r.row_from < self.rows
+        });
+        match covering.next() {
+            None => Ok(0),
+            Some(r) if r.row_from == 0 && r.row_to >= self.rows => Ok(r.layout),
+            Some(_) => Err(Error::InvalidLayout(format!("column {attr} is split across layouts"))),
+        }
+    }
+
+    /// Visit `attrs`' fields, all rows in row order, as row-aligned blocks
+    /// under this one borrow: each call of `visit` gets one block per
+    /// attribute, in order, holding the same rows as packed little-endian
+    /// fields. Each column is read from the layout a column scan reads.
+    /// `patches[i]`, when present, lists fields to encode over attribute
+    /// `i`'s stored ones, sorted by row, one per row. A contiguous column
+    /// is served in place, except that each [`GATHER_ROWS`]-aligned window
+    /// holding a patch is copied and patched; a strided one is gathered at
+    /// most [`GATHER_ROWS`] rows at a time, and patched there. Blocks are
+    /// cut where any column's fragment or window ends.
+    pub fn with_aligned_blocks(
+        &self,
+        attrs: &[AttrId],
+        patches: &[Vec<(RowId, Value)>],
+        visit: &mut dyn FnMut(&[&[u8]]),
+    ) -> Result<()> {
+        struct Column<'a> {
+            ty: crate::types::DataType,
+            views: Vec<crate::fragment::ColumnView<'a>>,
+            view: usize,
+            patches: &'a [(RowId, Value)],
+            buf: Vec<u8>,
+            in_place: Option<&'a [u8]>,
+        }
+        let mut columns = Vec::with_capacity(attrs.len());
+        for (i, &attr) in attrs.iter().enumerate() {
+            columns.push(Column {
+                ty: self.schema.ty(attr)?,
+                views: self.layouts[self.scan_layout(attr)?].column_views(attr)?,
+                view: 0,
+                patches: patches.get(i).map_or(&[], |p| p),
+                buf: Vec::new(),
+                in_place: None,
+            });
+        }
+        let mut at = 0;
+        while at < self.rows {
+            let mut end = self.rows;
+            for c in &mut columns {
+                while c.views.get(c.view).is_some_and(|v| v.first_row + v.rows <= at) {
+                    c.view += 1;
+                }
+                let v = c.views.get(c.view).ok_or(Error::UnknownRow(at))?;
+                end = end.min(v.first_row + v.rows);
+                match c.patches.first() {
+                    _ if !v.is_contiguous() => end = end.min(at + GATHER_ROWS),
+                    Some(&(row, _)) => {
+                        let window = row - row % GATHER_ROWS;
+                        end = end.min(if at < window { window } else { window + GATHER_ROWS });
+                    }
+                    None => {}
+                }
+            }
+            for c in &mut columns {
+                let v = &c.views[c.view];
+                let piece = v.slice_rows(at - v.first_row, end - v.first_row);
+                let patched = c.patches.first().is_some_and(|&(row, _)| row < end);
+                c.in_place = piece.contiguous_bytes().filter(|_| !patched);
+                if c.in_place.is_none() {
+                    c.buf.clear();
+                    piece.gather_into(&mut c.buf);
+                }
+                let w = c.ty.width();
+                while let Some((row, value)) = c.patches.first().filter(|(row, _)| *row < end) {
+                    let at = (row - at) as usize * w;
+                    value.encode_into(c.ty, &mut c.buf[at..at + w])?;
+                    c.patches = &c.patches[1..];
+                }
+            }
+            let blocks: Vec<&[u8]> = columns.iter().map(|c| c.in_place.unwrap_or(&c.buf)).collect();
+            visit(&blocks);
+            at = end;
+        }
+        debug_assert!(columns.iter().all(|c| c.patches.is_empty()), "a patch past the last row");
+        Ok(())
     }
 
     /// Copy `attr`'s fields from layout `from` into layout `to` as bytes:

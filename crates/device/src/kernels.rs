@@ -10,8 +10,6 @@
 //! bit-deterministic and independent of the launch geometry — the property
 //! tests rely on this.
 
-use std::ops::Range;
-
 use htapg_core::{DataType, Error, Result};
 
 use crate::memory::{BufferId, SimDevice};
@@ -108,6 +106,60 @@ pub fn f64_decoder(ty: DataType) -> Option<Decoder<f64>> {
     })
 }
 
+/// Decode packed keys compactly (see [`KeyDecoder::decode_low`]).
+pub type DecodeLow = fn(&[u8], &mut [u32], &mut [u32]) -> (i64, i64);
+
+/// The decoder of an integer key column type: `width` bytes a key, read
+/// as whole blocks of packed little-endian keys.
+#[derive(Clone, Copy)]
+pub struct KeyDecoder {
+    pub width: usize,
+    /// Decode every key into its `i64` value.
+    pub decode: fn(&[u8], &mut [i64]),
+    /// Decode every key compactly: its low 32 bits into `low`, and, for an
+    /// 8-byte key, its high 32 bits into `high` (empty for a 4-byte key,
+    /// whose low bits sign-extend to the key). Returns the keys' `(min,
+    /// max)`, `(i64::MAX, i64::MIN)` for none.
+    pub decode_low: DecodeLow,
+}
+
+/// The [`KeyDecoder`] of an integer key column type; `None` for every
+/// other type.
+pub fn key_decoder(ty: DataType) -> Option<KeyDecoder> {
+    Some(match ty {
+        DataType::Int64 => KeyDecoder {
+            width: 8,
+            decode: |b, out| decode_le(b, out, i64::from_le_bytes),
+            decode_low: |b, low, high| {
+                let (mut min, mut max) = (i64::MAX, i64::MIN);
+                for ((l, h), c) in low.iter_mut().zip(high).zip(b.chunks_exact(8)) {
+                    let k = i64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes"));
+                    (*l, *h) = (k as u32, (k >> 32) as u32);
+                    (min, max) = (min.min(k), max.max(k));
+                }
+                (min, max)
+            },
+        },
+        DataType::Int32 | DataType::Date => KeyDecoder {
+            width: 4,
+            decode: |b, out| decode_le(b, out, |x| i32::from_le_bytes(x).into()),
+            decode_low: |b, low, _| {
+                let (mut min, mut max) = (i32::MAX, i32::MIN);
+                for (l, c) in low.iter_mut().zip(b.chunks_exact(4)) {
+                    let k = i32::from_le_bytes(c.try_into().expect("chunks_exact yields 4 bytes"));
+                    *l = k as u32;
+                    (min, max) = (min.min(k), max.max(k));
+                }
+                if low.is_empty() {
+                    return (i64::MAX, i64::MIN);
+                }
+                (min.into(), max.into())
+            },
+        },
+        DataType::Float64 | DataType::Bool | DataType::Text(_) => return None,
+    })
+}
+
 /// The canonical segmented reduction, fed in row order: rows are cut into
 /// segments of `seg_len` ([`reduce_seg_len`] for the flat reduction, the
 /// fragment size for sharded ones), each segment reduces to its
@@ -200,15 +252,18 @@ impl<K: Fn(f64) -> bool + Copy> SegmentReducer<K> {
     pub fn push_f64s(&mut self, values: &[f64]) {
         let mut rest = values;
         while !rest.is_empty() {
+            if self.keep.is_none() && self.seg_rows == 0 && rest.len() >= self.seg_len {
+                let whole = rest.len() - rest.len() % self.seg_len;
+                let (run, tail) = rest.split_at(whole);
+                self.partials.extend(run.chunks_exact(self.seg_len).map(tree_sum));
+                self.total_rows += whole;
+                rest = tail;
+                continue;
+            }
             let rows = (self.seg_len - self.seg_rows).min(rest.len());
             let (run, tail) = rest.split_at(rows);
-            if self.keep.is_none() && rows == self.seg_len {
-                self.partials.push(tree_sum(run));
-                self.total_rows += rows;
-            } else {
-                self.slots(rows).copy_from_slice(run);
-                self.take(rows);
-            }
+            self.slots(rows).copy_from_slice(run);
+            self.take(rows);
             rest = tail;
         }
     }
@@ -523,46 +578,159 @@ pub struct GroupIds {
 }
 
 impl GroupIds {
-    /// The ids of `keys`, whose least and greatest are `min` and `max`.
-    pub fn new(keys: &[i64], (min, max): (i64, i64)) -> GroupIds {
-        if max.abs_diff(min) <= 2 * keys.len() as u64 {
+    /// The ids of `rows` keys whose least and greatest are `min` and
+    /// `max`. A span too wide for `k - min` ids ranks the keys `distinct`
+    /// lists (each key at least once, in any order).
+    pub fn new(rows: usize, (min, max): (i64, i64), distinct: impl FnOnce() -> Vec<i64>) -> Self {
+        if max.abs_diff(min) <= 2 * rows as u64 {
             return GroupIds { keys: (min..=max).collect(), ranked: false };
         }
-        let mut distinct = keys.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        GroupIds { keys: distinct, ranked: true }
+        let mut keys = distinct();
+        keys.sort_unstable();
+        keys.dedup();
+        GroupIds { keys, ranked: true }
     }
 
     /// The id of `k`, one of the keys the ids were made for.
     pub fn id(&self, k: i64) -> usize {
-        if self.ranked {
-            self.keys.binary_search(&k).expect("every key is ranked")
-        } else {
-            k.abs_diff(self.keys[0]) as usize
+        self.find(k).expect("every key the ids were made for has one")
+    }
+
+    /// The id of `k`, if it has one.
+    pub fn find(&self, k: i64) -> Option<usize> {
+        match self.ranked {
+            true => self.keys.binary_search(&k).ok(),
+            false => self.keys.first().and_then(|&min| {
+                let id = k.checked_sub(min)?;
+                (0..self.keys.len() as i64).contains(&id).then_some(id as usize)
+            }),
         }
     }
 }
 
-/// A stable counting sort of rows by their keys' [`GroupIds`]: `place(row,
-/// slot)` runs once per row, in row order, with the row's slot in group
-/// order (groups in key order, each group's rows in row order). Returns
-/// every non-empty group's key and run of slots, ordered by key.
-fn sort_by_group(keys: &[i64], mut place: impl FnMut(usize, usize)) -> Vec<(i64, Range<usize>)> {
-    let range = keys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
-    let groups = GroupIds::new(keys, range);
-    let ids: Vec<usize> = keys.iter().map(|&k| groups.id(k)).collect();
-    // `start[g]..start[g + 1]` is group g's run of slots.
-    let mut start = vec![0; groups.keys.len() + 1];
-    ids.iter().for_each(|&g| start[g + 1] += 1);
-    (1..start.len()).for_each(|g| start[g] += start[g - 1]);
-    let mut next = start.clone();
-    for (row, &g) in ids.iter().enumerate() {
-        place(row, next[g]);
-        next[g] += 1;
+/// A stable counting sort of rows by group, the one grouping of every
+/// group-sum: the rows' [`GroupIds`], and their values in plain `f64`
+/// slots, each group's run in row order and the runs in key order. A
+/// group-sum over many rows sorts them a chunk at a time; a key's values
+/// are then its runs in the chunks, taken in chunk order.
+pub struct GroupSort {
+    ids: GroupIds,
+    /// Id `i`'s run is `slots[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<usize>,
+    slots: Vec<f64>,
+}
+
+impl GroupSort {
+    /// Sort `values` by their rows' ids among `ids`, row `i`'s id being
+    /// `row_ids[i] - base` (wrapping, so the low 32 bits of dense keys
+    /// serve with the least key's as `base`), into `slots`, a buffer of at
+    /// least as many values (the caller's, so a sort on a pool thread
+    /// allocates no big buffer there): count the rows per id, turn the
+    /// counts into every id's first slot, scatter. Both passes keep a
+    /// store to an id's counter from stalling the next row's load of it:
+    /// the count spreads rows over four counter arrays, and the scatter
+    /// loads the slots of two rows before storing either.
+    pub fn new(
+        ids: GroupIds,
+        row_ids: &[u32],
+        base: u32,
+        values: &[f64],
+        mut slots: Vec<f64>,
+    ) -> GroupSort {
+        assert_eq!(row_ids.len(), values.len(), "one id per value");
+        slots.truncate(values.len());
+        assert_eq!(slots.len(), values.len(), "one slot per value");
+        let id = |r: u32| r.wrapping_sub(base) as usize;
+        let n = ids.keys.len();
+        let mut counts = vec![0u32; 4 * n];
+        let (a, rest) = counts.split_at_mut(n);
+        let (b, rest) = rest.split_at_mut(n);
+        let (c, d) = rest.split_at_mut(n);
+        let mut quads = row_ids.chunks_exact(4);
+        for q in &mut quads {
+            a[id(q[0])] += 1;
+            b[id(q[1])] += 1;
+            c[id(q[2])] += 1;
+            d[id(q[3])] += 1;
+        }
+        quads.remainder().iter().for_each(|&r| a[id(r)] += 1);
+        let mut bounds = Vec::with_capacity(n + 1);
+        bounds.push(0);
+        for i in 0..n {
+            let rows = (a[i] + b[i] + c[i] + d[i]) as usize;
+            bounds.push(bounds[i] + rows);
+        }
+        let mut next = bounds.clone();
+        let mut pairs = row_ids.chunks_exact(2).zip(values.chunks_exact(2));
+        for (r, v) in &mut pairs {
+            let (i, j) = (id(r[0]), id(r[1]));
+            // Two rows of one id take consecutive slots.
+            let (si, sj) = (next[i], next[j] + (i == j) as usize);
+            (slots[si], slots[sj]) = (v[0], v[1]);
+            (next[i], next[j]) = (si + 1, sj + 1);
+        }
+        if let (Some(&r), Some(&v)) = (row_ids.last(), values.last()) {
+            if row_ids.len() % 2 == 1 {
+                slots[next[id(r)]] = v;
+            }
+        }
+        GroupSort { ids, bounds, slots }
     }
-    let runs = start.windows(2).map(|run| run[0]..run[1]).zip(groups.keys);
-    runs.filter(|(run, _)| !run.is_empty()).map(|(run, key)| (key, run)).collect()
+
+    /// Sort `values` by `keys`, one key per value.
+    pub fn of(keys: &[i64], values: &[f64]) -> GroupSort {
+        let range = keys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        let ids = GroupIds::new(keys.len(), range, || keys.to_vec());
+        let row_ids: Vec<u32> = keys.iter().map(|&k| ids.id(k) as u32).collect();
+        GroupSort::new(ids, &row_ids, 0, values, vec![0.0; values.len()])
+    }
+
+    /// The values of `key` in row order (empty for a key with no row).
+    pub fn run(&self, key: i64) -> &[f64] {
+        self.ids.find(key).map_or(&[], |id| &self.slots[self.bounds[id]..self.bounds[id + 1]])
+    }
+
+    /// Every key with rows, and its values in row order, by key.
+    pub fn runs(&self) -> impl Iterator<Item = (i64, &[f64])> + '_ {
+        let runs = self.bounds.windows(2).map(|b| &self.slots[b[0]..b[1]]);
+        self.ids.keys.iter().copied().zip(runs).filter(|(_, run)| !run.is_empty())
+    }
+
+    /// The least and greatest key (`(i64::MAX, i64::MIN)` for no rows):
+    /// ids run from one to the other.
+    pub fn range(&self) -> (i64, i64) {
+        match (self.ids.keys.first(), self.ids.keys.last()) {
+            (Some(&min), Some(&max)) => (min, max),
+            _ => (i64::MAX, i64::MIN),
+        }
+    }
+
+    /// Number of rows sorted.
+    pub fn rows(&self) -> usize {
+        self.slots.len()
+    }
+}
+
+/// The canonical reduction of one group's values, given in row order as
+/// `runs`: segments of [`reduce_seg_len`] of its rows, each tree-summed,
+/// then the tree of those partials. Up to [`REDUCE_GRID`] rows a segment
+/// holds one row, so the partials are the values themselves and the
+/// reduction is their [`tree_sum`], read through `buf` when the group
+/// spans runs.
+pub fn canonical_runs_sum(runs: &[&[f64]], buf: &mut Vec<f64>) -> f64 {
+    let rows = runs.iter().map(|run| run.len()).sum();
+    let seg_len = reduce_seg_len(rows);
+    if seg_len > 1 {
+        let mut r = SegmentReducer::new(seg_len);
+        runs.iter().for_each(|run| r.push_f64s(run));
+        return r.finish();
+    }
+    if let [run] = runs {
+        return tree_sum(run);
+    }
+    buf.clear();
+    runs.iter().for_each(|run| buf.extend_from_slice(run));
+    tree_sum(buf)
 }
 
 /// Group `values` by `keys` (one per value) and tree-sum each group's
@@ -571,13 +739,11 @@ fn sort_by_group(keys: &[i64], mut place: impl FnMut(usize, usize)) -> Vec<(i64,
 /// partials in global fragment order.
 pub fn group_tree_sums(keys: &[i64], values: &[f64]) -> Vec<(i64, f64)> {
     assert_eq!(keys.len(), values.len(), "one key per value");
-    let mut grouped = vec![0.0; values.len()];
-    let runs = sort_by_group(keys, |row, slot| grouped[slot] = values[row]);
-    runs.into_iter().map(|(key, run)| (key, tree_sum(&grouped[run]))).collect()
+    GroupSort::of(keys, values).runs().map(|(k, run)| (k, tree_sum(run))).collect()
 }
 
 /// Group-sum of a device-resident packed `f64` column by `keys`, the
-/// (host-resident) integer key of every row. The [`GroupIds`] counting
+/// (host-resident) integer key of every row. The [`GroupSort`] counting
 /// sort gathers each group's values into a contiguous run, in row order,
 /// of a device scratch buffer the size of the column (an allocation
 /// failure is the caller's to degrade on). Each run then reduces
@@ -594,16 +760,21 @@ pub fn group_sum_f64(device: &SimDevice, buf: BufferId, keys: &[i64]) -> Result<
         return Err(Error::Internal(format!("{} keys for a {n}-row value column", keys.len())));
     }
     let gathered = device.alloc(n * 8)?;
+    let sort = GroupSort::of(keys, &values);
     let partials = device.with_buffer_mut(gathered, |bytes| {
-        let runs = sort_by_group(keys, |row, slot| {
-            bytes[slot * 8..][..8].copy_from_slice(&values[row].to_le_bytes())
-        });
-        let partials = runs.into_iter().map(|(key, run)| {
+        let mut at = 0;
+        let runs = sort.runs().map(|(key, run)| {
+            let group = &mut bytes[at * 8..(at + run.len()) * 8];
+            at += run.len();
+            group
+                .chunks_exact_mut(8)
+                .zip(run)
+                .for_each(|(b, v)| b.copy_from_slice(&v.to_le_bytes()));
             let mut reducer = SegmentReducer::new(reduce_seg_len(run.len()));
-            reducer.push_bytes(&bytes[run.start * 8..run.end * 8], F64_LE);
+            reducer.push_bytes(group, F64_LE);
             (key, reducer.partials())
         });
-        partials.collect::<Vec<_>>()
+        runs.collect::<Vec<_>>()
     });
     device.free(gathered)?;
     let partials = partials?;

@@ -95,17 +95,27 @@ pub(crate) fn device_group_sum(
 }
 
 /// The integer group key of every row, in row order, read through the
-/// engine's own column scan: a typed error for a non-integer key column.
+/// engine's own column read: its blocks decoded by the key column's
+/// [`kernels::key_decoder`], else its value visits. A non-integer key
+/// column is the host's typed error.
 pub(crate) fn scan_keys(
     engine: &dyn StorageEngine,
     rel: RelationId,
     key_attr: AttrId,
 ) -> Result<Vec<i64>> {
-    engine.schema(rel)?.key_ty(key_attr)?;
+    let ty = engine.schema(rel)?.key_ty(key_attr)?;
+    let dec = kernels::key_decoder(ty).expect("key_ty admits integer types only");
     let mut keys = Vec::with_capacity(engine.row_count(rel)? as usize);
-    engine.scan_column(rel, key_attr, &mut |_, v| {
-        keys.push(v.as_i64().expect("key type checked integer above"));
+    let served = engine.with_column_bytes(rel, key_attr, &mut |block| {
+        let at = keys.len();
+        keys.resize(at + block.len() / dec.width, 0);
+        (dec.decode)(block, &mut keys[at..]);
     })?;
+    if !served {
+        engine.scan_column(rel, key_attr, &mut |_, v| {
+            keys.push(v.as_i64().expect("key type checked integer above"));
+        })?;
+    }
     Ok(keys)
 }
 

@@ -160,6 +160,18 @@ impl StorageEngine for H2oEngine {
         })
     }
 
+    fn with_aligned_blocks(
+        &self,
+        rel: RelationId,
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
+    ) -> Result<()> {
+        self.rels.read(rel, |r| {
+            attrs.iter().for_each(|&attr| r.stats.record_scan(attr));
+            r.relation.with_aligned_blocks(attrs, &[], visit)
+        })
+    }
+
     fn row_count(&self, rel: RelationId) -> Result<u64> {
         self.rels.read(rel, |r| Ok(r.relation.row_count()))
     }

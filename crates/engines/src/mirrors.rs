@@ -11,6 +11,7 @@
 //! across a [`DiskArray`] so the mirrored copies of a page never share a
 //! spindle.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use htapg_core::engine::{MaintenanceReport, StorageEngine};
@@ -19,7 +20,7 @@ use htapg_core::{
     AccessHint, AttrId, LayoutTemplate, Record, Relation, RelationId, Result, RowId, Schema,
     Scheme, Value,
 };
-use htapg_device::disk::{DiskArray, DiskSpec};
+use htapg_device::disk::{DiskArray, DiskSpec, PageId};
 use htapg_device::FaultPlan;
 use htapg_taxonomy::{survey, Classification};
 
@@ -73,25 +74,32 @@ impl MirrorsEngine {
         self.rels.read(rel, |r| Ok(r.persisted_pages))
     }
 
-    /// Read one persisted page image back, preferring the stripe-0 copy and
-    /// degrading to the stripe-1 mirror when the first spindle faults — the
-    /// availability payoff of keeping "a copy of the relation" on each disk.
-    /// Transient faults are retried per spindle (backoff charged to that
-    /// disk's ledger) before falling over.
+    /// The disk key of a relation's persisted page.
+    pub fn page_key(rel: RelationId, page: u64) -> PageId {
+        ((rel as u64) << 40) | page
+    }
+
+    /// Read one persisted page back as the NSM tuplets of its rows,
+    /// preferring the stripe-0 copy (the row mirror's tuplets) and
+    /// degrading to the stripe-1 mirror (the column mirror's runs, turned
+    /// back into tuplets) when the first spindle faults — the availability
+    /// payoff of keeping "a copy of the relation" on each disk. Transient
+    /// faults are retried per spindle (backoff charged to that disk's
+    /// ledger) before falling over.
     pub fn read_persisted_page(&self, rel: RelationId, page: u64) -> Result<Vec<u8>> {
-        let key = ((rel as u64) << 40) | page;
+        let key = Self::page_key(rel, page);
         // Every page image of a relation has the same footprint; a shorter
         // image is a torn leftover of a failed write and must not be served.
-        let expect = self.rels.read(rel, |r| {
-            let page_bytes = self.array.disk(0).spec().page_bytes;
-            let footprint = (r.relation.schema().tuple_width() as u64 * r.rows_per_page) as usize;
-            Ok(footprint.min(page_bytes))
-        })?;
+        let (schema, expect) =
+            self.rels.read(rel, |r| Ok((r.relation.schema().clone(), self.page_footprint(r))))?;
         let policy = RetryPolicy::default();
         let mut last_err = None;
         for stripe in 0..2u32 {
             let disk = self.array.place(stripe, page);
             match with_retry(&policy, disk.ledger(), || disk.read_page(key)) {
+                Ok(image) if image.len() == expect && stripe == 1 => {
+                    return Ok(tuplets_from_runs(&schema, &image));
+                }
                 Ok(image) if image.len() == expect => return Ok(image),
                 Ok(torn) => {
                     last_err = Some(htapg_core::Error::Internal(format!(
@@ -117,16 +125,18 @@ impl MirrorsEngine {
         let policy = RetryPolicy::default();
         while r.persisted_pages < complete {
             let page = r.persisted_pages;
-            let key = ((r.rel as u64) << 40) | page;
-            // Persist each mirror's byte footprint for this row range; the
-            // striping (what Fractured Mirrors is about) keeps the two
-            // copies on different spindles.
-            let page_bytes = self.array.disk(0).spec().page_bytes;
-            let footprint = (r.relation.schema().tuple_width() as u64 * r.rows_per_page) as usize;
-            let image = vec![0u8; footprint.min(page_bytes)];
+            let key = Self::page_key(r.rel, page);
+            // Persist each mirror's own bytes for this row range: the row
+            // mirror's tuplets on stripe 0, the column mirror's runs on
+            // stripe 1. The striping (what Fractured Mirrors is about)
+            // keeps the two copies on different spindles.
+            let rows = page * r.rows_per_page..(page + 1) * r.rows_per_page;
+            let footprint = self.page_footprint(r);
             let mut survivors = 0;
             let mut last_err = None;
             for stripe in 0..2u32 {
+                let mut image = page_image(&r.relation, stripe as usize, rows.clone())?;
+                image.truncate(footprint);
                 let disk = self.array.place(stripe, page);
                 match with_retry(&policy, disk.ledger(), || disk.write_page(key, &image)) {
                     Ok(()) => survivors += 1,
@@ -141,6 +151,64 @@ impl MirrorsEngine {
         }
         Ok(())
     }
+}
+
+impl MirrorsEngine {
+    /// Bytes of every persisted page image of a relation.
+    fn page_footprint(&self, r: &MirroredRelation) -> usize {
+        let page_bytes = self.array.disk(0).spec().page_bytes;
+        let footprint = (r.relation.schema().tuple_width() as u64 * r.rows_per_page) as usize;
+        footprint.min(page_bytes)
+    }
+}
+
+/// The image of `rows` in mirror `layout`'s own byte order: NSM tuplets
+/// for the row mirror (layout 0), one run of fields per column, in schema
+/// order, for the column mirror (layout 1). Both are copied a fragment's
+/// run at a time: the row mirror stores whole tuplets in schema order, so
+/// its first field's view spans them, and the column mirror stores every
+/// column contiguously.
+fn page_image(relation: &Relation, layout: usize, rows: Range<RowId>) -> Result<Vec<u8>> {
+    let schema = relation.schema();
+    let (tw, n) = (schema.tuple_width(), (rows.end - rows.start) as usize);
+    let mut image = vec![0u8; tw * n];
+    let attrs = if layout == 0 { 0..1 } else { 0..schema.arity() as AttrId };
+    let mut at = 0;
+    for attr in attrs {
+        let w = schema.width(attr)?;
+        for view in relation.layouts()[layout].column_views(attr)? {
+            let (lo, hi) =
+                (rows.start.max(view.first_row), rows.end.min(view.first_row + view.rows));
+            if lo >= hi {
+                continue;
+            }
+            let piece = view.slice_rows(lo - view.first_row, hi - view.first_row);
+            let (first, len) = ((lo - rows.start) as usize, piece.rows as usize);
+            let (dst, run) = match layout {
+                0 => (first * tw, &piece.data[piece.offset..][..len * tw]),
+                _ => (at * n + first * w, piece.contiguous_bytes().expect("contiguous columns")),
+            };
+            image[dst..dst + run.len()].copy_from_slice(run);
+        }
+        at += w;
+    }
+    Ok(image)
+}
+
+/// The NSM tuplets of a column mirror's page image (see [`page_image`]).
+fn tuplets_from_runs(schema: &Schema, runs: &[u8]) -> Vec<u8> {
+    let tw = schema.tuple_width();
+    let n = runs.len() / tw;
+    let mut tuplets = vec![0u8; runs.len()];
+    let mut at = 0;
+    for attr in schema.attr_ids() {
+        let w = schema.width(attr).expect("schema attributes have widths");
+        for (i, field) in runs[at * n..(at + w) * n].chunks_exact(w).enumerate() {
+            tuplets[i * tw + at..i * tw + at + w].copy_from_slice(field);
+        }
+        at += w;
+    }
+    tuplets
 }
 
 impl StorageEngine for MirrorsEngine {
@@ -213,6 +281,16 @@ impl StorageEngine for MirrorsEngine {
         visit: &mut dyn FnMut(&[u8]),
     ) -> Result<bool> {
         self.rels.read(rel, |r| r.relation.with_column_bytes(attr, visit))
+    }
+
+    /// Several columns from the DSM mirror under one registry read.
+    fn with_aligned_blocks(
+        &self,
+        rel: RelationId,
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
+    ) -> Result<()> {
+        self.rels.read(rel, |r| r.relation.with_aligned_blocks(attrs, &[], visit))
     }
 
     fn row_count(&self, rel: RelationId) -> Result<u64> {
@@ -299,6 +377,47 @@ mod tests {
         assert!(total_pages >= 8, "two mirrors of ≥4 pages: got {total_pages}");
         for d in 0..4 {
             assert!(e.array().disk(d).page_count() > 0, "disk {d} empty");
+        }
+    }
+
+    #[test]
+    fn persisted_pages_decode_to_the_records_from_either_mirror() {
+        let spec = DiskSpec { page_bytes: 128, ..DiskSpec::default() };
+        let e = MirrorsEngine::with_disks(4, spec);
+        let rel = e.create_relation(schema()).unwrap();
+        for i in 0..40 {
+            e.insert(rel, &rec(i * 37 - 500)).unwrap();
+        }
+        let s = schema();
+        let (tw, per_page) = (s.tuple_width(), 128 / s.tuple_width());
+        let check = |image: &[u8], page: u64| {
+            assert_eq!(image.len(), tw * per_page);
+            for (i, tuplet) in image.chunks_exact(tw).enumerate() {
+                let mut at = 0;
+                let got: Record = s
+                    .attr_ids()
+                    .map(|a| {
+                        let ty = s.ty(a).unwrap();
+                        at += ty.width();
+                        Value::decode(ty, &tuplet[at - ty.width()..at])
+                    })
+                    .collect();
+                let row = page * per_page as u64 + i as u64;
+                assert_eq!(got, e.read_record(rel, row).unwrap(), "page {page} row {row}");
+            }
+        };
+        let pages = e.persisted_pages(rel).unwrap();
+        assert!(pages >= 4, "{pages} pages");
+        for page in 0..pages {
+            let key = MirrorsEngine::page_key(rel, page);
+            let tuplets = e.read_persisted_page(rel, page).unwrap();
+            check(&tuplets, page);
+            // The column mirror's copy holds the same rows as runs.
+            let runs = e.array().place(1, page).read_page(key).unwrap();
+            assert_ne!(runs, tuplets, "page {page}: stripe 1 holds tuplets");
+            // Stripe 0's copy torn: the column mirror serves the page.
+            e.array().place(0, page).write_page(key, &tuplets[..1]).unwrap();
+            check(&e.read_persisted_page(rel, page).unwrap(), page);
         }
     }
 

@@ -150,6 +150,15 @@ impl StorageEngine for PlainEngine {
         self.rels.read(rel, |r| r.with_column_bytes(attr, visit))
     }
 
+    fn with_aligned_blocks(
+        &self,
+        rel: RelationId,
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
+    ) -> Result<()> {
+        self.rels.read(rel, |r| r.with_aligned_blocks(attrs, &[], visit))
+    }
+
     fn row_count(&self, rel: RelationId) -> Result<u64> {
         self.rels.read(rel, |r| Ok(r.row_count()))
     }

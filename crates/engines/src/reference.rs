@@ -306,7 +306,7 @@ impl ReferenceEngine {
             r.stats.record_scan(attr);
             let ty = r.relation.schema().ty(attr)?;
             let mut row = 0;
-            r.snapshot_blocks(attr, ts, &mut |block| {
+            r.column_blocks(attr, ts, &mut |block| {
                 for field in block.chunks_exact(ty.width()) {
                     visit(row, &Value::decode(ty, field));
                     row += 1;
@@ -327,7 +327,7 @@ impl ReferenceEngine {
             r.stats.record_scan(attr);
             let rows = r.relation.row_count() as usize;
             let mut reducer = kernels::SegmentReducer::new(kernels::reduce_seg_len(rows));
-            r.snapshot_blocks(attr, ts, &mut |block| reducer.push_bytes(block, dec))?;
+            r.column_blocks(attr, ts, &mut |block| reducer.push_bytes(block, dec))?;
             Ok(reducer.finish())
         })
     }
@@ -448,70 +448,42 @@ impl ReferenceEngine {
     }
 }
 
-/// Rows per piece a strided column is gathered in: one primary chunk.
-const GATHER_ROWS: u64 = DEFAULT_CHUNK_ROWS;
-
 impl RefRelation {
-    /// The column `attr` as of `ts`, in row order, as blocks of fixed-width
-    /// little-endian fields: the authoritative layout's bytes with every
-    /// overlay version visible at `ts` encoded over its row. The overlay
-    /// is resolved once, under one read of the version map; contiguous
-    /// columns are emitted in place around the patched rows, strided ones
-    /// gathered a chunk at a time into one reused buffer. Under the
-    /// caller's registry read the blocks hold exactly the bits of per-row
-    /// [`MvStore::get_as_of`] reads (DESIGN.md §12).
+    /// The columns `attrs` as of `ts`, in row order, as row-aligned blocks
+    /// of fixed-width little-endian fields (one per attribute, in order):
+    /// the authoritative layouts' bytes with every overlay version visible
+    /// at `ts` encoded over its row. The overlay is resolved once, under
+    /// one read of the version map, for every column; one walk over the
+    /// rows ([`Relation::with_aligned_blocks`]) then emits contiguous
+    /// columns in place around the patched rows and gathers strided ones a
+    /// chunk at a time, cutting blocks where either layout's chunks end.
+    /// Under the caller's registry read the blocks hold exactly the bits of
+    /// per-row [`MvStore::get_as_of`] reads (DESIGN.md §12).
     fn snapshot_blocks(
+        &self,
+        attrs: &[AttrId],
+        ts: Timestamp,
+        visit: &mut dyn FnMut(&[&[u8]]),
+    ) -> Result<()> {
+        let mut versions = vec![Vec::new(); attrs.len()];
+        self.overlay.for_each_as_of(ts, &mut |&(row, a), v| {
+            for (i, _) in attrs.iter().enumerate().filter(|&(_, &attr)| attr == a) {
+                versions[i].push((row, v.clone()));
+            }
+        });
+        versions.iter_mut().for_each(|v| v.sort_unstable_by_key(|&(row, _)| row));
+        self.relation.with_aligned_blocks(attrs, &versions, visit)
+    }
+
+    /// The column `attr` as of `ts`, as blocks (see
+    /// [`snapshot_blocks`](Self::snapshot_blocks)).
+    fn column_blocks(
         &self,
         attr: AttrId,
         ts: Timestamp,
         visit: &mut dyn FnMut(&[u8]),
     ) -> Result<()> {
-        let ty = self.relation.schema().ty(attr)?;
-        let w = ty.width();
-        let mut versions = Vec::new();
-        self.overlay.for_each_as_of(ts, &mut |&(row, a), v| {
-            if a == attr {
-                versions.push((row, v.clone()));
-            }
-        });
-        versions.sort_unstable_by_key(|&(row, _)| row);
-        let mut versions = versions.into_iter().peekable();
-        let (mut field, mut buf) = (vec![0; w], Vec::new());
-        let layout = if self.delegated.contains(&attr) { ANALYTIC } else { PRIMARY };
-        for view in self.relation.layouts()[layout].column_views(attr)? {
-            let end = view.first_row + view.rows;
-            if let Some(block) = view.contiguous_bytes() {
-                let mut from = 0;
-                while let Some((row, v)) = versions.next_if(|&(row, _)| row < end) {
-                    let at = (row - view.first_row) as usize * w;
-                    if from < at {
-                        visit(&block[from..at]);
-                    }
-                    v.encode_into(ty, &mut field)?;
-                    visit(&field);
-                    from = at + w;
-                }
-                if from < block.len() {
-                    visit(&block[from..]);
-                }
-                continue;
-            }
-            for lo in (0..view.rows).step_by(GATHER_ROWS as usize) {
-                let piece = view.slice_rows(lo, (lo + GATHER_ROWS).min(view.rows));
-                buf.clear();
-                for i in 0..piece.rows as usize {
-                    buf.extend_from_slice(piece.field(i));
-                }
-                let end = piece.first_row + piece.rows;
-                while let Some((row, v)) = versions.next_if(|&(row, _)| row < end) {
-                    let at = (row - piece.first_row) as usize * w;
-                    v.encode_into(ty, &mut buf[at..at + w])?;
-                }
-                visit(&buf);
-            }
-        }
-        debug_assert!(versions.next().is_none(), "an overlay version past the last row");
-        Ok(())
+        self.snapshot_blocks(&[attr], ts, &mut |blocks| visit(blocks[0]))
     }
 
     /// The column `attr` as of `ts` packed to little-endian `f64`, the
@@ -522,7 +494,7 @@ impl RefRelation {
             .ok_or(Error::TypeMismatch { expected: "numeric", got: ty.name() })?;
         let mut out = Vec::with_capacity(self.relation.row_count() as usize * 8);
         let mut x = [0.0];
-        self.snapshot_blocks(attr, ts, &mut |block| {
+        self.column_blocks(attr, ts, &mut |block| {
             for field in block.chunks_exact(dec.width) {
                 (dec.decode)(field, &mut x);
                 out.extend_from_slice(&x[0].to_le_bytes());
@@ -675,19 +647,31 @@ impl StorageEngine for ReferenceEngine {
         self.scan_column_as_of(rel, attr, self.mgr.now(), visit)
     }
 
-    /// Every column as blocks of the current snapshot (see
-    /// `RefRelation::snapshot_blocks`): unmerged versions are patched in,
-    /// strided columns gathered.
+    /// Every column as blocks of the current snapshot: the one-attribute
+    /// [`with_aligned_blocks`](StorageEngine::with_aligned_blocks).
     fn with_column_bytes(
         &self,
         rel: RelationId,
         attr: AttrId,
         visit: &mut dyn FnMut(&[u8]),
     ) -> Result<bool> {
+        self.with_aligned_blocks(rel, &[attr], &mut |blocks| visit(blocks[0]))?;
+        Ok(true)
+    }
+
+    /// Several columns as row-aligned blocks of one snapshot (see
+    /// `RefRelation::snapshot_blocks`), under one registry read: a commit
+    /// lands wholly before or wholly after the read. Unmerged versions are
+    /// patched in, strided columns gathered.
+    fn with_aligned_blocks(
+        &self,
+        rel: RelationId,
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
+    ) -> Result<()> {
         self.rels.read(rel, |r| {
-            r.stats.record_scan(attr);
-            r.snapshot_blocks(attr, self.mgr.now(), visit)?;
-            Ok(true)
+            attrs.iter().for_each(|&attr| r.stats.record_scan(attr));
+            r.snapshot_blocks(attrs, self.mgr.now(), visit)
         })
     }
 

@@ -23,10 +23,10 @@ use htapg_core::engine::StorageEngine;
 use htapg_core::plan::{
     LogicalPlan, PhysicalNode, PhysicalOp, PhysicalPlan, Predicate, Route, ScanStrategy,
 };
-use htapg_core::{obs, AttrId, DataType, Error, Record, RelationId, Result, Value};
-use htapg_device::kernels::{self, Decoder, SegmentReducer};
+use htapg_core::sync::Mutex;
+use htapg_core::{obs, AttrId, Error, Record, RelationId, Result, Value};
+use htapg_device::kernels::{self, Decoder, KeyDecoder, SegmentReducer};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::pool::MORSEL_ROWS;
 use crate::threading::{run_each, ThreadingPolicy};
@@ -103,6 +103,10 @@ fn reducer(
 /// Rows per pool morsel.
 const MORSEL: usize = MORSEL_ROWS as usize;
 
+/// Rows of a block that a host group-sum sorts as a chunk of its own: one
+/// window a relation gathers or patches at a time, whose sort stays in L1.
+const MIN_CHUNK: usize = htapg_core::relation::GATHER_ROWS as usize;
+
 /// The policy of a pass over one block of `rows` rows: `policy` once the
 /// block holds a morsel for the caller and one for a pool worker, else
 /// `Single` — a broadcast would wake workers to share a few hundred rows.
@@ -132,11 +136,11 @@ fn cuts(lo: usize, hi: usize, unit: usize) -> impl Iterator<Item = (usize, usize
 /// cuts depend on the row index alone and one thread reduces each segment,
 /// so the partials — and the bits — are the serial pass's, which every
 /// other block takes straight into `r`.
-fn push_block<K>(r: &mut SegmentReducer<K>, block: Block<'_, f64>, policy: ThreadingPolicy)
+fn push_block<K>(r: &mut SegmentReducer<K>, block: Block<'_>, policy: ThreadingPolicy)
 where
     K: Fn(f64) -> bool + Copy + Send + Sync,
 {
-    fn feed<K: Fn(f64) -> bool + Copy>(r: &mut SegmentReducer<K>, block: Block<'_, f64>) {
+    fn feed<K: Fn(f64) -> bool + Copy>(r: &mut SegmentReducer<K>, block: Block<'_>) {
         match block {
             Block::Bytes(bytes, dec) => r.push_bytes(bytes, dec),
             Block::Values(values) => r.push_f64s(values),
@@ -186,7 +190,7 @@ fn reduce_column(
     let dec = numeric_decoder(engine, rel, attr)?;
     let rows = engine.row_count(rel)? as usize;
     let mut r = reducer(seg_len.unwrap_or_else(|| kernels::reduce_seg_len(rows)), pred);
-    for_each_block(engine, rel, attr, strategy, dec, value_f64, |b| push_block(&mut r, b, policy))?;
+    for_each_block(engine, rel, attr, strategy, dec, |b| push_block(&mut r, b, policy))?;
     if seg_len.is_some() || r.rows() == rows {
         return Ok(r.finish());
     }
@@ -206,38 +210,19 @@ fn numeric_decoder(
     kernels::f64_decoder(ty).ok_or(Error::NonNumericAggregate { attr, got: ty.name() })
 }
 
-/// The `i64` block decoder of an integer key column; a typed error
-/// otherwise.
-fn key_decoder(engine: &dyn StorageEngine, rel: RelationId, attr: AttrId) -> Result<Decoder<i64>> {
-    Ok(match engine.schema(rel)?.key_ty(attr)? {
-        DataType::Int64 => {
-            Decoder { width: 8, decode: |b, out| kernels::decode_le(b, out, i64::from_le_bytes) }
-        }
-        DataType::Int32 | DataType::Date => Decoder {
-            width: 4,
-            decode: |b, out| kernels::decode_le(b, out, |x| i32::from_le_bytes(x).into()),
-        },
-        ty => unreachable!("key_ty admits integer types only, not {ty:?}"),
-    })
-}
-
-fn value_f64(v: &Value) -> f64 {
-    v.as_f64().expect("column type checked numeric above")
-}
-
 /// Values per run of [`Block::for_each_run`]: a run's decode and its
 /// consumer both stay in L1.
 const RUN: usize = 2048;
 
-/// One block of a column, its rows in order: packed little-endian bytes
-/// with their decoder, or values already decoded (a value-visit run).
+/// One block of a numeric column, its rows in order: packed little-endian
+/// bytes with their decoder, or values already decoded (a value-visit run).
 #[derive(Clone, Copy)]
-enum Block<'a, T> {
-    Bytes(&'a [u8], Decoder<T>),
-    Values(&'a [T]),
+enum Block<'a> {
+    Bytes(&'a [u8], Decoder<f64>),
+    Values(&'a [f64]),
 }
 
-impl<T: Copy + Default> Block<'_, T> {
+impl Block<'_> {
     fn len(&self) -> usize {
         match self {
             Block::Bytes(bytes, dec) => bytes.len() / dec.width,
@@ -253,17 +238,9 @@ impl<T: Copy + Default> Block<'_, T> {
         }
     }
 
-    /// Decode the block into `out`, which holds exactly its rows.
-    fn decode(&self, out: &mut [T]) {
-        match *self {
-            Block::Bytes(bytes, dec) => (dec.decode)(bytes, out),
-            Block::Values(values) => out.copy_from_slice(values),
-        }
-    }
-
     /// Visit the block's values in runs of at most `buf.len()`; bytes
     /// decode through `buf`.
-    fn for_each_run(&self, buf: &mut [T], mut f: impl FnMut(&[T])) {
+    fn for_each_run(&self, buf: &mut [f64], mut f: impl FnMut(&[f64])) {
         match *self {
             Block::Values(values) => values.chunks(buf.len()).for_each(f),
             Block::Bytes(bytes, dec) => {
@@ -281,24 +258,23 @@ impl<T: Copy + Default> Block<'_, T> {
 /// blocks when the plan says they are available; otherwise — or if the
 /// engine declines at run time, the overlay may have filled since
 /// planning — value-visit runs of at most [`RUN`] values.
-fn for_each_block<T: Copy + Default>(
+fn for_each_block(
     engine: &dyn StorageEngine,
     rel: RelationId,
     attr: AttrId,
     strategy: ScanStrategy,
-    dec: Decoder<T>,
-    from_value: impl Fn(&Value) -> T,
-    mut f: impl FnMut(Block<'_, T>),
+    dec: Decoder<f64>,
+    mut f: impl FnMut(Block<'_>),
 ) -> Result<()> {
     if strategy == ScanStrategy::ContiguousBytes
         && engine.with_column_bytes(rel, attr, &mut |bytes| f(Block::Bytes(bytes, dec)))?
     {
         return Ok(());
     }
-    let mut run = [T::default(); RUN];
+    let mut run = [0.0; RUN];
     let mut len = 0;
     engine.scan_column(rel, attr, &mut |_, v| {
-        run[len] = from_value(v);
+        run[len] = v.as_f64().expect("column type checked numeric above");
         len += 1;
         if len == RUN {
             f(Block::Values(&run));
@@ -322,19 +298,17 @@ pub fn collect_f64(
     let dec = numeric_decoder(engine, rel, attr)?;
     let mut out = Vec::with_capacity(engine.row_count(rel)? as usize);
     let mut buf = [0.0; RUN];
-    for_each_block(engine, rel, attr, strategy, dec, value_f64, |b| {
+    for_each_block(engine, rel, attr, strategy, dec, |b| {
         b.for_each_run(&mut buf, |run| out.extend_from_slice(run))
     })?;
     Ok(out)
 }
 
-fn length_mismatch(keys: usize, values: usize) -> Error {
-    Error::Internal(format!("group-sum column length mismatch: {keys} keys vs {values} values"))
-}
-
 /// Host group-sum: group values by key preserving row order, reduce each
-/// group canonically, return `(key, sum)` ordered by key. `strategy` is
-/// the scan strategy of both columns. With a policy the grouping's morsel
+/// group canonically, return `(key, sum)` ordered by key. Both columns
+/// come from one [`StorageEngine::with_aligned_blocks`] read, whatever
+/// `strategy` says, so an engine that serves that read at one snapshot
+/// never pairs a key with a value of another state. With a policy the
 /// passes run on the pool (`None`: inline, as `Single`); the result is
 /// bit-identical at every policy and pool size.
 pub fn group_sum_host(
@@ -345,188 +319,225 @@ pub fn group_sum_host(
     strategy: ScanStrategy,
     policy: Option<ThreadingPolicy>,
 ) -> Result<Vec<(i64, f64)>> {
-    let policy = policy.unwrap_or(ThreadingPolicy::Single);
-    group_sum_scans(engine, rel, (key_attr, strategy), (value_attr, strategy), policy)
+    let _ = strategy;
+    group_sum_scans(engine, rel, key_attr, value_attr, policy.unwrap_or(ThreadingPolicy::Single))
 }
 
-/// A key column decoded in row order, and its `(min, max)` key: each
-/// morsel decodes its keys and folds their range, on the pool under
-/// `policy` for a block of at least two morsels (see [`block_policy`]).
-fn decode_keys(
+/// No keys: the identity of the key-range fold.
+const NO_KEYS: (i64, i64) = (i64::MAX, i64::MIN);
+
+fn span((lo, hi): (i64, i64), (min, max): (i64, i64)) -> (i64, i64) {
+    (lo.min(min), hi.max(max))
+}
+
+/// One chunk of a group-sum's input, decoded compactly in row order into
+/// buffers reused from chunk to chunk: each key's low 32 bits (which
+/// [`sort`](Self::sort) reads as group ids), the high 32 bits of an 8-byte
+/// key column's keys, the keys' `(min, max)`, and the values; `rows` of
+/// each hold the chunk's rows so far. `slots` is the buffer the sort
+/// scatters into and keeps. The thread that makes or refills a chunk
+/// sizes every buffer, so a pool thread that only sorts it allocates no
+/// big buffer of its own: its allocator would keep it apart.
+struct ChunkInput {
+    low: Vec<u32>,
+    high: Vec<u32>,
+    values: Vec<f64>,
+    slots: Vec<f64>,
+    rows: usize,
+    range: (i64, i64),
+}
+
+/// The decoders of a group-sum's key and value columns.
+type Decoders = (KeyDecoder, Decoder<f64>);
+
+impl ChunkInput {
+    fn new() -> ChunkInput {
+        let (low, high, values, slots) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        ChunkInput { low, high, values, slots, rows: 0, range: NO_KEYS }
+    }
+
+    /// Make room to decode `rows` rows.
+    fn fit(&mut self, rows: usize, (key, _): Decoders) {
+        if self.values.len() < rows {
+            self.low.resize(rows, 0);
+            self.high.resize(if key.width > 4 { rows } else { 0 }, 0);
+            self.values.resize(rows, 0.0);
+        }
+    }
+
+    /// Decode and append the rows of a key block and its value block.
+    fn push(&mut self, (keys, values): (&[u8], &[u8]), decoders: Decoders) {
+        let (key, value) = decoders;
+        let (at, end) = (self.rows, self.rows + values.len() / value.width);
+        self.fit(end, decoders);
+        (value.decode)(values, &mut self.values[at..end]);
+        let high = self.high.get_mut(at..end).unwrap_or_default();
+        let range = (key.decode_low)(keys, &mut self.low[at..end], high);
+        (self.rows, self.range) = (end, span(self.range, range));
+    }
+
+    /// Sort the chunk's rows by group and start the next chunk. Dense
+    /// [`kernels::GroupIds`] ids are `k - min`, which fits in 32 bits and
+    /// so is the wrapping difference of the keys' low bits: the sort reads
+    /// them as they are. Ranked ids replace the low bits first, in place.
+    fn sort(&mut self) -> kernels::GroupSort {
+        let (low, high) = (&mut self.low[..self.rows], self.high.get(..self.rows).unwrap_or(&[]));
+        let key = |i: usize, l: u32| match high.get(i) {
+            Some(&h) => ((h as u64) << 32 | l as u64) as i64,
+            None => l as i32 as i64,
+        };
+        let distinct = || low.iter().enumerate().map(|(i, &l)| key(i, l)).collect();
+        let ids = kernels::GroupIds::new(self.rows, self.range, distinct);
+        let mut base = self.range.0 as u32;
+        if ids.ranked {
+            low.iter_mut().enumerate().for_each(|(i, l)| *l = ids.id(key(i, *l)) as u32);
+            base = 0;
+        }
+        let mut slots = std::mem::take(&mut self.slots);
+        if slots.len() < self.rows {
+            slots = vec![0.0; self.rows];
+        }
+        let sort = kernels::GroupSort::new(ids, low, base, &self.values[..self.rows], slots);
+        (self.rows, self.range) = (0, NO_KEYS);
+        sort
+    }
+}
+
+/// Read a group-sum's key and value columns through the engine's
+/// several-column read, as [`kernels::GroupSort`]s of the rows in order.
+/// Rows are cut into windows at multiples of `chunk` rows, and every
+/// chunk lies in one window: a block's piece of at least `min` rows,
+/// sorted straight from the block while it is in cache, or the rest of
+/// the window gathered on the caller. With `min == chunk` each window is
+/// one chunk. The whole pieces of a block of at least two morsels decode
+/// and sort on the pool under `policy` (see [`block_policy`]); the others
+/// on the caller.
+fn group_chunks(
     engine: &dyn StorageEngine,
     rel: RelationId,
-    attr: AttrId,
-    strategy: ScanStrategy,
+    (key_attr, value_attr): (AttrId, AttrId),
+    (chunk, min): (usize, usize),
     policy: ThreadingPolicy,
-) -> Result<(Vec<i64>, (i64, i64))> {
-    const EMPTY: (i64, i64) = (i64::MAX, i64::MIN);
-    let dec = key_decoder(engine, rel, attr)?;
-    let mut keys = vec![0; engine.row_count(rel)? as usize];
-    let mut ranges = vec![EMPTY; keys.len().div_ceil(MORSEL)];
-    let mut rows = 0;
-    let as_key = |v: &Value| v.as_i64().expect("key type checked integer above");
-    for_each_block(engine, rel, attr, strategy, dec, as_key, |b| {
-        let (base, end) = (rows, rows + b.len());
-        if keys.len() < end {
-            // The relation grew since its row count was read.
-            keys.resize(end, 0);
-            ranges.resize(end.div_ceil(MORSEL), EMPTY);
+) -> Result<Vec<kernels::GroupSort>> {
+    let key_ty = engine.schema(rel)?.key_ty(key_attr)?;
+    let key = kernels::key_decoder(key_ty).expect("key_ty admits integer types only");
+    let decoders = (key, numeric_decoder(engine, rel, value_attr)?);
+    let widths = (key.width, decoders.1.width);
+    let chunk = chunk.min(engine.row_count(rel)? as usize).max(1);
+    let (mut chunks, mut rows) = (Vec::new(), 0);
+    // The window's gathered rows, and inputs for whole pieces, back from
+    // their tasks for the next ones.
+    let (mut rest, mut spare) = (ChunkInput::new(), Vec::new());
+    engine.with_aligned_blocks(rel, &[key_attr, value_attr], &mut |blocks| {
+        let base = rows;
+        rows += blocks[1].len() / widths.1;
+        let policy = block_policy(rows - base, policy);
+        let (mut sorted, mut whole) = (Vec::new(), Vec::new());
+        for (lo, hi) in cuts(base, rows, chunk) {
+            if lo % chunk == 0 && rest.rows > 0 {
+                sorted.push(Some(rest.sort()));
+            }
+            let whole_piece = rest.rows == 0 && hi - lo >= min.min(chunk);
+            let (lo, hi) = (lo - base, hi - base);
+            let piece = (
+                &blocks[0][lo * widths.0..hi * widths.0],
+                &blocks[1][lo * widths.1..hi * widths.1],
+            );
+            if whole_piece && policy.threads() > 1 {
+                whole.push((piece, sorted.len()));
+                sorted.push(None);
+                continue;
+            }
+            rest.push(piece, decoders);
+            if whole_piece {
+                sorted.push(Some(rest.sort()));
+            }
         }
-        let mut rest = &mut keys[base..end];
-        let pieces = cuts(base, end, MORSEL).map(|(lo, hi)| {
-            let (out, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
-            rest = tail;
-            (lo, out)
+        if whole.is_empty() {
+            chunks.extend(sorted.into_iter().flatten());
+            return;
+        }
+        // Every task borrows one of a thread's worth of inputs, sized here,
+        // and sorts into slots of its own, allocated here.
+        let most = whole.iter().map(|(piece, _)| piece.1.len() / widths.1).max().unwrap_or(0);
+        spare.resize_with(spare.len().max(policy.threads().min(whole.len())), ChunkInput::new);
+        spare.iter_mut().for_each(|input| input.fit(most, decoders));
+        let inputs = Mutex::new(std::mem::take(&mut spare));
+        let slots: Vec<_> =
+            whole.iter().map(|(piece, _)| vec![0.0; piece.1.len() / widths.1]).collect();
+        let mut done: Vec<_> = whole.iter().map(|_| None).collect();
+        run_each(whole.iter().zip(slots).zip(&mut done), policy, |((&(piece, _), slots), out)| {
+            let mut input = inputs.lock().pop().expect("a spare input per thread");
+            input.slots = slots;
+            input.push(piece, decoders);
+            *out = Some(input.sort());
+            inputs.lock().push(input);
         });
-        let ranges = &mut ranges[base / MORSEL..];
-        run_each(pieces.zip(ranges), block_policy(b.len(), policy), |((lo, out), range)| {
-            b.rows(lo - base, lo - base + out.len()).decode(out);
-            *range = out.iter().fold(*range, |(min, max), &k| (min.min(k), max.max(k)));
-        });
-        rows = end;
+        spare = inputs.into_inner();
+        for ((_, at), sort) in whole.iter().zip(done) {
+            sorted[*at] = sort;
+        }
+        chunks.extend(sorted.into_iter().flatten());
     })?;
-    keys.truncate(rows);
-    let range = ranges[..rows.div_ceil(MORSEL)]
-        .iter()
-        .fold(EMPTY, |(lo, hi), &(min, max)| (lo.min(min), hi.max(max)));
-    Ok((keys, range))
+    if rest.rows > 0 {
+        chunks.push(rest.sort());
+    }
+    Ok(chunks)
 }
 
-/// The host group-sum body: a stable counting sort over group ids, run as
-/// morsel passes on the pool under `policy` (inline under `Single`, and
-/// for the passes over the engine's blocks, inline for a block of fewer
-/// than two morsels):
+/// Merge the chunks' sorts by key and reduce every key's runs, taken in
+/// chunk order (so its values in row order), with `reduce`: `(key, sum)`
+/// ordered by key. Keys get [`kernels::GroupIds`] over all the rows; under
+/// `policy`, ranges of ids reduce on the pool, each writing its own sums.
+fn reduce_groups(
+    chunks: &[kernels::GroupSort],
+    policy: ThreadingPolicy,
+    reduce: impl Fn(&[&[f64]], &mut Vec<f64>) -> f64 + Sync,
+) -> Vec<(i64, f64)> {
+    let rows = chunks.iter().map(kernels::GroupSort::rows).sum::<usize>();
+    let range = chunks.iter().map(kernels::GroupSort::range).fold(NO_KEYS, span);
+    let distinct = || chunks.iter().flat_map(|c| c.runs().map(|(k, _)| k)).collect();
+    let ids = kernels::GroupIds::new(rows, range, distinct);
+    let mut sums = vec![None; ids.keys.len()];
+    let per = ids.keys.len().div_ceil(rows.div_ceil(MORSEL).max(1)).max(1);
+    run_each(ids.keys.chunks(per).zip(sums.chunks_mut(per)), policy, |(keys, sums)| {
+        let (mut runs, mut buf) = (Vec::with_capacity(chunks.len()), Vec::new());
+        for (&k, sum) in keys.iter().zip(sums) {
+            runs.clear();
+            runs.extend(chunks.iter().map(|c| c.run(k)).filter(|run| !run.is_empty()));
+            if !runs.is_empty() {
+                *sum = Some(reduce(&runs, &mut buf));
+            }
+        }
+    });
+    ids.keys.into_iter().zip(sums).filter_map(|(k, sum)| Some((k, sum?))).collect()
+}
+
+/// The host group-sum body: a stable counting sort by key, one chunk of
+/// at most a morsel of rows at a time (a block's piece of at least
+/// [`MIN_CHUNK`] rows, or the rest of a morsel's window), run as passes on
+/// the pool under `policy` (inline under `Single`):
 ///
-/// 1. decode the keys, each morsel folding its key range;
-/// 2. count each chunk's rows per group id ([`kernels::GroupIds`]; ranked
-///    ids first replace each key in place);
-/// 3. a prefix over (group, chunk) gives each chunk its first slot in
-///    every group;
-/// 4. scatter the values, straight from the value scan, chunk by chunk;
-/// 5. reduce each group canonically, in the morsel of the grouped array
-///    that holds its first value.
+/// 1. one several-column read decodes each chunk's keys (their low bits
+///    and range) and values into compact arrays ([`group_chunks`]);
+/// 2. each chunk's keys get [`kernels::GroupIds`] ids of its own, and
+///    [`kernels::GroupSort`] counts them and scatters the values into
+///    plain `f64` slots, every key's run in row order;
+/// 3. the keys, in ranges, reduce canonically from their runs in chunk
+///    order ([`reduce_groups`]).
 ///
-/// Groups lie in key order and, within a group, the chunks' slots in chunk
-/// order and each chunk's in row order, so every group's values are
-/// contiguous and in row order at every pool size — the grouping of
-/// [`volcano_group_sum`], and so its bits.
+/// A key's runs in chunk order are its values in row order at every pool
+/// size and chunking — the grouping of [`volcano_group_sum`], and so its
+/// bits.
 fn group_sum_scans(
     engine: &dyn StorageEngine,
     rel: RelationId,
-    (key_attr, key_strategy): (AttrId, ScanStrategy),
-    (value_attr, value_strategy): (AttrId, ScanStrategy),
+    key_attr: AttrId,
+    value_attr: AttrId,
     policy: ThreadingPolicy,
 ) -> Result<Vec<(i64, f64)>> {
-    let value_dec = numeric_decoder(engine, rel, value_attr)?;
-    let (mut keys, range) = decode_keys(engine, rel, key_attr, key_strategy, policy)?;
-    let rows = keys.len();
-    if rows == 0 {
-        return Ok(Vec::new());
-    }
-    let ids = kernels::GroupIds::new(&keys, range);
-    if ids.ranked {
-        // Rank each key once, in place: the passes below take `k - 0`.
-        run_each(keys.chunks_mut(MORSEL), policy, |keys| {
-            keys.iter_mut().for_each(|k| *k = ids.id(*k) as i64);
-        });
-    }
-    let (min, id_keys) = (if ids.ranked { 0 } else { ids.keys[0] }, ids.keys);
-    let groups = id_keys.len();
-    let id = |k: i64| k.abs_diff(min) as usize;
-    // A chunk is the fewest whole morsels holding 8 rows per group: on
-    // average a cache line of values per group and chunk, and the chunks'
-    // count arrays together hold at most one entry per 8 rows.
-    let chunk = MORSEL * (8 * groups).div_ceil(MORSEL);
-    let mut slots = vec![0usize; rows.div_ceil(chunk) * groups];
-    run_each(keys.chunks(chunk).zip(slots.chunks_mut(groups)), policy, |(keys, counts)| {
-        keys.iter().for_each(|&k| counts[id(k)] += 1);
-    });
-    // `start[g]` is group g's first slot; `end[g]` runs through each
-    // chunk's first slot in the group and stops at the group's end.
-    let mut start = vec![0; groups];
-    for counts in slots.chunks(groups) {
-        start.iter_mut().zip(counts).for_each(|(s, &n)| *s += n);
-    }
-    let mut offset = 0;
-    for s in start.iter_mut() {
-        (*s, offset) = (offset, offset + *s);
-    }
-    let mut end = start.clone();
-    for counts in slots.chunks_mut(groups) {
-        for (slot, e) in counts.iter_mut().zip(end.iter_mut()) {
-            (*slot, *e) = (*e, *e + *slot);
-        }
-    }
-    let grouped: Vec<AtomicU64> = (0..rows).map(|_| AtomicU64::new(0)).collect();
-    // Each chunk decodes its values through a run buffer of its own.
-    let mut runs = vec![0.0; slots.len() / groups * RUN];
-    let mut at = 0;
-    for_each_block(engine, rel, value_attr, value_strategy, value_dec, value_f64, |b| {
-        let (base, stop) = (at, at + b.len());
-        at = stop;
-        if stop > rows {
-            return;
-        }
-        let chunks = slots.chunks_mut(groups).zip(runs.chunks_mut(RUN)).skip(base / chunk);
-        let policy = block_policy(b.len(), policy);
-        run_each(cuts(base, stop, chunk).zip(chunks), policy, |((lo, hi), (cursor, buf))| {
-            let mut row = lo;
-            b.rows(lo - base, hi - base).for_each_run(buf, |run| {
-                for (&k, &v) in keys[row..row + run.len()].iter().zip(run) {
-                    let slot = &mut cursor[id(k)];
-                    // Chunks own disjoint slots. Relaxed suffices: this
-                    // pass's join (each worker's Release completion count,
-                    // read with Acquire by the caller) and the reduction's
-                    // job queue lock order the stores before its loads.
-                    grouped[*slot].store(v.to_bits(), Ordering::Relaxed);
-                    *slot += 1;
-                }
-                row += run.len();
-            });
-        });
-    })?;
-    if at != rows {
-        return Err(length_mismatch(rows, at));
-    }
-    // Morsel m of the grouped array reduces the groups whose first value it
-    // holds, and publishes their sums like the scatter its values.
-    let first_group = |m: usize| start.partition_point(|&s| s < m * MORSEL);
-    let sums: Vec<AtomicU64> = (0..groups).map(|_| AtomicU64::new(0)).collect();
-    run_each(0..rows.div_ceil(MORSEL), policy, |m| {
-        let mut buf = [0.0; REDUCE_GRID];
-        for g in first_group(m)..first_group(m + 1) {
-            let sum = reduce_group(&grouped[start[g]..end[g]], &mut buf);
-            sums[g].store(sum.to_bits(), Ordering::Relaxed);
-        }
-    });
-    let sum = |g: usize| f64::from_bits(sums[g].load(Ordering::Relaxed));
-    Ok((0..groups).filter(|&g| end[g] > start[g]).map(|g| (id_keys[g], sum(g))).collect())
-}
-
-/// Rows up to which a group's canonical segments hold one row each.
-const REDUCE_GRID: usize = kernels::REDUCE_GRID as usize;
-
-/// The canonical reduction of one group, read from its scattered slots
-/// through `buf`.
-fn reduce_group(group: &[AtomicU64], buf: &mut [f64; REDUCE_GRID]) -> f64 {
-    fn load<'a>(slots: &[AtomicU64], buf: &'a mut [f64]) -> &'a [f64] {
-        let buf = &mut buf[..slots.len()];
-        for (v, s) in buf.iter_mut().zip(slots) {
-            *v = f64::from_bits(s.load(Ordering::Relaxed));
-        }
-        buf
-    }
-    let seg_len = kernels::reduce_seg_len(group.len());
-    if seg_len == 1 {
-        // Up to one row per segment, the canonical partials are the values
-        // themselves: the reduction is their tree sum.
-        return kernels::tree_sum(load(group, buf));
-    }
-    let mut r = SegmentReducer::new(seg_len);
-    for slots in group.chunks(REDUCE_GRID) {
-        r.push_f64s(load(slots, buf));
-    }
-    r.finish()
+    let chunks = group_chunks(engine, rel, (key_attr, value_attr), (MORSEL, MIN_CHUNK), policy)?;
+    Ok(reduce_groups(&chunks, policy, kernels::canonical_runs_sum))
 }
 
 /// Visit every value of `attr` the way a host column scan does (the
@@ -777,9 +788,8 @@ fn exec_node(
             exec_sum(engine, node, rel, (attr, pred), policy, &mut span, executed)
         }
         PhysicalOp::AggregateGroupSum { key_attr } => {
-            let (rel, value_attr, key_strategy) = group_input(node)?;
-            let key = (*key_attr, key_strategy);
-            exec_group_sum(engine, node, rel, key, value_attr, policy, &mut span, executed)
+            let (rel, value_attr) = group_input(node)?;
+            exec_group_sum(engine, node, rel, *key_attr, value_attr, policy, &mut span, executed)
         }
         PhysicalOp::Scan { rel, attr } => {
             // A bare scan materializes the column as records of one value
@@ -822,10 +832,10 @@ fn sum_input(node: &PhysicalNode) -> Result<(RelationId, AttrId, Option<Predicat
     }
 }
 
-/// Pull `(rel, value_attr, key scan strategy)` out of a group-sum node
-/// (children are the key scan then the value scan; for a scatter root,
-/// descend through the `Gather` into the first per-shard subtree first).
-fn group_input(node: &PhysicalNode) -> Result<(RelationId, AttrId, ScanStrategy)> {
+/// Pull `(rel, value_attr)` out of a group-sum node (children are the key
+/// scan then the value scan; for a scatter root, descend through the
+/// `Gather` into the first per-shard subtree first).
+fn group_input(node: &PhysicalNode) -> Result<(RelationId, AttrId)> {
     let mut holder = node;
     if let Some(first) = node.children.first() {
         if matches!(first.op, PhysicalOp::Gather { .. }) {
@@ -835,9 +845,8 @@ fn group_input(node: &PhysicalNode) -> Result<(RelationId, AttrId, ScanStrategy)
                 .ok_or_else(|| Error::Internal("gather without per-shard subtree".into()))?;
         }
     }
-    let key_strategy = holder.children.first().map_or(holder.strategy, |k| k.strategy);
     match holder.children.last().map(|c| &c.op) {
-        Some(PhysicalOp::Scan { rel, attr }) => Ok((*rel, *attr, key_strategy)),
+        Some(PhysicalOp::Scan { rel, attr }) => Ok((*rel, *attr)),
         _ => Err(Error::Internal("group-sum without value scan".into())),
     }
 }
@@ -908,33 +917,32 @@ fn exec_group_sum(
     engine: &dyn StorageEngine,
     node: &PhysicalNode,
     rel: RelationId,
-    key: (AttrId, ScanStrategy),
+    key_attr: AttrId,
     value_attr: AttrId,
     policy: ThreadingPolicy,
     span: &mut obs::SpanGuard,
     executed: &mut Route,
 ) -> Result<QueryOutput> {
-    let (key_attr, key_strategy) = key;
     let offload = || engine.offload_group_sum(rel, key_attr, value_attr);
     if let Some(groups) = try_offload(node, span, executed, offload)? {
         return Ok(QueryOutput::Groups(groups));
     }
     if node.partition_rows > 0 {
-        // The host mirror of the scatter: each fragment's keyed partials,
-        // then their merge in global fragment order.
-        let (keys, _) = decode_keys(engine, rel, key_attr, key_strategy, ThreadingPolicy::Single)?;
-        let values = collect_f64(engine, rel, value_attr, node.strategy)?;
-        if keys.len() != values.len() {
-            return Err(length_mismatch(keys.len(), values.len()));
-        }
-        let part = node.partition_rows as usize;
-        let frags = keys.chunks(part).zip(values.chunks(part));
-        let partials = frags.flat_map(|(keys, values)| kernels::group_tree_sums(keys, values));
-        let (keys, sums): (Vec<i64>, Vec<f64>) = partials.unzip();
-        return Ok(QueryOutput::Groups(kernels::group_tree_sums(&keys, &sums)));
+        // The host mirror of the scatter: a chunk per fragment, each key's
+        // fragment partial the tree sum of its run, and its sum the tree
+        // sum of those partials in global fragment order.
+        let (attrs, part) = ((key_attr, value_attr), node.partition_rows as usize);
+        let single = ThreadingPolicy::Single;
+        let frags = group_chunks(engine, rel, attrs, (part, part), single)?;
+        let groups = reduce_groups(&frags, single, |runs, partials| {
+            partials.clear();
+            partials.extend(runs.iter().map(|run| kernels::tree_sum(run)));
+            kernels::tree_sum(partials)
+        });
+        return Ok(QueryOutput::Groups(groups));
     }
     let policy = host_policy(node, policy);
-    Ok(QueryOutput::Groups(group_sum_scans(engine, rel, key, (value_attr, node.strategy), policy)?))
+    Ok(QueryOutput::Groups(group_sum_scans(engine, rel, key_attr, value_attr, policy)?))
 }
 
 #[cfg(test)]
@@ -943,7 +951,7 @@ mod tests {
     use htapg_core::plan::LogicalPlan;
     use htapg_core::prng::Prng;
     use htapg_core::sync::RwLock;
-    use htapg_core::{LayoutTemplate, Relation, RowId, Schema};
+    use htapg_core::{DataType, LayoutTemplate, Relation, RowId, Schema};
     use htapg_taxonomy::{
         Classification, DataLocality, DataLocation, FragmentLinearization, FragmentScheme,
         LayoutAdaptability, LayoutFlexibility, LayoutHandling, ProcessorSupport, WorkloadSupport,

@@ -11,7 +11,12 @@
 //! `maintain()` delegates the columns. A pool-scale case (more than three
 //! morsels) runs the planned aggregates and the host group-sum under
 //! `Single`, `Multi { threads: 2 }` and `multi8()` over one block, many
-//! paged blocks and patched snapshot blocks. The seed honors `HTAPG_SEED`.
+//! paged blocks and patched snapshot blocks. Two engines that serve the
+//! several-column read under one lock (Reference, Fractured Mirrors) must
+//! answer a host group-sum from one committed state while a writer keeps
+//! moving a row between groups, and the reference engine keeps its bits
+//! when the key column is delegated and the value column is not. The seed
+//! honors `HTAPG_SEED`.
 
 use htapg::core::engine::StorageEngine;
 use htapg::core::plan::{LogicalPlan, Predicate, ScanStrategy};
@@ -21,11 +26,13 @@ use htapg::core::{
     AccessHint, AttrId, DataType, LayoutTemplate, Record, Relation, RelationId, RowId, Schema,
     Value,
 };
-use htapg::engines::{PlainEngine, ReferenceEngine};
+use htapg::engines::{MirrorsEngine, PlainEngine, ReferenceEngine};
 use htapg::exec::physical::{self, QueryOutput};
 use htapg::exec::threading::ThreadingPolicy;
 use htapg::taxonomy::{survey, Classification};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::time::Duration;
 
 const K64: u16 = 0;
 const K32: u16 = 1;
@@ -467,4 +474,163 @@ fn pool_scale_case(rng: &mut Prng) {
             }
         }
     }
+}
+
+/// Group keys of the one-snapshot cases.
+const GROUPS: i64 = 4;
+/// Rows of the one-snapshot cases.
+const SNAPSHOT_ROWS: u64 = 20_000;
+
+/// Row 0's key and value after move `i`; every other row's, fixed.
+/// Integer values sum to the same bits in any order, so each committed
+/// state's answer is plain arithmetic.
+fn mover(i: u64) -> (i64, f64) {
+    (i as i64 % GROUPS, 1_000.0 * (i + 1) as f64)
+}
+
+fn still(row: u64) -> (i64, f64) {
+    (row as i64 % GROUPS, (row % 13) as f64)
+}
+
+/// Run host group-sums on `e` while a writer applies moves of row 0
+/// through `apply(i, done)`, which calls `done` after each committed
+/// state; every answer must be `state(u)` for a committed state `u` the
+/// query could have seen.
+fn assert_group_sums_read_one_state(
+    e: &dyn StorageEngine,
+    rel: RelationId,
+    apply: &(dyn Fn(u64, &dyn Fn()) + Sync),
+    state: &dyn Fn(u64) -> Vec<(i64, u64)>,
+) {
+    let (committed, stop) = (AtomicU64::new(0), AtomicBool::new(false));
+    let (mut answered, mut torn) = (0, None);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            // Bounded, so a failing reader cannot leave the scope waiting.
+            for i in 1..=20_000 {
+                if stop.load(SeqCst) {
+                    break;
+                }
+                apply(i, &|| {
+                    committed.fetch_add(1, SeqCst);
+                });
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        });
+        for query in 0..300 {
+            let first = committed.load(SeqCst);
+            let strategy = ScanStrategy::ContiguousBytes;
+            let groups = physical::group_sum_host(e, rel, K64, V, strategy, None).unwrap();
+            // The state after the last one counted may already be visible.
+            let last = committed.load(SeqCst) + 1;
+            answered += 1;
+            if !(first..=last).any(|u| bits(&groups) == state(u)) {
+                torn = Some((query, groups, first..=last));
+                break;
+            }
+        }
+        stop.store(true, SeqCst);
+    });
+    assert_eq!(torn, None, "{}: a host group-sum matched no committed state", e.name());
+    assert!(answered > 0);
+}
+
+/// The answer of the state in which row 0 holds `(key, value)`.
+fn state_with(key: i64, value: f64) -> Vec<(i64, u64)> {
+    let mut sums = [0.0; GROUPS as usize];
+    for (k, v) in (1..SNAPSHOT_ROWS).map(still).chain([(key, value)]) {
+        sums[k as usize] += v;
+    }
+    sums.iter().enumerate().map(|(k, s)| (k as i64, s.to_bits())).collect()
+}
+
+fn load_snapshot_rows(e: &dyn StorageEngine) -> RelationId {
+    let rel = e.create_relation(schema()).unwrap();
+    for (k, v) in [mover(0)].into_iter().chain((1..SNAPSHOT_ROWS).map(still)) {
+        e.insert(rel, &vec![Value::Int64(k), Value::Int32(k32(k)), Value::Float64(v)]).unwrap();
+    }
+    rel
+}
+
+#[test]
+fn reference_host_group_sum_reads_keys_and_values_from_one_snapshot() {
+    let e = ReferenceEngine::new();
+    let rel = load_snapshot_rows(&e);
+    // One transaction moves row 0 to another key with a new value.
+    let apply = |i: u64, done: &dyn Fn()| {
+        let (k, v) = mover(i);
+        let txn = e.begin();
+        e.txn_update(rel, &txn, 0, K64, Value::Int64(k)).unwrap();
+        e.txn_update(rel, &txn, 0, V, Value::Float64(v)).unwrap();
+        e.txn_commit(rel, &txn).unwrap();
+        done();
+    };
+    let state = |u: u64| {
+        let (k, v) = mover(u);
+        state_with(k, v)
+    };
+    assert_group_sums_read_one_state(&e, rel, &apply, &state);
+}
+
+#[test]
+fn mirrors_host_group_sum_reads_keys_and_values_from_one_state() {
+    let e = MirrorsEngine::new();
+    let rel = load_snapshot_rows(&e);
+    // Two single-field updates move row 0: its key, then its value, each
+    // a committed state of its own.
+    let apply = |i: u64, done: &dyn Fn()| {
+        let (k, v) = mover(i);
+        e.update_field(rel, 0, K64, &Value::Int64(k)).unwrap();
+        done();
+        e.update_field(rel, 0, V, &Value::Float64(v)).unwrap();
+        done();
+    };
+    // State `u`: the key of move `ceil(u / 2)`, the value of move `u / 2`.
+    let state = |u: u64| state_with(mover(u.div_ceil(2)).0, mover(u / 2).1);
+    assert_group_sums_read_one_state(&e, rel, &apply, &state);
+}
+
+#[test]
+fn reference_group_sum_is_bit_identical_across_layouts() {
+    check_cases("reference_group_sum_is_bit_identical_across_layouts", 3, 0x6A0F_5E04, |_, rng| {
+        let e = ReferenceEngine::new();
+        let rel = e.create_relation(schema()).unwrap();
+        let rows = 2 * CHUNK + rng.gen_range(1u64..2000);
+        let mut keys: Vec<i64> = (0..rows).map(|_| rng.gen_range(-20i64..20)).collect();
+        let mut model: Vec<f64> = (0..rows).map(|_| arb_value(rng)).collect();
+        insert_rows(&e, rel, &keys, &model);
+        // Scans of the key column alone: maintenance delegates it to the
+        // analytic layout, and the value column stays in primary chunks.
+        for _ in 0..8 {
+            physical::touch_column(&e, rel, K64).unwrap();
+        }
+        e.maintain().unwrap();
+        assert_eq!(e.delegated(rel).unwrap(), vec![K64]);
+        // Patches on both columns, some on one row, on chunk edges.
+        for row in [0, CHUNK - 1, CHUNK, rows - 1, rng.gen_range(1..rows)] {
+            let v = arb_value(rng);
+            e.update_field(rel, row, V, &Value::Float64(v)).unwrap();
+            model[row as usize] = v;
+        }
+        for row in [0, CHUNK, 2 * CHUNK - 1, rng.gen_range(1..rows)] {
+            let k = rng.gen_range(-20i64..20);
+            e.update_field(rel, row, K64, &Value::Int64(k)).unwrap();
+            keys[row as usize] = k;
+        }
+        let want = bits(&physical::volcano_group_sum(&e, rel, K64, V).unwrap());
+        let mut by_key: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
+        for (&k, &v) in keys.iter().zip(&model) {
+            by_key.entry(k).or_default().push(v);
+        }
+        let model: Vec<(i64, f64)> =
+            by_key.into_iter().map(|(k, vs)| (k, physical::canonical_sum(&vs))).collect();
+        assert_eq!(want, bits(&model), "oracle vs model");
+        for policy in [None, Some(ThreadingPolicy::multi8())] {
+            let strategy = ScanStrategy::ContiguousBytes;
+            let got = physical::group_sum_host(&e, rel, K64, V, strategy, policy).unwrap();
+            assert_eq!(bits(&got), want, "host group-sum {policy:?}");
+        }
+        let planned = planned(&e, &LogicalPlan::group_sum(rel, K64, V));
+        assert_eq!(bits(planned.as_groups().unwrap()), want, "planned group-sum");
+    });
 }
