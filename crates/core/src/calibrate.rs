@@ -332,24 +332,6 @@ impl StorageEngine for Calibrated {
         self.inner.update_field(rel, row, attr, value)
     }
 
-    fn scan_column(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(RowId, &Value),
-    ) -> Result<()> {
-        self.inner.scan_column(rel, attr, visit)
-    }
-
-    fn with_column_bytes(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(&[u8]),
-    ) -> Result<bool> {
-        self.inner.with_column_bytes(rel, attr, visit)
-    }
-
     fn with_aligned_blocks(
         &self,
         rel: RelationId,

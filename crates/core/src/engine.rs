@@ -12,6 +12,7 @@ use htapg_taxonomy::Classification;
 
 use crate::costmodel::CacheSpec;
 use crate::error::{Error, Result};
+use crate::fragment::ColumnView;
 use crate::obs;
 use crate::plan::{
     self, ColumnEvidence, DeviceCostProfile, EngineCapabilities, LogicalPlan, PhysicalPlan,
@@ -75,70 +76,52 @@ pub trait StorageEngine: Send + Sync {
     /// version instead).
     fn update_field(&self, rel: RelationId, row: RowId, attr: AttrId, value: &Value) -> Result<()>;
 
-    /// Attribute-centric scan: visit every value of `attr` in row order.
+    /// The one column read every engine writes: visit `attrs`' fields, all
+    /// rows in row order, as row-aligned blocks. Each call of `visit` gets
+    /// one block per attribute of `attrs`, in that order, each holding the
+    /// same rows as packed little-endian fields. An engine reads every
+    /// block under its own lock, so one read of several columns sees one
+    /// state of all of them: storage that is contiguous is served in
+    /// place, strided fields are gathered
+    /// ([`ColumnView::gather_into`](crate::fragment::ColumnView::gather_into))
+    /// and encoded ones decoded. An attribute outside the schema is
+    /// [`Error::UnknownAttribute`], also on an empty relation.
+    fn with_aligned_blocks(
+        &self,
+        rel: RelationId,
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
+    ) -> Result<()>;
+
+    /// Attribute-centric scan: visit every value of `attr` in row order,
+    /// decoded from [`with_aligned_blocks`](StorageEngine::with_aligned_blocks).
     fn scan_column(
         &self,
         rel: RelationId,
         attr: AttrId,
         visit: &mut dyn FnMut(RowId, &Value),
-    ) -> Result<()>;
+    ) -> Result<()> {
+        let ty = self.schema(rel)?.ty(attr)?;
+        let mut row = 0;
+        self.with_aligned_blocks(rel, &[attr], &mut |blocks| {
+            for field in blocks[0].chunks_exact(ty.width()) {
+                visit(row, &Value::decode(ty, field));
+                row += 1;
+            }
+        })
+    }
 
-    /// Fast path: invoke `visit` once per *contiguous* raw block of the
-    /// column's fixed-width little-endian values, in row order. Returns
-    /// `Ok(false)` (without calling `visit`) when the engine cannot provide
-    /// contiguous blocks (e.g. NSM storage) — callers fall back to
-    /// [`scan_column`](StorageEngine::scan_column).
+    /// One column's blocks of
+    /// [`with_aligned_blocks`](StorageEngine::with_aligned_blocks), in row
+    /// order. Every engine serves them, so this returns `Ok(true)`.
     fn with_column_bytes(
         &self,
         rel: RelationId,
         attr: AttrId,
         visit: &mut dyn FnMut(&[u8]),
     ) -> Result<bool> {
-        let _ = (rel, attr, visit);
-        Ok(false)
-    }
-
-    /// Visit several columns at once, in row order, as row-aligned blocks:
-    /// each call of `visit` gets one block per attribute of `attrs`, in
-    /// that order, each holding the same rows as packed little-endian
-    /// fields. An engine that reads every block under one lock serves one
-    /// snapshot of all the columns. The default composes the one-column
-    /// reads ([`with_column_bytes`](StorageEngine::with_column_bytes),
-    /// else [`scan_column`](StorageEngine::scan_column)), each at its own
-    /// snapshot: it collects every column but the last whole, then streams
-    /// the last, and a relation that grew in between is an error.
-    fn with_aligned_blocks(
-        &self,
-        rel: RelationId,
-        attrs: &[AttrId],
-        visit: &mut dyn FnMut(&[&[u8]]),
-    ) -> Result<()> {
-        let Some((&last, head)) = attrs.split_last() else { return Ok(()) };
-        let schema = self.schema(rel)?;
-        let widths = attrs.iter().map(|&a| schema.width(a)).collect::<Result<Vec<_>>>()?;
-        let mut columns = Vec::with_capacity(head.len());
-        for &attr in head {
-            let mut column = Vec::new();
-            column_blocks(self, &schema, rel, attr, &mut |b| column.extend_from_slice(b))?;
-            columns.push(column);
-        }
-        let (mut rows, mut grew) = (0, false);
-        column_blocks(self, &schema, rel, last, &mut |block| {
-            let end = rows + block.len() / widths[head.len()];
-            grew |= columns.iter().zip(&widths).any(|(c, w)| c.len() < end * w);
-            if grew {
-                return;
-            }
-            let mut blocks: Vec<&[u8]> =
-                columns.iter().zip(&widths).map(|(c, w)| &c[rows * w..end * w]).collect();
-            blocks.push(block);
-            visit(&blocks);
-            rows = end;
-        })?;
-        if grew || columns.iter().zip(&widths).any(|(c, w)| c.len() != rows * w) {
-            return Err(Error::Internal("the relation grew between its column reads".into()));
-        }
-        Ok(())
+        self.with_aligned_blocks(rel, &[attr], &mut |blocks| visit(blocks[0]))?;
+        Ok(true)
     }
 
     /// Materialize several rows in one call (the paper's "materialize 150
@@ -290,40 +273,68 @@ pub trait StorageEngine: Send + Sync {
     }
 }
 
-/// Rows per block of a column read through value visits.
-const VISIT_ROWS: usize = 2048;
+/// Visit one row unit of several columns — `views`, one per column, all
+/// over the same rows — as one call of a
+/// [`StorageEngine::with_aligned_blocks`] visitor: contiguous views in
+/// place, strided ones gathered into `bufs`, which is reused across units.
+/// An empty unit visits nothing.
+pub fn visit_views(
+    views: &[ColumnView<'_>],
+    bufs: &mut Vec<Vec<u8>>,
+    visit: &mut dyn FnMut(&[&[u8]]),
+) {
+    let Some(first) = views.first().filter(|v| v.rows > 0) else { return };
+    debug_assert!(views.iter().all(|v| (v.first_row, v.rows) == (first.first_row, first.rows)));
+    bufs.resize_with(views.len(), Vec::new);
+    let blocks: Vec<&[u8]> = views
+        .iter()
+        .zip(bufs.iter_mut())
+        .map(|(v, buf)| match v.contiguous_bytes() {
+            Some(bytes) => bytes,
+            None => {
+                buf.clear();
+                v.gather_into(buf);
+                buf
+            }
+        })
+        .collect();
+    visit(&blocks);
+}
 
-/// Visit `attr`'s fields in row order as packed little-endian blocks: the
-/// engine's own when it serves them, else value visits encoded a run of
-/// [`VISIT_ROWS`] at a time.
-fn column_blocks<E: StorageEngine + ?Sized>(
-    engine: &E,
-    schema: &Schema,
-    rel: RelationId,
-    attr: AttrId,
-    visit: &mut dyn FnMut(&[u8]),
+/// Align one-column reads of columns that do not share row units:
+/// `read(i, sink)` streams column `i` (of width `widths[i]`) in row order
+/// into `sink`. Every column but the last is collected whole, then the
+/// last streams, each of its blocks paired with the same rows of the
+/// others, as [`StorageEngine::with_aligned_blocks`] visits them. Called
+/// under the engine's own lock, every column reads one state; columns of
+/// different lengths are an error.
+pub fn align_columns(
+    widths: &[usize],
+    mut read: impl FnMut(usize, &mut dyn FnMut(&[u8])) -> Result<()>,
+    visit: &mut dyn FnMut(&[&[u8]]),
 ) -> Result<()> {
-    if engine.with_column_bytes(rel, attr, visit)? {
-        return Ok(());
+    let Some((&last, head)) = widths.split_last() else { return Ok(()) };
+    let mut columns = Vec::with_capacity(head.len());
+    for i in 0..head.len() {
+        let mut column = Vec::new();
+        read(i, &mut |b| column.extend_from_slice(b))?;
+        columns.push(column);
     }
-    let ty = schema.ty(attr)?;
-    let w = ty.width();
-    let (mut run, mut len, mut failed) = (vec![0; VISIT_ROWS * w], 0, None);
-    engine.scan_column(rel, attr, &mut |_, v| {
-        if let Err(e) = v.encode_into(ty, &mut run[len * w..(len + 1) * w]) {
-            failed.get_or_insert(e);
+    let (mut rows, mut short) = (0, false);
+    read(head.len(), &mut |block| {
+        let end = rows + block.len() / last;
+        short |= columns.iter().zip(head).any(|(c, w)| c.len() < end * w);
+        if short {
+            return;
         }
-        len += 1;
-        if len == VISIT_ROWS {
-            visit(&run);
-            len = 0;
-        }
+        let mut blocks: Vec<&[u8]> =
+            columns.iter().zip(head).map(|(c, w)| &c[rows * w..end * w]).collect();
+        blocks.push(block);
+        visit(&blocks);
+        rows = end;
     })?;
-    if let Some(e) = failed {
-        return Err(e);
-    }
-    if len > 0 {
-        visit(&run[..len * w]);
+    if short || columns.iter().zip(head).any(|(c, w)| c.len() != rows * w) {
+        return Err(Error::Internal("aligned columns hold different row counts".into()));
     }
     Ok(())
 }
@@ -409,16 +420,13 @@ mod tests {
             self.rel.write().as_mut().unwrap().update_field(row, attr, value)
         }
 
-        fn scan_column(
+        fn with_aligned_blocks(
             &self,
             _rel: RelationId,
-            attr: AttrId,
-            visit: &mut dyn FnMut(RowId, &Value),
+            attrs: &[AttrId],
+            visit: &mut dyn FnMut(&[&[u8]]),
         ) -> Result<()> {
-            let guard = self.rel.read();
-            let rel = guard.as_ref().unwrap();
-            let ty = rel.schema().ty(attr)?;
-            rel.for_each_field(attr, |row, bytes| visit(row, &Value::decode(ty, bytes)))
+            self.rel.read().as_ref().unwrap().with_aligned_blocks(attrs, &[], visit)
         }
 
         fn row_count(&self, _rel: RelationId) -> Result<u64> {
@@ -454,8 +462,8 @@ mod tests {
         assert_eq!(e.classification().name, "TOY");
     }
 
-    /// DSM variant of [`Toy`] that serves the contiguous fast path, so a
-    /// planned scan takes the `with_column_bytes` strategy.
+    /// DSM variant of [`Toy`]: its columns are contiguous, so a planned
+    /// scan is priced as `contiguous-bytes`.
     struct ToyDsm {
         inner: Toy,
     }
@@ -504,22 +512,13 @@ mod tests {
             self.inner.update_field(rel, row, attr, value)
         }
 
-        fn scan_column(
+        fn with_aligned_blocks(
             &self,
             rel: RelationId,
-            attr: AttrId,
-            visit: &mut dyn FnMut(RowId, &Value),
+            attrs: &[AttrId],
+            visit: &mut dyn FnMut(&[&[u8]]),
         ) -> Result<()> {
-            self.inner.scan_column(rel, attr, visit)
-        }
-
-        fn with_column_bytes(
-            &self,
-            _rel: RelationId,
-            attr: AttrId,
-            visit: &mut dyn FnMut(&[u8]),
-        ) -> Result<bool> {
-            self.inner.rel.read().as_ref().unwrap().with_column_bytes(attr, visit)
+            self.inner.with_aligned_blocks(rel, attrs, visit)
         }
 
         fn row_count(&self, rel: RelationId) -> Result<u64> {
@@ -529,8 +528,8 @@ mod tests {
 
     #[test]
     fn non_numeric_sum_is_typed_error_on_fallback_path() {
-        // Toy is NSM: a planned sum visits values through `scan_column`,
-        // and planning rejects a non-numeric column before any scan.
+        // Toy is NSM: a planned sum is priced as strided value visits, and
+        // planning rejects a non-numeric column before any scan.
         let e = Toy::new();
         let s = Schema::of(&[("name", DataType::Text(8)), ("price", DataType::Float64)]);
         let rel = e.create_relation(s).unwrap();
@@ -550,10 +549,10 @@ mod tests {
         for i in 0..10 {
             e.insert(rel, &vec![Value::Bool(i % 2 == 0), Value::Float64(i as f64)]).unwrap();
         }
-        // Sanity: the fast path is actually served for the numeric column.
-        let mut blocks = 0;
-        assert!(e.with_column_bytes(rel, 1, &mut |_| blocks += 1).unwrap());
-        assert!(blocks > 0);
+        // Sanity: the numeric column is served as one contiguous block.
+        let mut blocks = Vec::new();
+        assert!(e.with_column_bytes(rel, 1, &mut |b| blocks.push(b.len())).unwrap());
+        assert_eq!(blocks, vec![10 * 8]);
         let err = e.plan(&LogicalPlan::sum(rel, 0)).unwrap_err();
         assert_eq!(err, crate::error::Error::NonNumericAggregate { attr: 0, got: "bool" });
         let plan = e.plan(&LogicalPlan::sum(rel, 1)).unwrap();
@@ -575,6 +574,31 @@ mod tests {
         assert_eq!(plan.bytes_to_device(), 0);
         // Toy has no device, so estimates are pure cache-model host costs.
         assert!(plan.estimated_ns() > 0);
+    }
+
+    #[test]
+    fn align_columns_pairs_rows_across_different_cuts() {
+        // Column 0: 2-byte fields in blocks of 3 and 2 rows; column 1:
+        // 1-byte fields in blocks of 1 and 4 rows.
+        let cols: [Vec<&[u8]>; 2] =
+            [vec![&[0, 0, 1, 1, 2, 2], &[3, 3, 4, 4]], vec![&[0], &[1, 2, 3, 4]]];
+        let mut rows = Vec::new();
+        let read = |i: usize, sink: &mut dyn FnMut(&[u8])| {
+            cols[i].iter().for_each(|b| sink(b));
+            Ok(())
+        };
+        align_columns(&[2, 1], read, &mut |blocks| {
+            assert_eq!(blocks[0].len(), 2 * blocks[1].len());
+            rows.extend(blocks[0].chunks(2).zip(blocks[1]).map(|(a, &b)| (a[0], b)));
+        })
+        .unwrap();
+        assert_eq!(rows, vec![(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
+        // Columns of different lengths are an error, however they are cut.
+        let short = |i: usize, sink: &mut dyn FnMut(&[u8])| {
+            sink(&[7, 7, 7][..3 - i]);
+            Ok(())
+        };
+        assert!(align_columns(&[1, 1], short, &mut |_| {}).is_err());
     }
 
     #[test]

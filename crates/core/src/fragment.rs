@@ -386,24 +386,6 @@ impl Fragment {
         Ok(out)
     }
 
-    /// Contiguous bytes of `attr`'s column, if this fragment stores the
-    /// column contiguously (DSM fat fragments and thin column fragments).
-    ///
-    /// This is the fast path attribute-centric scans use; NSM fragments
-    /// return `None` and force strided access — exactly the cache behaviour
-    /// the paper's Figure 2 measures.
-    pub fn column_bytes(&self, attr: AttrId) -> Option<&[u8]> {
-        let idx = self.attr_index(attr).ok()?;
-        match self.spec.order {
-            Linearization::Nsm if self.spec.attrs.len() > 1 => None,
-            _ => {
-                let start = self.col_starts[idx];
-                let bytes = self.widths[idx] * self.len as usize;
-                Some(&self.data[start..start + bytes])
-            }
-        }
-    }
-
     /// Zero-copy view of `attr`'s fields in this fragment.
     pub fn column_view(&self, attr: AttrId) -> Result<ColumnView<'_>> {
         let idx = self.attr_index(attr)?;
@@ -474,34 +456,6 @@ impl Fragment {
             }
         }
         self.spec.capacity = new_capacity;
-    }
-
-    /// Iterate the raw bytes of every present field of `attr`, in row order.
-    ///
-    /// This is the hot scan path: contiguous for DSM/thin fragments, strided
-    /// for NSM fat fragments — reproducing the cache behaviour contrast of
-    /// the paper's Figure 2 without per-field `Value` allocation.
-    pub fn for_each_field(&self, attr: AttrId, mut f: impl FnMut(RowId, &[u8])) -> Result<()> {
-        let idx = self.attr_index(attr)?;
-        let w = self.widths[idx];
-        match self.spec.order {
-            Linearization::Nsm => {
-                let base = self.nsm_offsets[idx];
-                let stride = self.tuplet_width;
-                for r in 0..self.len as usize {
-                    let off = base + r * stride;
-                    f(self.spec.first_row + r as u64, &self.data[off..off + w]);
-                }
-            }
-            Linearization::Dsm | Linearization::Direct => {
-                let start = self.col_starts[idx];
-                for r in 0..self.len as usize {
-                    let off = start + r * w;
-                    f(self.spec.first_row + r as u64, &self.data[off..off + w]);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Declare the first `len` tuplets present. A fragment under
@@ -662,7 +616,7 @@ mod tests {
             .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
             .collect();
         assert_eq!(ints, vec![40, 41, 42, 43]);
-        assert!(f.column_bytes(3).is_some());
+        assert!(f.column_view(3).unwrap().is_contiguous());
     }
 
     #[test]
@@ -674,11 +628,17 @@ mod tests {
             nsm.append(&s, &[Value::Int32(i), Value::Int32(-i)]).unwrap();
             dsm.append(&s, &[Value::Int32(i), Value::Int32(-i)]).unwrap();
         }
-        assert!(nsm.column_bytes(0).is_none(), "NSM fat fragments are strided");
-        let col = dsm.column_bytes(1).unwrap();
-        let ints: Vec<i32> =
-            col.chunks_exact(4).map(|c| i32::from_le_bytes(c.try_into().unwrap())).collect();
-        assert_eq!(ints, vec![0, -1, -2]);
+        let strided = nsm.column_view(1).unwrap();
+        assert!(strided.contiguous_bytes().is_none(), "NSM fat fragments are strided");
+        let col = dsm.column_view(1).unwrap().contiguous_bytes().unwrap();
+        let ints = |b: &[u8]| -> Vec<i32> {
+            b.chunks_exact(4).map(|c| i32::from_le_bytes(c.try_into().unwrap())).collect()
+        };
+        assert_eq!(ints(col), vec![0, -1, -2]);
+        // Gathered, the strided column packs to the same bytes.
+        let mut buf = Vec::new();
+        strided.gather_into(&mut buf);
+        assert_eq!(ints(&buf), vec![0, -1, -2]);
     }
 
     #[test]
@@ -750,11 +710,13 @@ mod tests {
             for i in 0..4 {
                 f.append(&s, &[Value::Int32(i), Value::Int32(100 + i)]).unwrap();
             }
-            let mut seen = Vec::new();
-            f.for_each_field(1, |row, bytes| {
-                seen.push((row, i32::from_le_bytes(bytes.try_into().unwrap())));
-            })
-            .unwrap();
+            let view = f.column_view(1).unwrap();
+            let seen: Vec<(u64, i32)> = (0..view.rows as usize)
+                .map(|i| {
+                    let v = i32::from_le_bytes(view.field(i).try_into().unwrap());
+                    (view.first_row + i as u64, v)
+                })
+                .collect();
             assert_eq!(seen, vec![(0, 100), (1, 101), (2, 102), (3, 103)]);
         }
     }

@@ -377,38 +377,6 @@ impl Layout {
         Ok(out)
     }
 
-    /// Visit the raw bytes of every field of `attr`, in row order across all
-    /// chunks.
-    pub fn for_each_field(&self, attr: AttrId, mut f: impl FnMut(RowId, &[u8])) -> Result<()> {
-        let slot = self.slot(attr)?;
-        let slots = self.template.slots_per_chunk();
-        let chunks = if self.fragments.is_empty() { 0 } else { self.fragments.len() / slots };
-        for c in 0..chunks {
-            self.fragments[c * slots + slot].for_each_field(attr, &mut f)?;
-        }
-        Ok(())
-    }
-
-    /// Invoke `f` once per contiguous column block of `attr`, if every
-    /// fragment covering `attr` stores it contiguously. Returns `false`
-    /// (calling `f` never) when the column is strided (NSM).
-    pub fn with_column_bytes(&self, attr: AttrId, f: &mut dyn FnMut(&[u8])) -> Result<bool> {
-        let slot = self.slot(attr)?;
-        let slots = self.template.slots_per_chunk();
-        let chunks = if self.fragments.is_empty() { 0 } else { self.fragments.len() / slots };
-        let mut blocks = Vec::with_capacity(chunks);
-        for c in 0..chunks {
-            match self.fragments[c * slots + slot].column_bytes(attr) {
-                Some(b) => blocks.push(b),
-                None => return Ok(false),
-            }
-        }
-        for b in blocks {
-            f(b);
-        }
-        Ok(true)
-    }
-
     /// Zero-copy views of `attr`'s fields, one per chunk, in row order.
     pub fn column_views(&self, attr: AttrId) -> Result<Vec<crate::fragment::ColumnView<'_>>> {
         let slot = self.slot(attr)?;
@@ -584,11 +552,12 @@ mod tests {
         fill(&mut l, &s, 20);
         let mut sum = 0i64;
         let mut rows = Vec::new();
-        l.for_each_field(1, |row, bytes| {
-            rows.push(row);
-            sum += i64::from_le_bytes(bytes.try_into().unwrap());
-        })
-        .unwrap();
+        for view in l.column_views(1).unwrap() {
+            for i in 0..view.rows as usize {
+                rows.push(view.first_row + i as u64);
+                sum += i64::from_le_bytes(view.field(i).try_into().unwrap());
+            }
+        }
         assert_eq!(rows, (0..20u64).collect::<Vec<_>>());
         assert_eq!(sum, (0..20i64).map(|i| i * 10).sum::<i64>());
     }
@@ -600,10 +569,10 @@ mod tests {
         let mut nsm = Layout::new(&s, LayoutTemplate::nsm(&s)).unwrap();
         fill(&mut dsm, &s, 10);
         fill(&mut nsm, &s, 10);
-        let mut blocks = 0;
-        assert!(dsm.with_column_bytes(2, &mut |_| blocks += 1).unwrap());
-        assert_eq!(blocks, 1);
-        assert!(!nsm.with_column_bytes(2, &mut |_| ()).unwrap());
+        let views = dsm.column_views(2).unwrap();
+        assert_eq!(views.len(), 1);
+        assert!(views[0].is_contiguous());
+        assert!(nsm.column_views(2).unwrap().iter().all(|v| !v.is_contiguous()));
     }
 
     #[test]

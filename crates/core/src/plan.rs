@@ -182,13 +182,15 @@ impl Route {
     }
 }
 
-/// How a host scan reads the column.
+/// What a host scan is priced as, shown in EXPLAIN. Every engine serves
+/// its columns through one read (`StorageEngine::with_aligned_blocks`),
+/// so the label prices the bytes that read touches and does not steer it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanStrategy {
-    /// Stream contiguous fixed-width blocks (`with_column_bytes`).
+    /// Contiguous fixed-width blocks, priced as streamed cache lines.
     ContiguousBytes,
-    /// Per-value visit (`scan_column`) — the only option for strided NSM
-    /// storage or overlay-patched snapshots.
+    /// Fields strided through records (NSM), priced at the record width:
+    /// the read gathers them into blocks.
     ValueVisit,
 }
 
@@ -365,8 +367,10 @@ pub struct EngineCapabilities {
     /// Engine can place columns in device memory (GPUTx, CoGaDB, the
     /// reference design) — required for any device route.
     pub device_placement: bool,
-    /// Columns are available as contiguous fixed-width blocks (DSM-side
-    /// linearizations), enabling the contiguous-bytes scan strategy.
+    /// Columns are stored as contiguous fixed-width blocks (DSM-side
+    /// linearizations), so a host scan is priced as contiguous bytes;
+    /// without it, at the record stride. Pricing only: every engine's
+    /// block read serves every layout.
     pub contiguous_scan: bool,
     /// Replicated multi-layout storage (Fractured Mirrors): the planner
     /// may pick a replica per node — DSM for scans, NSM for materialize.

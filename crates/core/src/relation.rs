@@ -175,53 +175,6 @@ impl Relation {
         }
     }
 
-    /// Visit the raw bytes of every field of `attr`, row order.
-    pub fn for_each_field(&self, attr: AttrId, mut f: impl FnMut(RowId, &[u8])) -> Result<()> {
-        match &self.scheme {
-            Scheme::Single => self.layouts[0].for_each_field(attr, f),
-            Scheme::Replication => {
-                let li = self.pick_replica(AccessHint::AttributeCentric);
-                self.layouts[li].for_each_field(attr, f)
-            }
-            Scheme::Delegation(policy) => {
-                // Fast path: one layout owns the whole column.
-                if let Ok(li) = policy.route(0, attr) {
-                    let uniform = (0..self.rows)
-                        .step_by(1.max(self.rows as usize / 16))
-                        .all(|r| policy.route(r, attr) == Ok(li))
-                        && policy.route(self.rows.saturating_sub(1), attr) == Ok(li);
-                    if uniform {
-                        return self.layouts[li].for_each_field(attr, f);
-                    }
-                }
-                // General path: route each row.
-                let mut buf = Vec::new();
-                for row in 0..self.rows {
-                    let li = policy.route(row, attr)?;
-                    let v = self.layouts[li].read_value(&self.schema, row, attr)?;
-                    buf.clear();
-                    let ty = self.schema.ty(attr)?;
-                    buf.resize(ty.width(), 0);
-                    v.encode_into(ty, &mut buf)?;
-                    f(row, &buf);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Contiguous-column fast path; `false` when strided or routed.
-    pub fn with_column_bytes(&self, attr: AttrId, f: &mut dyn FnMut(&[u8])) -> Result<bool> {
-        match &self.scheme {
-            Scheme::Single => self.layouts[0].with_column_bytes(attr, f),
-            Scheme::Replication => {
-                let li = self.pick_replica(AccessHint::AttributeCentric);
-                self.layouts[li].with_column_bytes(attr, f)
-            }
-            Scheme::Delegation(_) => Ok(false),
-        }
-    }
-
     /// The layout a column scan of `attr` reads: the only one, the
     /// column-structured replica, or the layout that owns every row of the
     /// column under delegation (an error if the column is split).
@@ -446,7 +399,15 @@ mod tests {
         }
         r.update_field(50, 1, &Value::Int64(0)).unwrap();
         let mut sum = 0i64;
-        r.for_each_field(1, |_, b| sum += i64::from_le_bytes(b.try_into().unwrap())).unwrap();
+        r.with_aligned_blocks(&[1], &[], &mut |blocks| {
+            // The delegated column is contiguous: one block, served in place.
+            assert_eq!(blocks[0].len(), 100 * 8);
+            sum += blocks[0]
+                .chunks_exact(8)
+                .map(|b| i64::from_le_bytes(b.try_into().unwrap()))
+                .sum::<i64>();
+        })
+        .unwrap();
         let expected: i64 = (0..100).map(|i| i * 7).sum::<i64>() - 350;
         assert_eq!(sum, expected);
     }
@@ -458,11 +419,10 @@ mod tests {
         for i in 0..30 {
             r.insert(&rec(i)).unwrap();
         }
+        assert!(!r.layouts()[0].column_views(1).unwrap()[0].is_contiguous());
         r.reorganize_layout(0, LayoutTemplate::dsm_emulated(&s)).unwrap();
         assert_eq!(r.read_record(29).unwrap(), rec(29));
-        let mut blocks = 0;
-        assert!(r.with_column_bytes(1, &mut |_| blocks += 1).unwrap());
-        assert!(blocks >= 1);
+        assert!(r.layouts()[0].column_views(1).unwrap().iter().all(|v| v.is_contiguous()));
     }
 
     #[test]

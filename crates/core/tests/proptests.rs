@@ -141,7 +141,9 @@ fn any_layout_roundtrips_records() {
         }
         // Column iteration covers every row once, in order.
         let mut rows = Vec::new();
-        layout.for_each_field(0, |row, _| rows.push(row)).unwrap();
+        for view in layout.column_views(0).unwrap() {
+            rows.extend(view.first_row..view.first_row + view.rows);
+        }
         assert_eq!(rows, (0..records.len() as u64).collect::<Vec<_>>());
     });
 }

@@ -182,29 +182,28 @@ impl CogadbEngine {
         info.stale_rows > 0 && info.stale_rows * 2 <= info.rows
     }
 
-    /// Run `kernel` on a fresh replica of `attr` — a delta-stale one is
-    /// merged in place first when the log is small enough to beat
-    /// re-upload — within one registry read. Errors mean "answer on the
-    /// host".
+    /// Run `kernel` on a fresh replica of `attr` of `r`, the relation the
+    /// caller holds a registry read of — a delta-stale replica is merged
+    /// in place first when the log is small enough to beat re-upload.
+    /// Errors mean "answer on the host".
     fn with_fresh_replica<T>(
         &self,
         rel: RelationId,
+        r: &CogadbRelation,
         attr: AttrId,
         kernel: impl FnOnce(BufferId) -> Result<T>,
     ) -> Result<T> {
-        self.rels.read(rel, |r| {
-            r.stats.record_scan(attr);
-            let version = r.versions.get(attr as usize).copied().unwrap_or(0);
-            if let Some(col) = self.cache.lookup(rel, attr, version)? {
-                return kernel(col.buf);
+        r.stats.record_scan(attr);
+        let version = r.versions.get(attr as usize).copied().unwrap_or(0);
+        if let Some(col) = self.cache.lookup(rel, attr, version)? {
+            return kernel(col.buf);
+        }
+        match self.cache.stale_info(rel, attr, version) {
+            Some(info) if Self::merge_beats_reupload(&info) => {
+                kernel(self.cache.merge_deltas(rel, attr, version, DeltaTransport::Pcie)?.buf)
             }
-            match self.cache.stale_info(rel, attr, version) {
-                Some(info) if Self::merge_beats_reupload(&info) => {
-                    kernel(self.cache.merge_deltas(rel, attr, version, DeltaTransport::Pcie)?.buf)
-                }
-                _ => Err(Error::Internal(format!("no fresh device replica of attr {attr}"))),
-            }
-        })
+            _ => Err(Error::Internal(format!("no fresh device replica of attr {attr}"))),
+        }
     }
 
     /// Pack a host column into device-ready f64 bytes.
@@ -212,13 +211,13 @@ impl CogadbEngine {
         let ty = r.relation.schema().ty(attr)?;
         let dec = kernels::f64_decoder(ty)
             .ok_or(Error::TypeMismatch { expected: "numeric", got: ty.name() })?;
-        let (mut out, mut x) = (Vec::new(), [0.0]);
-        r.relation.for_each_field(attr, |_, bytes| {
-            (dec.decode)(bytes, &mut x);
-            out.extend_from_slice(&x[0].to_le_bytes());
+        let mut wide = Vec::with_capacity(r.relation.row_count() as usize);
+        r.relation.with_aligned_blocks(&[attr], &[], &mut |blocks| {
+            let at = wide.len();
+            wide.resize(at + blocks[0].len() / dec.width, 0.0);
+            (dec.decode)(blocks[0], &mut wide[at..]);
         })?;
-        let rows = (out.len() / 8) as u64;
-        Ok((out, rows))
+        Ok((wide.iter().flat_map(|x| x.to_le_bytes()).collect(), wide.len() as u64))
     }
 
     /// Try to place `attr` on the device — all or nothing: placement never
@@ -265,7 +264,7 @@ impl CogadbEngine {
         }
         let t = Instant::now();
         let mut reducer = kernels::SegmentReducer::new(kernels::reduce_seg_len(rows as usize));
-        r.relation.for_each_field(attr, |_, bytes| reducer.push_bytes(bytes, dec))?;
+        r.relation.with_aligned_blocks(&[attr], &[], &mut |b| reducer.push_bytes(b[0], dec))?;
         let sum = reducer.finish();
         let ns = t.elapsed().as_nanos() as f64;
         self.hype.lock().observe(Placement::Cpu, rows, ns);
@@ -344,31 +343,6 @@ impl StorageEngine for CogadbEngine {
         })
     }
 
-    fn scan_column(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(RowId, &Value),
-    ) -> Result<()> {
-        self.rels.read(rel, |r| {
-            r.stats.record_scan(attr);
-            let ty = r.relation.schema().ty(attr)?;
-            r.relation.for_each_field(attr, |row, bytes| visit(row, &Value::decode(ty, bytes)))
-        })
-    }
-
-    fn with_column_bytes(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(&[u8]),
-    ) -> Result<bool> {
-        self.rels.read(rel, |r| {
-            r.stats.record_scan(attr);
-            r.relation.with_column_bytes(attr, visit)
-        })
-    }
-
     fn with_aligned_blocks(
         &self,
         rel: RelationId,
@@ -414,20 +388,28 @@ impl StorageEngine for CogadbEngine {
     /// Device sum over a fresh (or cheaply merged) replica, reduced under
     /// the registry read that found it.
     fn offload_sum(&self, rel: RelationId, attr: AttrId, pred: Option<&Predicate>) -> Result<f64> {
-        self.with_fresh_replica(rel, attr, |buf| common::device_sum(&self.device, buf, pred))
+        self.rels.read(rel, |r| {
+            self.with_fresh_replica(rel, r, attr, |buf| common::device_sum(&self.device, buf, pred))
+        })
     }
 
-    /// Device group-sum: keys scanned on the host, values from a fresh
-    /// value replica.
+    /// Device group-sum under one registry read: the keys through the
+    /// relation's block read, then the fresh value replica and the kernel,
+    /// so no update lands between the keys and the values.
     fn offload_group_sum(
         &self,
         rel: RelationId,
         key_attr: AttrId,
         value_attr: AttrId,
     ) -> Result<Vec<(i64, f64)>> {
-        let keys = common::scan_keys(self, rel, key_attr)?;
-        self.with_fresh_replica(rel, value_attr, |buf| {
-            common::device_group_sum(&self.device, buf, &keys)
+        self.rels.read(rel, |r| {
+            r.stats.record_scan(key_attr);
+            let keys = common::read_keys(r.relation.schema(), key_attr, |visit| {
+                r.relation.with_aligned_blocks(&[key_attr], &[], visit)
+            })?;
+            self.with_fresh_replica(rel, r, value_attr, |buf| {
+                common::device_group_sum(&self.device, buf, &keys)
+            })
         })
     }
 

@@ -3,10 +3,9 @@
 use htapg_core::sync::RwLock;
 use std::sync::Arc;
 
-use htapg_core::engine::StorageEngine;
 use htapg_core::plan::Predicate;
 use htapg_core::retry::{with_retry, RetryPolicy};
-use htapg_core::{AttrId, Error, RelationId, Result};
+use htapg_core::{AttrId, Error, RelationId, Result, Schema};
 use htapg_device::{kernels, BufferId, SimDevice};
 
 /// A concurrent registry of per-relation states.
@@ -94,28 +93,23 @@ pub(crate) fn device_group_sum(
     })
 }
 
-/// The integer group key of every row, in row order, read through the
-/// engine's own column read: its blocks decoded by the key column's
-/// [`kernels::key_decoder`], else its value visits. A non-integer key
-/// column is the host's typed error.
-pub(crate) fn scan_keys(
-    engine: &dyn StorageEngine,
-    rel: RelationId,
+/// The integer group key of every row, in row order, decoded by the key
+/// column's [`kernels::key_decoder`] from the blocks `read` serves: the
+/// engine's block read of `[key_attr]`, under whatever lock the caller
+/// holds. A non-integer key column is the host's typed error.
+pub(crate) fn read_keys(
+    schema: &Schema,
     key_attr: AttrId,
+    read: impl FnOnce(&mut dyn FnMut(&[&[u8]])) -> Result<()>,
 ) -> Result<Vec<i64>> {
-    let ty = engine.schema(rel)?.key_ty(key_attr)?;
-    let dec = kernels::key_decoder(ty).expect("key_ty admits integer types only");
-    let mut keys = Vec::with_capacity(engine.row_count(rel)? as usize);
-    let served = engine.with_column_bytes(rel, key_attr, &mut |block| {
+    let dec =
+        kernels::key_decoder(schema.key_ty(key_attr)?).expect("key_ty admits integer types only");
+    let mut keys = Vec::new();
+    read(&mut |blocks| {
         let at = keys.len();
-        keys.resize(at + block.len() / dec.width, 0);
-        (dec.decode)(block, &mut keys[at..]);
+        keys.resize(at + blocks[0].len() / dec.width, 0);
+        (dec.decode)(blocks[0], &mut keys[at..]);
     })?;
-    if !served {
-        engine.scan_column(rel, key_attr, &mut |_, v| {
-            keys.push(v.as_i64().expect("key type checked integer above"));
-        })?;
-    }
     Ok(keys)
 }
 

@@ -104,22 +104,13 @@ impl StorageEngine for EmulatedMultiEngine {
         self.column_side.update_field(rel, row, attr, value)
     }
 
-    fn scan_column(
+    fn with_aligned_blocks(
         &self,
         rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(RowId, &Value),
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
     ) -> Result<()> {
-        self.column_side.scan_column(rel, attr, visit)
-    }
-
-    fn with_column_bytes(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(&[u8]),
-    ) -> Result<bool> {
-        self.column_side.with_column_bytes(rel, attr, visit)
+        self.column_side.with_aligned_blocks(rel, attrs, visit)
     }
 
     fn row_count(&self, rel: RelationId) -> Result<u64> {
@@ -160,7 +151,7 @@ mod tests {
         let sum = crate::testing::planned_sum(&e, rel, 1);
         let expect = (0..100).map(|i| i as f64).sum::<f64>() - 14.0;
         assert!((sum - expect).abs() < 1e-9);
-        // Scans have the columnar fast path; record reads the row layout.
+        // Scans read the column side's blocks; record reads the row layout.
         assert!(e.with_column_bytes(rel, 1, &mut |_| ()).unwrap());
     }
 

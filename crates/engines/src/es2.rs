@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use htapg_core::adapt::AccessStats;
-use htapg_core::engine::{MaintenanceReport, StorageEngine};
+use htapg_core::engine::{visit_views, MaintenanceReport, StorageEngine};
 use htapg_core::index::BPlusTree;
 use htapg_core::retry::{with_retry, RetryPolicy};
 use htapg_core::{
@@ -413,23 +413,34 @@ impl StorageEngine for Es2Engine {
         })
     }
 
-    fn scan_column(
+    /// Partitions in row order: each column's fragment of a partition is
+    /// fetched to the coordinator (charged per column, as a column scan
+    /// is) and served in place, one visit per partition.
+    fn with_aligned_blocks(
         &self,
         rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(RowId, &Value),
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
     ) -> Result<()> {
         self.rels.read(rel, |r| {
-            r.stats.record_scan(attr);
-            let ty = r.schema.ty(attr)?;
-            let width = r.schema.width(attr)?;
-            let gi = *r.group_of.get(attr as usize).ok_or(Error::UnknownAttribute(attr))?;
-            let partitions = r.rows.div_ceil(r.partition_rows);
-            for p in 0..partitions {
-                if let Some((node, frag)) = r.fragments.get(&(gi, p)) {
+            let mut columns = Vec::with_capacity(attrs.len());
+            for &attr in attrs {
+                r.stats.record_scan(attr);
+                let gi = *r.group_of.get(attr as usize).ok_or(Error::UnknownAttribute(attr))?;
+                columns.push((attr, gi, r.schema.width(attr)?));
+            }
+            let mut bufs = Vec::new();
+            for p in 0..r.rows.div_ceil(r.partition_rows) {
+                let mut views = Vec::with_capacity(attrs.len());
+                for &(attr, gi, width) in &columns {
+                    let (node, frag) = r
+                        .fragments
+                        .get(&(gi, p))
+                        .ok_or_else(|| Error::Internal("missing fragment".into()))?;
                     self.charge_touch(*node, frag.len() as usize * width);
-                    frag.for_each_field(attr, |row, bytes| visit(row, &Value::decode(ty, bytes)))?;
+                    views.push(frag.column_view(attr)?);
                 }
+                visit_views(&views, &mut bufs, visit);
             }
             Ok(())
         })

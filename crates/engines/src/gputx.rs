@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use htapg_core::engine::{MaintenanceReport, StorageEngine};
+use htapg_core::engine::{align_columns, MaintenanceReport, StorageEngine};
 use htapg_core::plan::{ColumnEvidence, DeviceCostProfile, Predicate};
 use htapg_core::{AttrId, Error, Record, RelationId, Result, RowId, Schema, Value};
 use htapg_device::cache::CachedColumn;
@@ -142,61 +142,98 @@ impl GputxEngine {
         })
     }
 
-    /// A fresh packed-f64 replica of `attr` in the shared cache, built by
-    /// the device-side widening kernel on miss. Errors on non-numeric
-    /// types and empty relations.
-    fn packed_replica(&self, rel: RelationId, attr: AttrId) -> Result<CachedColumn> {
-        let device = self.device.clone();
-        let cache = self.cache.clone();
-        self.rels.read(rel, |r| {
-            let col = r.columns.get(attr as usize).ok_or(Error::UnknownAttribute(attr))?;
-            let ty = r.schema.ty(attr)?;
-            let dec = kernels::f64_decoder(ty)
-                .ok_or(Error::TypeMismatch { expected: "numeric", got: ty.name() })?;
-            if r.rows == 0 {
-                return Err(Error::Internal("empty relation has no packed replica".into()));
-            }
-            let rows = r.rows;
-            let version = r.versions[attr as usize];
-            // Update waves left a delta log behind: scatter it into the
-            // resident replica device-side (both ends in device memory, so
-            // zero PCIe) instead of re-running the widening pass. A faulted
-            // merge falls through to the full rebuild below.
-            if let Some(info) = cache.stale_info(rel, attr, version) {
-                if info.stale_rows > 0 && info.stale_rows * 2 <= info.rows {
-                    if let Ok(col) =
-                        cache.merge_deltas(rel, attr, version, DeltaTransport::DeviceLocal)
-                    {
-                        return Ok(col);
-                    }
+    /// `attrs` of `r` as row-aligned blocks straight from the device
+    /// columns, each column read by one scan launch; every column but the
+    /// last is copied out to pair with the last one's rows
+    /// ([`align_columns`]).
+    fn read_columns(
+        &self,
+        r: &GputxRelation,
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
+    ) -> Result<()> {
+        let widths = attrs.iter().map(|&a| r.schema.width(a)).collect::<Result<Vec<_>>>()?;
+        // Column buffers are allocated on the first insert.
+        if r.rows == 0 {
+            return Ok(());
+        }
+        align_columns(
+            &widths,
+            |i, sink| {
+                let col = &r.columns[attrs[i] as usize];
+                self.device
+                    .with_buffer(col.buf, |bytes| sink(&bytes[..r.rows as usize * col.width]))?;
+                Executor::new(&self.device).charge_launch(
+                    LaunchConfig::new(1024, 512),
+                    KernelCost {
+                        work_items: r.rows,
+                        cycles_per_item: 4.0,
+                        bytes: r.rows * col.width as u64,
+                    },
+                )?;
+                Ok(())
+            },
+            visit,
+        )
+    }
+
+    /// A fresh packed-f64 replica of `attr` of `r` (the relation the
+    /// caller holds a registry read of) in the shared cache, built by the
+    /// device-side widening kernel on miss. Errors on non-numeric types
+    /// and empty relations.
+    fn packed_replica(
+        &self,
+        rel: RelationId,
+        r: &GputxRelation,
+        attr: AttrId,
+    ) -> Result<CachedColumn> {
+        let (device, cache) = (&self.device, &self.cache);
+        let col = r.columns.get(attr as usize).ok_or(Error::UnknownAttribute(attr))?;
+        let ty = r.schema.ty(attr)?;
+        let dec = kernels::f64_decoder(ty)
+            .ok_or(Error::TypeMismatch { expected: "numeric", got: ty.name() })?;
+        if r.rows == 0 {
+            return Err(Error::Internal("empty relation has no packed replica".into()));
+        }
+        let rows = r.rows;
+        let version = r.versions[attr as usize];
+        // Update waves left a delta log behind: scatter it into the
+        // resident replica device-side (both ends in device memory, so
+        // zero PCIe) instead of re-running the widening pass. A faulted
+        // merge falls through to the full rebuild below.
+        if let Some(info) = cache.stale_info(rel, attr, version) {
+            if info.stale_rows > 0 && info.stale_rows * 2 <= info.rows {
+                if let Ok(col) = cache.merge_deltas(rel, attr, version, DeltaTransport::DeviceLocal)
+                {
+                    return Ok(col);
                 }
             }
-            cache.get_or_insert_with(rel, attr, version, rows, true, || {
-                let mut wide = vec![0.0; rows as usize];
-                device.with_buffer(col.buf, |bytes| {
-                    (dec.decode)(&bytes[..wide.len() * dec.width], &mut wide)
-                })?;
-                let out: Vec<u8> = wide.iter().flat_map(|x| x.to_le_bytes()).collect();
-                let buf = device.alloc(out.len())?;
-                let built =
-                    device.with_buffer_mut(buf, |dst| dst.copy_from_slice(&out)).and_then(|()| {
-                        Executor::new(&device)
-                            .charge_launch(
-                                LaunchConfig::new(1024, 512),
-                                KernelCost {
-                                    work_items: rows,
-                                    cycles_per_item: 2.0,
-                                    bytes: rows * (col.width as u64 + 8),
-                                },
-                            )
-                            .map(|_| ())
-                    });
-                if let Err(e) = built {
-                    device.free(buf)?;
-                    return Err(e);
-                }
-                Ok(buf)
-            })
+        }
+        cache.get_or_insert_with(rel, attr, version, rows, true, || {
+            let mut wide = vec![0.0; rows as usize];
+            device.with_buffer(col.buf, |bytes| {
+                (dec.decode)(&bytes[..wide.len() * dec.width], &mut wide)
+            })?;
+            let out: Vec<u8> = wide.iter().flat_map(|x| x.to_le_bytes()).collect();
+            let buf = device.alloc(out.len())?;
+            let built =
+                device.with_buffer_mut(buf, |dst| dst.copy_from_slice(&out)).and_then(|()| {
+                    Executor::new(device)
+                        .charge_launch(
+                            LaunchConfig::new(1024, 512),
+                            KernelCost {
+                                work_items: rows,
+                                cycles_per_item: 2.0,
+                                bytes: rows * (col.width as u64 + 8),
+                            },
+                        )
+                        .map(|_| ())
+                });
+            if let Err(e) = built {
+                device.free(buf)?;
+                return Err(e);
+            }
+            Ok(buf)
         })
     }
 
@@ -373,59 +410,13 @@ impl StorageEngine for GputxEngine {
         Ok(())
     }
 
-    fn scan_column(
+    fn with_aligned_blocks(
         &self,
         rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(RowId, &Value),
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
     ) -> Result<()> {
-        let device = self.device.clone();
-        self.rels.read(rel, |r| {
-            let ty = r.schema.ty(attr)?;
-            // Column buffers are allocated on the first insert.
-            let Some(col) = r.columns.get(attr as usize) else { return Ok(()) };
-            device.with_buffer(col.buf, |bytes| {
-                for row in 0..r.rows {
-                    let off = row as usize * col.width;
-                    visit(row, &Value::decode(ty, &bytes[off..off + col.width]));
-                }
-            })?;
-            Executor::new(&device).charge_launch(
-                LaunchConfig::new(1024, 512),
-                KernelCost {
-                    work_items: r.rows,
-                    cycles_per_item: 4.0,
-                    bytes: r.rows * col.width as u64,
-                },
-            )?;
-            Ok(())
-        })
-    }
-
-    fn with_column_bytes(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(&[u8]),
-    ) -> Result<bool> {
-        let device = self.device.clone();
-        self.rels.read(rel, |r| {
-            r.schema.ty(attr)?;
-            // Column buffers are allocated on the first insert.
-            let Some(col) = r.columns.get(attr as usize) else { return Ok(true) };
-            device.with_buffer(col.buf, |bytes| {
-                visit(&bytes[..r.rows as usize * col.width]);
-            })?;
-            Executor::new(&device).charge_launch(
-                LaunchConfig::new(1024, 512),
-                KernelCost {
-                    work_items: r.rows,
-                    cycles_per_item: 4.0,
-                    bytes: r.rows * col.width as u64,
-                },
-            )?;
-            Ok(true)
-        })
+        self.rels.read(rel, |r| self.read_columns(r, attrs, visit))
     }
 
     fn row_count(&self, rel: RelationId) -> Result<u64> {
@@ -468,21 +459,28 @@ impl StorageEngine for GputxEngine {
     /// Device sum over the packed replica (widened device-side on a miss;
     /// a repeat query at the same version runs only the reduction).
     fn offload_sum(&self, rel: RelationId, attr: AttrId, pred: Option<&Predicate>) -> Result<f64> {
-        let packed = self.packed_replica(rel, attr)?;
-        common::device_sum(&self.device, packed.buf, pred)
+        self.rels.read(rel, |r| {
+            let packed = self.packed_replica(rel, r, attr)?;
+            common::device_sum(&self.device, packed.buf, pred)
+        })
     }
 
-    /// Device group-sum: keys scanned from the device-resident key column,
-    /// values from the packed replica.
+    /// Device group-sum under one registry read: keys read from the
+    /// device-resident key column, values from the packed replica, so no
+    /// update wave lands between the keys and the values.
     fn offload_group_sum(
         &self,
         rel: RelationId,
         key_attr: AttrId,
         value_attr: AttrId,
     ) -> Result<Vec<(i64, f64)>> {
-        let keys = common::scan_keys(self, rel, key_attr)?;
-        let packed = self.packed_replica(rel, value_attr)?;
-        common::device_group_sum(&self.device, packed.buf, &keys)
+        self.rels.read(rel, |r| {
+            let keys = common::read_keys(&r.schema, key_attr, |visit| {
+                self.read_columns(r, &[key_attr], visit)
+            })?;
+            let packed = self.packed_replica(rel, r, value_attr)?;
+            common::device_group_sum(&self.device, packed.buf, &keys)
+        })
     }
 }
 

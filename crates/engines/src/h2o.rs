@@ -135,31 +135,6 @@ impl StorageEngine for H2oEngine {
         })
     }
 
-    fn scan_column(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(RowId, &Value),
-    ) -> Result<()> {
-        self.rels.read(rel, |r| {
-            r.stats.record_scan(attr);
-            let ty = r.relation.schema().ty(attr)?;
-            r.relation.for_each_field(attr, |row, bytes| visit(row, &Value::decode(ty, bytes)))
-        })
-    }
-
-    fn with_column_bytes(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(&[u8]),
-    ) -> Result<bool> {
-        self.rels.read(rel, |r| {
-            r.stats.record_scan(attr);
-            r.relation.with_column_bytes(attr, visit)
-        })
-    }
-
     fn with_aligned_blocks(
         &self,
         rel: RelationId,
@@ -254,16 +229,12 @@ mod tests {
             e.insert(rel, &rec(i)).unwrap();
         }
         assert!(e.thin_columns(rel).unwrap().is_empty());
-        // The NSM start means no contiguous fast path for price.
-        assert!(!e.with_column_bytes(rel, 1, &mut |_| ()).unwrap());
         for _ in 0..40 {
             htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
         }
         let report = e.maintain().unwrap();
         assert_eq!(report.layouts_reorganized, 1);
         assert_eq!(e.thin_columns(rel).unwrap(), vec![1]);
-        // Now the price column is thin and directly scannable.
-        assert!(e.with_column_bytes(rel, 1, &mut |_| ()).unwrap());
         // Data intact.
         assert_eq!(e.read_record(rel, 123).unwrap(), rec(123));
     }

@@ -14,10 +14,10 @@
 //! which is deliberately expensive.
 
 use htapg_core::compress::{self, Compressed};
-use htapg_core::engine::{MaintenanceReport, StorageEngine};
+use htapg_core::engine::{visit_views, MaintenanceReport, StorageEngine};
 use htapg_core::{
-    AttrId, Error, Fragment, FragmentSpec, Linearization, Record, RelationId, Result, RowId,
-    Schema, Value,
+    AttrId, ColumnView, Error, Fragment, FragmentSpec, Linearization, Record, RelationId, Result,
+    RowId, Schema, Value,
 };
 use htapg_taxonomy::{survey, Classification};
 
@@ -315,82 +315,57 @@ impl StorageEngine for HyperEngine {
         })
     }
 
-    fn scan_column(
+    /// Chunks in row order, one visit each: a hot chunk's vectors served
+    /// in place, a cold chunk's columns decoded into scratch.
+    fn with_aligned_blocks(
         &self,
         rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(RowId, &Value),
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
     ) -> Result<()> {
         self.rels.read(rel, |r| {
-            let ty = r.schema.ty(attr)?;
-            let width = r.schema.width(attr)?;
+            let widths = attrs.iter().map(|&a| r.schema.width(a)).collect::<Result<Vec<_>>>()?;
+            let (mut cold, mut bufs) = (vec![Vec::new(); attrs.len()], Vec::new());
             for (ci, chunk) in r.chunks.iter().enumerate() {
-                let first = ci as u64 * r.chunk_rows;
-                match chunk {
-                    Chunk::Hot { vectors, .. } => {
-                        vectors[attr as usize].for_each_field(attr, |row, bytes| {
-                            visit(row, &Value::decode(ty, bytes))
-                        })?;
+                let views = match chunk {
+                    Chunk::Hot { vectors, .. } => attrs
+                        .iter()
+                        .map(|&a| vectors[a as usize].column_view(a))
+                        .collect::<Result<Vec<_>>>()?,
+                    Chunk::Cold { columns, len } => {
+                        for ((&a, &width), out) in attrs.iter().zip(&widths).zip(&mut cold) {
+                            if let ColdColumn::Packed(block) = &columns[a as usize] {
+                                let values = compress::decode(block)?;
+                                out.resize(values.len() * width, 0);
+                                for (field, v) in out.chunks_exact_mut(width).zip(values) {
+                                    field.copy_from_slice(&v.to_le_bytes()[..width]);
+                                }
+                            }
+                        }
+                        let first_row = ci as u64 * r.chunk_rows;
+                        let views = attrs.iter().zip(&widths).zip(&cold);
+                        views
+                            .map(|((&a, &width), decoded)| {
+                                let data = match &columns[a as usize] {
+                                    ColdColumn::Packed(_) => decoded.as_slice(),
+                                    ColdColumn::Raw(bytes) => bytes.as_slice(),
+                                };
+                                let rows = *len;
+                                ColumnView {
+                                    data,
+                                    offset: 0,
+                                    stride: width,
+                                    width,
+                                    rows,
+                                    first_row,
+                                }
+                            })
+                            .collect()
                     }
-                    Chunk::Cold { columns, len } => match &columns[attr as usize] {
-                        ColdColumn::Packed(block) => {
-                            let values = compress::decode(block)?;
-                            for (i, v) in values.iter().enumerate() {
-                                visit(
-                                    first + i as u64,
-                                    &Value::decode(ty, &u64_to_field(*v, width)),
-                                );
-                            }
-                        }
-                        ColdColumn::Raw(bytes) => {
-                            for i in 0..*len as usize {
-                                visit(
-                                    first + i as u64,
-                                    &Value::decode(ty, &bytes[i * width..(i + 1) * width]),
-                                );
-                            }
-                        }
-                    },
-                }
+                };
+                visit_views(&views, &mut bufs, visit);
             }
             Ok(())
-        })
-    }
-
-    fn with_column_bytes(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(&[u8]),
-    ) -> Result<bool> {
-        self.rels.read(rel, |r| {
-            let width = r.schema.width(attr)?;
-            for chunk in &r.chunks {
-                match chunk {
-                    Chunk::Hot { vectors, .. } => {
-                        let view = vectors[attr as usize].column_view(attr)?;
-                        if let Some(block) = view.contiguous_bytes() {
-                            visit(block);
-                        } else {
-                            return Ok(false);
-                        }
-                    }
-                    Chunk::Cold { columns, len } => match &columns[attr as usize] {
-                        ColdColumn::Packed(block) => {
-                            // Decompress this chunk's column into a scratch
-                            // block for the visitor.
-                            let values = compress::decode(block)?;
-                            let mut scratch = Vec::with_capacity(values.len() * width);
-                            for v in values {
-                                scratch.extend_from_slice(&u64_to_field(v, width));
-                            }
-                            visit(&scratch);
-                        }
-                        ColdColumn::Raw(bytes) => visit(&bytes[..*len as usize * width]),
-                    },
-                }
-            }
-            Ok(true)
         })
     }
 

@@ -262,27 +262,6 @@ impl StorageEngine for MirrorsEngine {
         self.rels.write(rel, |r| r.relation.update_field(row, attr, value))
     }
 
-    fn scan_column(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(RowId, &Value),
-    ) -> Result<()> {
-        self.rels.read(rel, |r| {
-            let ty = r.relation.schema().ty(attr)?;
-            r.relation.for_each_field(attr, |row, bytes| visit(row, &Value::decode(ty, bytes)))
-        })
-    }
-
-    fn with_column_bytes(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(&[u8]),
-    ) -> Result<bool> {
-        self.rels.read(rel, |r| r.relation.with_column_bytes(attr, visit))
-    }
-
     /// Several columns from the DSM mirror under one registry read.
     fn with_aligned_blocks(
         &self,
@@ -352,8 +331,10 @@ mod tests {
         let e = MirrorsEngine::new();
         let rel = e.create_relation(schema()).unwrap();
         e.insert(rel, &rec(0)).unwrap();
-        // The DSM mirror provides the contiguous fast path.
-        assert!(e.with_column_bytes(rel, 1, &mut |_| ()).unwrap());
+        // The DSM mirror serves the column in place: one contiguous block.
+        let mut blocks = Vec::new();
+        assert!(e.with_column_bytes(rel, 1, &mut |b| blocks.push(b.len())).unwrap());
+        assert_eq!(blocks, vec![8]);
         // Internal routing: record reads use layout 0 (NSM), scans layout 1.
         e.rels
             .read(rel, |r| {

@@ -12,7 +12,7 @@ use htapg_core::sync::RwLock;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use htapg_core::engine::{MaintenanceReport, StorageEngine};
+use htapg_core::engine::{visit_views, MaintenanceReport, StorageEngine};
 use htapg_core::{
     AttrId, Error, Fragment, FragmentSpec, Linearization, Location, Record, RelationId, Result,
     RowId, Schema, Value,
@@ -267,25 +267,29 @@ impl StorageEngine for PaxEngine {
         })
     }
 
-    fn scan_column(
+    /// Completed pages in row order, each faulted in once for every
+    /// column, then the open page: a page's minipages of `attrs` are one
+    /// visit, served in place.
+    fn with_aligned_blocks(
         &self,
         rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(RowId, &Value),
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
     ) -> Result<()> {
         let disk = self.disk.clone();
         self.rels.write(rel, |r| {
-            let schema = r.schema.clone();
-            let ty = schema.ty(attr)?;
-            let pages = r.rows / r.rows_per_page;
-            for page in 0..pages {
-                let frag = r.fetch_page(page, &disk)?;
-                frag.for_each_field(attr, |row, bytes| visit(row, &Value::decode(ty, bytes)))?;
+            attrs.iter().try_for_each(|&a| r.schema.attr(a).map(drop))?;
+            let mut bufs = Vec::new();
+            let mut page_blocks = |frag: &Fragment| -> Result<()> {
+                let views =
+                    attrs.iter().map(|&a| frag.column_view(a)).collect::<Result<Vec<_>>>()?;
+                visit_views(&views, &mut bufs, visit);
+                Ok(())
+            };
+            for page in 0..r.rows / r.rows_per_page {
+                page_blocks(r.fetch_page(page, &disk)?)?;
             }
-            if let Some(open) = &r.open {
-                open.for_each_field(attr, |row, bytes| visit(row, &Value::decode(ty, bytes)))?;
-            }
-            Ok(())
+            r.open.as_ref().map_or(Ok(()), page_blocks)
         })
     }
 

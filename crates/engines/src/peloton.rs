@@ -12,7 +12,7 @@
 //! in [`StorageEngine::maintain`] migrates quiet, full tile groups to
 //! columnar form and recently-updated columnar groups back to rows.
 
-use htapg_core::engine::{MaintenanceReport, StorageEngine};
+use htapg_core::engine::{visit_views, MaintenanceReport, StorageEngine};
 use htapg_core::{
     AttrId, Error, Fragment, FragmentSpec, Linearization, Record, RelationId, Result, RowId,
     Schema, Value,
@@ -307,41 +307,25 @@ impl StorageEngine for PelotonEngine {
         })
     }
 
-    fn scan_column(
+    /// Tile groups in row order, one visit each: columnar tiles are served
+    /// in place, a row-wise group's fields gathered from its NSM tile.
+    fn with_aligned_blocks(
         &self,
         rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(RowId, &Value),
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
     ) -> Result<()> {
         self.rels.read(rel, |r| {
-            let ty = r.schema.ty(attr)?;
+            attrs.iter().try_for_each(|&a| r.schema.attr(a).map(drop))?;
+            let mut bufs = Vec::new();
             for g in &r.groups {
-                g.tile_for(attr)
-                    .for_each_field(attr, |row, bytes| visit(row, &Value::decode(ty, bytes)))?;
+                let views = attrs
+                    .iter()
+                    .map(|&a| g.tile_for(a).column_view(a))
+                    .collect::<Result<Vec<_>>>()?;
+                visit_views(&views, &mut bufs, visit);
             }
             Ok(())
-        })
-    }
-
-    fn with_column_bytes(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(&[u8]),
-    ) -> Result<bool> {
-        self.rels.read(rel, |r| {
-            r.schema.attr(attr)?;
-            let mut blocks = Vec::new();
-            for g in &r.groups {
-                match g.tile_for(attr).column_bytes(attr) {
-                    Some(b) => blocks.push(b),
-                    None => return Ok(false), // a row-wise tile group blocks the fast path
-                }
-            }
-            for b in blocks {
-                visit(b);
-            }
-            Ok(true)
         })
     }
 
@@ -430,9 +414,20 @@ mod tests {
         for i in 0..8 {
             e.insert(rel, &rec(i)).unwrap();
         }
-        assert!(!e.with_column_bytes(rel, 1, &mut |_| ()).unwrap());
+        let values = |e: &PelotonEngine| {
+            let mut out = Vec::new();
+            e.with_column_bytes(rel, 1, &mut |b| out.extend_from_slice(b)).unwrap();
+            out
+        };
+        // A row-wise group is gathered from its NSM tile, a columnar one
+        // served in place: the same bytes either way.
+        assert_eq!(e.group_layouts(rel).unwrap(), vec![true]);
+        let gathered = values(&e);
         e.maintain().unwrap();
-        assert!(e.with_column_bytes(rel, 1, &mut |_| ()).unwrap());
+        assert_eq!(e.group_layouts(rel).unwrap(), vec![false]);
+        assert_eq!(values(&e), gathered);
+        let want: Vec<u8> = (0..8).flat_map(|i| (i as f64).to_le_bytes()).collect();
+        assert_eq!(gathered, want);
         let sum = crate::testing::planned_sum(&e, rel, 1);
         assert_eq!(sum, (0..8).map(|i| i as f64).sum::<f64>());
     }

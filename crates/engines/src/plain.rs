@@ -129,27 +129,6 @@ impl StorageEngine for PlainEngine {
         self.rels.write(rel, |r| r.update_field(row, attr, value))
     }
 
-    fn scan_column(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(RowId, &Value),
-    ) -> Result<()> {
-        self.rels.read(rel, |r| {
-            let ty = r.schema().ty(attr)?;
-            r.for_each_field(attr, |row, bytes| visit(row, &Value::decode(ty, bytes)))
-        })
-    }
-
-    fn with_column_bytes(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(&[u8]),
-    ) -> Result<bool> {
-        self.rels.read(rel, |r| r.with_column_bytes(attr, visit))
-    }
-
     fn with_aligned_blocks(
         &self,
         rel: RelationId,
@@ -216,8 +195,17 @@ mod tests {
             engine
                 .insert(rel, &vec![Value::Int64(1), Value::Float64(1.0), Value::Text("a".into())])
                 .unwrap();
-            let got = engine.with_column_bytes(rel, 1, &mut |_| ()).unwrap();
-            assert_eq!(got, expect_fast, "{}", engine.name());
+            // The layout decides contiguity; the block read serves every kind.
+            let contiguous = engine.rels.read(rel, |r| {
+                Ok(r.layouts()[0].column_views(1)?.iter().all(|v| v.is_contiguous()))
+            });
+            assert_eq!(contiguous.unwrap(), expect_fast, "{}", engine.name());
+            assert_eq!(engine.column_evidence(rel, 1).unwrap().contiguous, expect_fast);
+            let mut fields = Vec::new();
+            assert!(engine
+                .with_column_bytes(rel, 1, &mut |b| fields.extend_from_slice(b))
+                .unwrap());
+            assert_eq!(fields, 1.0f64.to_le_bytes(), "{}", engine.name());
         }
     }
 

@@ -638,27 +638,6 @@ impl StorageEngine for ReferenceEngine {
         }
     }
 
-    fn scan_column(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(RowId, &Value),
-    ) -> Result<()> {
-        self.scan_column_as_of(rel, attr, self.mgr.now(), visit)
-    }
-
-    /// Every column as blocks of the current snapshot: the one-attribute
-    /// [`with_aligned_blocks`](StorageEngine::with_aligned_blocks).
-    fn with_column_bytes(
-        &self,
-        rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(&[u8]),
-    ) -> Result<bool> {
-        self.with_aligned_blocks(rel, &[attr], &mut |blocks| visit(blocks[0]))?;
-        Ok(true)
-    }
-
     /// Several columns as row-aligned blocks of one snapshot (see
     /// `RefRelation::snapshot_blocks`), under one registry read: a commit
     /// lands wholly before or wholly after the read. Unmerged versions are
@@ -731,9 +710,12 @@ impl StorageEngine for ReferenceEngine {
         key_attr: AttrId,
         value_attr: AttrId,
     ) -> Result<Vec<(i64, f64)>> {
-        self.schema(rel)?.key_ty(key_attr)?;
+        let schema = self.schema(rel)?;
+        schema.key_ty(key_attr)?;
         self.ensure_device_replica(rel, value_attr)?;
-        let keys = common::scan_keys(self, rel, key_attr)?;
+        let keys = common::read_keys(&schema, key_attr, |visit| {
+            self.with_aligned_blocks(rel, &[key_attr], visit)
+        })?;
         self.with_fresh_replica(rel, value_attr, |buf| {
             common::device_group_sum(&self.device, buf, &keys)
         })

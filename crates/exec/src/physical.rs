@@ -182,7 +182,6 @@ fn reduce_column(
     engine: &dyn StorageEngine,
     rel: RelationId,
     attr: AttrId,
-    strategy: ScanStrategy,
     seg_len: Option<usize>,
     pred: Option<&Predicate>,
     policy: ThreadingPolicy,
@@ -190,13 +189,15 @@ fn reduce_column(
     let dec = numeric_decoder(engine, rel, attr)?;
     let rows = engine.row_count(rel)? as usize;
     let mut r = reducer(seg_len.unwrap_or_else(|| kernels::reduce_seg_len(rows)), pred);
-    for_each_block(engine, rel, attr, strategy, dec, |b| push_block(&mut r, b, policy))?;
+    engine.with_aligned_blocks(rel, &[attr], &mut |blocks| {
+        push_block(&mut r, Block::Bytes(blocks[0], dec), policy)
+    })?;
     if seg_len.is_some() || r.rows() == rows {
         return Ok(r.finish());
     }
     // The row count moved between the two reads (a concurrent insert), so
     // the flat segmentation is off: collect, then segment what was read.
-    let values = collect_f64(engine, rel, attr, strategy)?;
+    let values = collect_f64(engine, rel, attr, ScanStrategy::ContiguousBytes)?;
     Ok(segmented_sum(&values, None, pred, policy))
 }
 
@@ -210,12 +211,8 @@ fn numeric_decoder(
     kernels::f64_decoder(ty).ok_or(Error::NonNumericAggregate { attr, got: ty.name() })
 }
 
-/// Values per run of [`Block::for_each_run`]: a run's decode and its
-/// consumer both stay in L1.
-const RUN: usize = 2048;
-
 /// One block of a numeric column, its rows in order: packed little-endian
-/// bytes with their decoder, or values already decoded (a value-visit run).
+/// bytes with their decoder, or values already decoded.
 #[derive(Clone, Copy)]
 enum Block<'a> {
     Bytes(&'a [u8], Decoder<f64>),
@@ -237,69 +234,24 @@ impl Block<'_> {
             Block::Values(values) => Block::Values(&values[lo..hi]),
         }
     }
-
-    /// Visit the block's values in runs of at most `buf.len()`; bytes
-    /// decode through `buf`.
-    fn for_each_run(&self, buf: &mut [f64], mut f: impl FnMut(&[f64])) {
-        match *self {
-            Block::Values(values) => values.chunks(buf.len()).for_each(f),
-            Block::Bytes(bytes, dec) => {
-                for bytes in bytes.chunks(buf.len() * dec.width) {
-                    let run = &mut buf[..bytes.len() / dec.width];
-                    (dec.decode)(bytes, run);
-                    f(run);
-                }
-            }
-        }
-    }
 }
 
-/// Visit a column's rows in order as [`Block`]s: the engine's contiguous
-/// blocks when the plan says they are available; otherwise — or if the
-/// engine declines at run time, the overlay may have filled since
-/// planning — value-visit runs of at most [`RUN`] values.
-fn for_each_block(
-    engine: &dyn StorageEngine,
-    rel: RelationId,
-    attr: AttrId,
-    strategy: ScanStrategy,
-    dec: Decoder<f64>,
-    mut f: impl FnMut(Block<'_>),
-) -> Result<()> {
-    if strategy == ScanStrategy::ContiguousBytes
-        && engine.with_column_bytes(rel, attr, &mut |bytes| f(Block::Bytes(bytes, dec)))?
-    {
-        return Ok(());
-    }
-    let mut run = [0.0; RUN];
-    let mut len = 0;
-    engine.scan_column(rel, attr, &mut |_, v| {
-        run[len] = v.as_f64().expect("column type checked numeric above");
-        len += 1;
-        if len == RUN {
-            f(Block::Values(&run));
-            len = 0;
-        }
-    })?;
-    if len > 0 {
-        f(Block::Values(&run[..len]));
-    }
-    Ok(())
-}
-
-/// Materialize a numeric column as `Vec<f64>` in row order, preferring the
-/// contiguous fast path when the plan says it is available.
+/// Materialize a numeric column as `Vec<f64>` in row order, from the
+/// engine's block read. `strategy` is the plan's price tag and does not
+/// steer the read.
 pub fn collect_f64(
     engine: &dyn StorageEngine,
     rel: RelationId,
     attr: AttrId,
     strategy: ScanStrategy,
 ) -> Result<Vec<f64>> {
+    let _ = strategy;
     let dec = numeric_decoder(engine, rel, attr)?;
     let mut out = Vec::with_capacity(engine.row_count(rel)? as usize);
-    let mut buf = [0.0; RUN];
-    for_each_block(engine, rel, attr, strategy, dec, |b| {
-        b.for_each_run(&mut buf, |run| out.extend_from_slice(run))
+    engine.with_aligned_blocks(rel, &[attr], &mut |blocks| {
+        let at = out.len();
+        out.resize(at + blocks[0].len() / dec.width, 0.0);
+        (dec.decode)(blocks[0], &mut out[at..]);
     })?;
     Ok(out)
 }
@@ -540,15 +492,12 @@ fn group_sum_scans(
     Ok(reduce_groups(&chunks, policy, kernels::canonical_runs_sum))
 }
 
-/// Visit every value of `attr` the way a host column scan does (the
-/// contiguous fast path, else value visits) and aggregate nothing: warms
-/// an engine's access statistics like a repeated analytic scan, without
-/// planning a query or charging a device.
+/// Read `attr` the way a host column scan does, through the engine's
+/// block read, and aggregate nothing: warms an engine's access statistics
+/// like a repeated analytic scan, without planning a query or charging a
+/// device.
 pub fn touch_column(engine: &dyn StorageEngine, rel: RelationId, attr: AttrId) -> Result<()> {
-    if !engine.with_column_bytes(rel, attr, &mut |_| {})? {
-        engine.scan_column(rel, attr, &mut |_, _| {})?;
-    }
-    Ok(())
+    engine.with_aligned_blocks(rel, &[attr], &mut |_| {})
 }
 
 /// The naive volcano oracle: tuple-at-a-time `read_field` per row, then
@@ -908,7 +857,7 @@ fn exec_sum(
     // executes them, so the host fallback matches the gathered result.
     let seg_len = (node.partition_rows > 0).then_some(node.partition_rows as usize);
     let policy = host_policy(node, policy);
-    let sum = reduce_column(engine, rel, attr, node.strategy, seg_len, pred.as_ref(), policy)?;
+    let sum = reduce_column(engine, rel, attr, seg_len, pred.as_ref(), policy)?;
     Ok(QueryOutput::Sum(sum))
 }
 
@@ -1018,16 +967,13 @@ mod tests {
             self.rel.write().as_mut().unwrap().update_field(row, attr, value)
         }
 
-        fn scan_column(
+        fn with_aligned_blocks(
             &self,
             _rel: RelationId,
-            attr: AttrId,
-            visit: &mut dyn FnMut(RowId, &Value),
+            attrs: &[AttrId],
+            visit: &mut dyn FnMut(&[&[u8]]),
         ) -> Result<()> {
-            let guard = self.rel.read();
-            let rel = guard.as_ref().unwrap();
-            let ty = rel.schema().ty(attr)?;
-            rel.for_each_field(attr, |row, bytes| visit(row, &Value::decode(ty, bytes)))
+            self.rel.read().as_ref().unwrap().with_aligned_blocks(attrs, &[], visit)
         }
 
         fn row_count(&self, _rel: RelationId) -> Result<u64> {

@@ -450,21 +450,31 @@ impl StorageEngine for ShardedEngine {
         self.point_rpc(shard)
     }
 
-    /// Global-row-order scan, served from the coordinator's merge view
+    /// Global-row-order blocks, served from the coordinator's merge view
     /// (the executor's host fallback path — correctness net, not the
-    /// priced route).
-    fn scan_column(
+    /// priced route): each placement fragment's records encoded into one
+    /// block per column, one visit per fragment.
+    fn with_aligned_blocks(
         &self,
         rel: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(RowId, &Value),
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
     ) -> Result<()> {
         self.with_rel(rel, |r| {
-            r.schema.attr(attr)?;
+            let types = attrs.iter().map(|&a| r.schema.ty(a)).collect::<Result<Vec<_>>>()?;
             let part = self.sharding.partition_rows;
-            for row in 0..r.rows {
-                let (shard, local) = r.locate(part, row)?;
-                visit(row, &r.stores[shard as usize][local][attr as usize]);
+            let mut bufs = vec![Vec::new(); attrs.len()];
+            for (f, frag) in r.frags.iter().enumerate() {
+                let rows = part.min(r.rows - f as u64 * part) as usize;
+                let base = frag.local_base as usize;
+                let records = &r.stores[frag.shard as usize][base..base + rows];
+                for ((&attr, &ty), buf) in attrs.iter().zip(&types).zip(&mut bufs) {
+                    buf.resize(rows * ty.width(), 0);
+                    for (rec, field) in records.iter().zip(buf.chunks_exact_mut(ty.width())) {
+                        rec[attr as usize].encode_into(ty, field)?;
+                    }
+                }
+                visit(&bufs.iter().map(Vec::as_slice).collect::<Vec<_>>());
             }
             Ok(())
         })

@@ -355,16 +355,13 @@ mod tests {
         ) -> htapg_core::Result<()> {
             self.rels.write()[rel as usize].update_field(row, attr, value)
         }
-        fn scan_column(
+        fn with_aligned_blocks(
             &self,
             rel: u32,
-            attr: AttrId,
-            visit: &mut dyn FnMut(RowId, &Value),
+            attrs: &[AttrId],
+            visit: &mut dyn FnMut(&[&[u8]]),
         ) -> htapg_core::Result<()> {
-            let rels = self.rels.read();
-            let r = &rels[rel as usize];
-            let ty = r.schema().ty(attr)?;
-            r.for_each_field(attr, |row, bytes| visit(row, &Value::decode(ty, bytes)))
+            self.rels.read()[rel as usize].with_aligned_blocks(attrs, &[], visit)
         }
         fn row_count(&self, rel: u32) -> htapg_core::Result<u64> {
             Ok(self.rels.read()[rel as usize].row_count())

@@ -1,22 +1,67 @@
 //! Cross-engine equivalence: every engine — whatever its physical layout,
 //! device placement, versioning, or cluster distribution — must answer the
 //! same logical queries identically. A randomized workload of inserts,
-//! updates, point reads, scans, and interleaved maintenance runs against
-//! all engines plus a trivially correct oracle.
+//! updates, point reads, planned sums, several-column block reads and
+//! interleaved maintenance runs against every engine plus a trivially
+//! correct oracle.
 
 use htapg::core::engine::StorageEngine;
 use htapg::core::plan::LogicalPlan;
 use htapg::core::prng::check_cases;
-use htapg::core::{Record, Value};
-use htapg::engines::{all_surveyed_engines, PlainEngine, ReferenceEngine};
+use htapg::core::{AttrId, DataType, Error, Record, RelationId, ShardingKind, Value};
+use htapg::engines::{all_surveyed_engines, EmulatedMultiEngine, PlainEngine, ReferenceEngine};
 use htapg::exec::physical;
 use htapg::exec::threading::ThreadingPolicy;
+use htapg::exec::ShardedEngine;
 use htapg::workload::tpcc::{item_attr, item_schema, Generator};
 
 fn engines_under_test() -> Vec<Box<dyn StorageEngine>> {
     let mut v = all_surveyed_engines();
     v.push(Box::new(ReferenceEngine::new()));
     v
+}
+
+/// Every engine: the ten surveyed, the reference engine, the three plain
+/// baselines, the emulated multi-layout engine and a 4-node sharded one.
+fn every_engine() -> Vec<Box<dyn StorageEngine>> {
+    let mut v = engines_under_test();
+    v.push(Box::new(PlainEngine::row_store()));
+    v.push(Box::new(PlainEngine::column_store()));
+    v.push(Box::new(PlainEngine::emulated_column_store()));
+    v.push(Box::new(EmulatedMultiEngine::new()));
+    v.push(Box::new(ShardedEngine::new(ShardingKind::Hash, 4)));
+    v
+}
+
+/// An integer, a float and a text column, read together.
+const BLOCK_ATTRS: [AttrId; 3] = [item_attr::I_IM_ID, item_attr::I_PRICE, item_attr::I_NAME];
+
+/// Every row's [`BLOCK_ATTRS`] fields from one several-column block read,
+/// each block checked to hold the same rows in every column.
+fn block_read(e: &dyn StorageEngine, rel: RelationId) -> Vec<Record> {
+    let schema = e.schema(rel).unwrap();
+    let types: Vec<DataType> = BLOCK_ATTRS.iter().map(|&a| schema.ty(a).unwrap()).collect();
+    let mut records = Vec::new();
+    e.with_aligned_blocks(rel, &BLOCK_ATTRS, &mut |blocks| {
+        assert_eq!(blocks.len(), BLOCK_ATTRS.len(), "{}: a block per column", e.name());
+        let rows = blocks[0].len() / types[0].width();
+        for (block, ty) in blocks.iter().zip(&types) {
+            assert_eq!(
+                block.len(),
+                rows * ty.width(),
+                "{}: the same rows in every column",
+                e.name()
+            );
+        }
+        for i in 0..rows {
+            let field = |(block, ty): (&&[u8], &DataType)| {
+                Value::decode(*ty, &block[i * ty.width()..(i + 1) * ty.width()])
+            };
+            records.push(blocks.iter().zip(&types).map(field).collect());
+        }
+    })
+    .unwrap();
+    records
 }
 
 #[test]
@@ -31,14 +76,16 @@ fn randomized_workload_equivalence() {
 fn randomized_workload_equivalence_case(rng: &mut htapg::core::prng::Prng) {
     let gen = Generator::new(1234);
     let oracle = PlainEngine::row_store();
-    let engines = engines_under_test();
+    let engines = every_engine();
 
     let oracle_rel = oracle.create_relation(item_schema()).unwrap();
     let rels: Vec<_> = engines.iter().map(|e| e.create_relation(item_schema()).unwrap()).collect();
 
     let mut rows = 0u64;
-    // Seed rows so updates have targets.
-    for i in 0..200 {
+    // Seed rows so updates have targets, and enough of them that
+    // maintenance leaves full units behind: HyPer's cold chunk, L-Store's
+    // compressed base blocks and Peloton's columnar tile groups.
+    for i in 0..4_200 {
         let rec = gen.item(i);
         oracle.insert(oracle_rel, &rec).unwrap();
         for (e, &rel) in engines.iter().zip(&rels) {
@@ -66,7 +113,7 @@ fn randomized_workload_equivalence_case(rng: &mut htapg::core::prng::Prng) {
                     e.update_field(rel, row, item_attr::I_PRICE, &v).unwrap();
                 }
             }
-            60..=84 => {
+            60..=79 => {
                 let row = rng.gen_range(0..rows);
                 let want: Record = oracle.read_record(oracle_rel, row).unwrap();
                 for (e, &rel) in engines.iter().zip(&rels) {
@@ -74,10 +121,37 @@ fn randomized_workload_equivalence_case(rng: &mut htapg::core::prng::Prng) {
                     assert_eq!(got, want, "{} record {row} at step {step}", e.name());
                 }
             }
-            85..=94 => {
-                let want = physical::volcano_sum(&oracle, oracle_rel, item_attr::I_PRICE).unwrap();
+            80..=87 => {
+                let want: Vec<Record> = (0..rows)
+                    .map(|row| {
+                        let rec = oracle.read_record(oracle_rel, row).unwrap();
+                        BLOCK_ATTRS.iter().map(|&a| rec[a as usize].clone()).collect()
+                    })
+                    .collect();
+                for (e, &rel) in engines.iter().zip(&rels) {
+                    let got = block_read(e.as_ref(), rel);
+                    assert_eq!(got.len(), want.len(), "{} block rows at step {step}", e.name());
+                    if let Some(row) = (0..want.len()).find(|&i| got[i] != want[i]) {
+                        panic!("{} block row {row} at step {step}: {:?}", e.name(), got[row]);
+                    }
+                }
+            }
+            88..=94 => {
+                let flat = physical::volcano_sum(&oracle, oracle_rel, item_attr::I_PRICE).unwrap();
                 for (e, &rel) in engines.iter().zip(&rels) {
                     let plan = e.plan(&LogicalPlan::sum(rel, item_attr::I_PRICE)).unwrap();
+                    // A sharded plan reduces at its fragment granularity.
+                    let want = match plan.root.partition_rows as usize {
+                        0 => flat,
+                        part => physical::sharded_volcano_sum(
+                            &oracle,
+                            oracle_rel,
+                            item_attr::I_PRICE,
+                            None,
+                            part,
+                        )
+                        .unwrap(),
+                    };
                     let out = physical::execute(e.as_ref(), &plan, ThreadingPolicy::Single);
                     let got = out.unwrap().as_sum().unwrap();
                     assert_eq!(
@@ -90,7 +164,10 @@ fn randomized_workload_equivalence_case(rng: &mut htapg::core::prng::Prng) {
             }
             _ => {
                 // Maintenance at arbitrary points must never change answers.
+                // A second pass finds every full unit quiet, so HyPer
+                // freezes its cold chunk and Peloton turns groups columnar.
                 for e in &engines {
+                    e.maintain().unwrap();
                     e.maintain().unwrap();
                 }
             }
@@ -136,10 +213,21 @@ fn scan_order_and_coverage_is_identical_everywhere() {
 
 #[test]
 fn errors_are_uniform_across_engines() {
-    let engines = engines_under_test();
+    let engines = every_engine();
     for engine in engines {
+        let empty = engine.create_relation(item_schema()).unwrap();
         let rel = engine.create_relation(item_schema()).unwrap();
         engine.insert(rel, &Generator::new(0).item(0)).unwrap();
+        for r in [empty, rel] {
+            let mut visits = 0;
+            assert_eq!(
+                engine.with_aligned_blocks(r, &[item_attr::I_ID, 99], &mut |_| visits += 1),
+                Err(Error::UnknownAttribute(99)),
+                "{} block read of an unknown attribute",
+                engine.name()
+            );
+            assert_eq!(visits, 0, "{}", engine.name());
+        }
         assert!(engine.read_record(rel, 5).is_err(), "{} bad row", engine.name());
         assert!(
             engine.update_field(rel, 0, 99, &Value::Int32(0)).is_err(),
@@ -160,15 +248,8 @@ fn errors_are_uniform_across_engines() {
 /// keeps its row count and the next record lands intact in the next row.
 #[test]
 fn rejected_insert_leaves_every_engine_intact() {
-    use htapg::core::{Error, ShardingKind};
-    use htapg::exec::ShardedEngine;
     let gen = Generator::new(5);
-    let mut engines = engines_under_test();
-    engines.push(Box::new(PlainEngine::row_store()));
-    engines.push(Box::new(PlainEngine::column_store()));
-    engines.push(Box::new(htapg::engines::EmulatedMultiEngine::new()));
-    engines.push(Box::new(ShardedEngine::new(ShardingKind::Hash, 2)));
-    for engine in engines {
+    for engine in every_engine() {
         let name = engine.name();
         let rel = engine.create_relation(item_schema()).unwrap();
         for i in 0..3 {

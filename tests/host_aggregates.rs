@@ -11,24 +11,26 @@
 //! `maintain()` delegates the columns. A pool-scale case (more than three
 //! morsels) runs the planned aggregates and the host group-sum under
 //! `Single`, `Multi { threads: 2 }` and `multi8()` over one block, many
-//! paged blocks and patched snapshot blocks. Two engines that serve the
-//! several-column read under one lock (Reference, Fractured Mirrors) must
-//! answer a host group-sum from one committed state while a writer keeps
-//! moving a row between groups, and the reference engine keeps its bits
-//! when the key column is delegated and the value column is not. The seed
-//! honors `HTAPG_SEED`.
+//! paged blocks and patched snapshot blocks. Every engine that updates in
+//! place must answer a host group-sum from one committed state while a
+//! writer keeps moving a row between groups (the reference engine also
+//! under transactions), and the reference engine keeps its bits when the
+//! key column is delegated and the value column is not. The seed honors
+//! `HTAPG_SEED`.
 
 use htapg::core::engine::StorageEngine;
 use htapg::core::plan::{LogicalPlan, Predicate, ScanStrategy};
 use htapg::core::prng::{check_cases, Prng};
 use htapg::core::sync::RwLock;
+use htapg::core::ShardingKind;
 use htapg::core::{
     AccessHint, AttrId, DataType, LayoutTemplate, Record, Relation, RelationId, RowId, Schema,
     Value,
 };
-use htapg::engines::{MirrorsEngine, PlainEngine, ReferenceEngine};
+use htapg::engines::{all_surveyed_engines, EmulatedMultiEngine, PlainEngine, ReferenceEngine};
 use htapg::exec::physical::{self, QueryOutput};
 use htapg::exec::threading::ThreadingPolicy;
+use htapg::exec::ShardedEngine;
 use htapg::taxonomy::{survey, Classification};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
@@ -342,25 +344,13 @@ impl StorageEngine for PagedEngine {
         self.0.write().as_mut().unwrap().update_field(row, attr, v)
     }
 
-    fn scan_column(
+    fn with_aligned_blocks(
         &self,
         _: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(RowId, &Value),
+        attrs: &[AttrId],
+        visit: &mut dyn FnMut(&[&[u8]]),
     ) -> htapg::core::Result<()> {
-        let guard = self.0.read();
-        let rel = guard.as_ref().unwrap();
-        let ty = rel.schema().ty(attr)?;
-        rel.for_each_field(attr, |row, bytes| visit(row, &Value::decode(ty, bytes)))
-    }
-
-    fn with_column_bytes(
-        &self,
-        _: RelationId,
-        attr: AttrId,
-        visit: &mut dyn FnMut(&[u8]),
-    ) -> htapg::core::Result<bool> {
-        self.0.read().as_ref().unwrap().with_column_bytes(attr, visit)
+        self.0.read().as_ref().unwrap().with_aligned_blocks(attrs, &[], visit)
     }
 
     fn row_count(&self, _: RelationId) -> htapg::core::Result<u64> {
@@ -478,8 +468,11 @@ fn pool_scale_case(rng: &mut Prng) {
 
 /// Group keys of the one-snapshot cases.
 const GROUPS: i64 = 4;
-/// Rows of the one-snapshot cases.
+/// Rows of the reference engine's one-snapshot case.
 const SNAPSHOT_ROWS: u64 = 20_000;
+/// Rows of the every-engine one-state case: reads short enough that a
+/// writer pausing 5 µs lands between two reads of one query often.
+const MOVE_ROWS: u64 = 512;
 
 /// Row 0's key and value after move `i`; every other row's, fixed.
 /// Integer values sum to the same bits in any order, so each committed
@@ -492,13 +485,14 @@ fn still(row: u64) -> (i64, f64) {
     (row as i64 % GROUPS, (row % 13) as f64)
 }
 
-/// Run host group-sums on `e` while a writer applies moves of row 0
-/// through `apply(i, done)`, which calls `done` after each committed
-/// state; every answer must be `state(u)` for a committed state `u` the
-/// query could have seen.
+/// Run `queries` host group-sums on `e` while a writer applies moves of
+/// row 0 through `apply(i, done)`, which calls `done` after each committed
+/// state, pausing `pause` after each move; every answer must be `state(u)`
+/// for a committed state `u` the query could have seen.
 fn assert_group_sums_read_one_state(
     e: &dyn StorageEngine,
     rel: RelationId,
+    (queries, pause): (u32, Duration),
     apply: &(dyn Fn(u64, &dyn Fn()) + Sync),
     state: &dyn Fn(u64) -> Vec<(i64, u64)>,
 ) {
@@ -507,17 +501,17 @@ fn assert_group_sums_read_one_state(
     std::thread::scope(|s| {
         s.spawn(|| {
             // Bounded, so a failing reader cannot leave the scope waiting.
-            for i in 1..=20_000 {
+            for i in 1..=1_000_000 {
                 if stop.load(SeqCst) {
                     break;
                 }
                 apply(i, &|| {
                     committed.fetch_add(1, SeqCst);
                 });
-                std::thread::sleep(Duration::from_micros(50));
+                std::thread::sleep(pause);
             }
         });
-        for query in 0..300 {
+        for query in 0..queries {
             let first = committed.load(SeqCst);
             let strategy = ScanStrategy::ContiguousBytes;
             let groups = physical::group_sum_host(e, rel, K64, V, strategy, None).unwrap();
@@ -536,17 +530,17 @@ fn assert_group_sums_read_one_state(
 }
 
 /// The answer of the state in which row 0 holds `(key, value)`.
-fn state_with(key: i64, value: f64) -> Vec<(i64, u64)> {
+fn state_with(rows: u64, key: i64, value: f64) -> Vec<(i64, u64)> {
     let mut sums = [0.0; GROUPS as usize];
-    for (k, v) in (1..SNAPSHOT_ROWS).map(still).chain([(key, value)]) {
+    for (k, v) in (1..rows).map(still).chain([(key, value)]) {
         sums[k as usize] += v;
     }
     sums.iter().enumerate().map(|(k, s)| (k as i64, s.to_bits())).collect()
 }
 
-fn load_snapshot_rows(e: &dyn StorageEngine) -> RelationId {
+fn load_moving_rows(e: &dyn StorageEngine, rows: u64) -> RelationId {
     let rel = e.create_relation(schema()).unwrap();
-    for (k, v) in [mover(0)].into_iter().chain((1..SNAPSHOT_ROWS).map(still)) {
+    for (k, v) in [mover(0)].into_iter().chain((1..rows).map(still)) {
         e.insert(rel, &vec![Value::Int64(k), Value::Int32(k32(k)), Value::Float64(v)]).unwrap();
     }
     rel
@@ -555,7 +549,7 @@ fn load_snapshot_rows(e: &dyn StorageEngine) -> RelationId {
 #[test]
 fn reference_host_group_sum_reads_keys_and_values_from_one_snapshot() {
     let e = ReferenceEngine::new();
-    let rel = load_snapshot_rows(&e);
+    let rel = load_moving_rows(&e, SNAPSHOT_ROWS);
     // One transaction moves row 0 to another key with a new value.
     let apply = |i: u64, done: &dyn Fn()| {
         let (k, v) = mover(i);
@@ -567,27 +561,45 @@ fn reference_host_group_sum_reads_keys_and_values_from_one_snapshot() {
     };
     let state = |u: u64| {
         let (k, v) = mover(u);
-        state_with(k, v)
+        state_with(SNAPSHOT_ROWS, k, v)
     };
-    assert_group_sums_read_one_state(&e, rel, &apply, &state);
+    let pace = (300, Duration::from_micros(50));
+    assert_group_sums_read_one_state(&e, rel, pace, &apply, &state);
+}
+
+/// Every engine that updates in place: the ten surveyed, the reference
+/// engine, the three plain baselines, the emulated multi-layout engine
+/// and a 4-node sharded one.
+fn in_place_engines() -> Vec<Box<dyn StorageEngine>> {
+    let mut v = all_surveyed_engines();
+    v.push(Box::new(ReferenceEngine::new()));
+    v.push(Box::new(PlainEngine::row_store()));
+    v.push(Box::new(PlainEngine::column_store()));
+    v.push(Box::new(PlainEngine::emulated_column_store()));
+    v.push(Box::new(EmulatedMultiEngine::new()));
+    v.push(Box::new(ShardedEngine::new(ShardingKind::Hash, 4)));
+    v
 }
 
 #[test]
-fn mirrors_host_group_sum_reads_keys_and_values_from_one_state() {
-    let e = MirrorsEngine::new();
-    let rel = load_snapshot_rows(&e);
-    // Two single-field updates move row 0: its key, then its value, each
-    // a committed state of its own.
-    let apply = |i: u64, done: &dyn Fn()| {
-        let (k, v) = mover(i);
-        e.update_field(rel, 0, K64, &Value::Int64(k)).unwrap();
-        done();
-        e.update_field(rel, 0, V, &Value::Float64(v)).unwrap();
-        done();
-    };
-    // State `u`: the key of move `ceil(u / 2)`, the value of move `u / 2`.
-    let state = |u: u64| state_with(mover(u.div_ceil(2)).0, mover(u / 2).1);
-    assert_group_sums_read_one_state(&e, rel, &apply, &state);
+fn host_group_sum_reads_keys_and_values_from_one_state_on_every_engine() {
+    for engine in in_place_engines() {
+        let e = engine.as_ref();
+        let rel = load_moving_rows(e, MOVE_ROWS);
+        // Two single-field updates move row 0: its key, then its value,
+        // each a committed state of its own.
+        let apply = |i: u64, done: &dyn Fn()| {
+            let (k, v) = mover(i);
+            e.update_field(rel, 0, K64, &Value::Int64(k)).unwrap();
+            done();
+            e.update_field(rel, 0, V, &Value::Float64(v)).unwrap();
+            done();
+        };
+        // State `u`: the key of move `ceil(u / 2)`, the value of move `u / 2`.
+        let state = |u: u64| state_with(MOVE_ROWS, mover(u.div_ceil(2)).0, mover(u / 2).1);
+        let pace = (300, Duration::from_micros(5));
+        assert_group_sums_read_one_state(e, rel, pace, &apply, &state);
+    }
 }
 
 #[test]

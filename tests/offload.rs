@@ -302,3 +302,72 @@ fn reference_group_sum_reads_keys_and_values_from_one_snapshot() {
     assert_eq!(torn, None, "a device answer matched no committed state");
     assert!(answered > 0, "no query reached the device");
 }
+
+#[test]
+fn device_group_sums_read_keys_and_values_from_one_state() {
+    const GROUPS: i64 = 4;
+    // Row 0 moves to another key with a new value by two single-field
+    // updates, the key and then the value, each a committed state.
+    let mover = |i: u64| (i as i64 % GROUPS, 1_000.0 * (i + 1) as f64);
+    let still = |row: u64| (row as i64 % GROUPS, (row % 13) as f64);
+    // State `u`: the key of move `ceil(u / 2)`, the value of move `u / 2`.
+    let state = |u: u64| -> Vec<(i64, u64)> {
+        let (key, value) = (mover(u.div_ceil(2)).0, mover(u / 2).1);
+        let mut sums = [0.0; GROUPS as usize];
+        for (k, v) in (1..ROWS).map(still).chain([(key, value)]) {
+            sums[k as usize] += v;
+        }
+        sums.iter().enumerate().map(|(k, s)| (k as i64, s.to_bits())).collect()
+    };
+    let (cogadb, gputx) = (CogadbEngine::new(), GputxEngine::new());
+    for engine in [&cogadb as &dyn StorageEngine, &gputx] {
+        let rel = engine.create_relation(schema()).unwrap();
+        for (k, v) in [mover(0)].into_iter().chain((1..ROWS).map(still)) {
+            engine.insert(rel, &vec![Value::Int64(k), Value::Float64(v)]).unwrap();
+        }
+        // Scans make the value column hot; CoGaDB places it on `maintain`,
+        // GPUTx widens it on the first device query.
+        for _ in 0..30 {
+            physical::touch_column(engine, rel, VALUE).unwrap();
+        }
+        engine.maintain().unwrap();
+        let (committed, stop) = (AtomicU64::new(0), AtomicBool::new(false));
+        let (mut answered, mut torn) = (0, None);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Bounded, so a failing reader cannot leave the scope waiting.
+                for i in 1..=1_000_000 {
+                    if stop.load(SeqCst) {
+                        break;
+                    }
+                    let (k, v) = mover(i);
+                    engine.update_field(rel, 0, KEY, &Value::Int64(k)).unwrap();
+                    committed.fetch_add(1, SeqCst);
+                    engine.update_field(rel, 0, VALUE, &Value::Float64(v)).unwrap();
+                    committed.fetch_add(1, SeqCst);
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+            });
+            for query in 0..20_000 {
+                let first = committed.load(SeqCst);
+                let got = engine.offload_group_sum(rel, KEY, VALUE);
+                // The state after the last one counted may already be visible.
+                let last = committed.load(SeqCst) + 1;
+                // A replica the engine cannot refresh cheaply degrades the
+                // planned query to the host.
+                let Ok(groups) = got else { continue };
+                answered += 1;
+                let got: Vec<_> = groups.iter().map(|&(k, v)| (k, v.to_bits())).collect();
+                if !(first..=last).any(|u| got == state(u)) {
+                    torn = Some((query, groups, first..=last));
+                }
+                if torn.is_some() || answered == 300 {
+                    break;
+                }
+            }
+            stop.store(true, SeqCst);
+        });
+        assert_eq!(torn, None, "{}: a device answer matched no committed state", engine.name());
+        assert_eq!(answered, 300, "{}: too few queries reached the device", engine.name());
+    }
+}
