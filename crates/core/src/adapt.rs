@@ -103,6 +103,23 @@ impl AccessStats {
         self.co_access.lock().clone()
     }
 
+    /// A copy of these counters with the scans of `attrs` left out: the
+    /// accesses a layout serves while `attrs` are scanned from another one.
+    pub fn without_scans(&self, attrs: &[AttrId]) -> AccessStats {
+        let copy = |c: &AtomicU64| AtomicU64::new(c.load(Ordering::Relaxed));
+        let out = AccessStats {
+            arity: self.arity,
+            scans: self.scans.iter().map(copy).collect(),
+            point_reads: self.point_reads.iter().map(copy).collect(),
+            updates: self.updates.iter().map(copy).collect(),
+            co_access: Mutex::new(self.co_access_snapshot()),
+        };
+        for c in attrs.iter().filter_map(|&a| out.scans.get(a as usize)) {
+            c.store(0, Ordering::Relaxed);
+        }
+        out
+    }
+
     /// Exponentially decay all counters (so the advisor tracks workload
     /// *shifts* rather than lifetime totals).
     pub fn decay(&self, factor: f64) {
@@ -271,6 +288,30 @@ impl Advisor {
         LayoutTemplate::grouped(vgs, self.config.chunk_rows)
     }
 
+    /// The attributes worth delegating to thin columns of their own beside
+    /// a `primary` layout of `rows` rows: those whose scans would stop
+    /// striding past more bytes of the primary than the one extra cache
+    /// line ([`CacheSpec::line_bytes`]) each record read of them then
+    /// touches. A column the primary already stores contiguously saves
+    /// nothing, so it is never delegated.
+    pub fn delegate(
+        &self,
+        schema: &Schema,
+        stats: &AccessStats,
+        primary: &LayoutTemplate,
+        rows: u64,
+    ) -> Vec<AttrId> {
+        schema
+            .attr_ids()
+            .filter(|&a| {
+                let (stride, width) = costmodel::group_stride(schema, primary, a);
+                let skipped =
+                    stats.scans(a) as f64 * rows as f64 * stride.saturating_sub(width) as f64;
+                skipped > stats.point_reads(a) as f64 * self.config.cache.line_bytes as f64
+            })
+            .collect()
+    }
+
     /// Predicted cost of the observed workload under `template`.
     pub fn predict_ns(
         &self,
@@ -425,6 +466,42 @@ mod tests {
         stats.reset();
         assert_eq!(stats.scans(0), 0);
         assert_eq!(stats.total_point_reads(), 0);
+    }
+
+    #[test]
+    fn delegation_weighs_strided_scan_bytes_against_record_read_lines() {
+        let s = schema();
+        let all: Vec<AttrId> = s.attr_ids().collect();
+        let (adv, nsm) = (Advisor::default(), LayoutTemplate::nsm(&s));
+        // One scan of `price` over 1,000 rows of 48-B tuples strides past
+        // 40 B a row: 40,000 B, the extra lines of 625 record reads.
+        let stats = AccessStats::new(s.arity());
+        stats.record_scan(1);
+        for _ in 0..624 {
+            stats.record_point_read(&all);
+        }
+        assert_eq!(adv.delegate(&s, &stats, &nsm, 1_000), vec![1]);
+        stats.record_point_read(&all);
+        assert!(adv.delegate(&s, &stats, &nsm, 1_000).is_empty());
+        // A column the primary already stores contiguously saves nothing.
+        for _ in 0..100 {
+            stats.record_scan(1);
+        }
+        assert_eq!(adv.delegate(&s, &stats, &nsm, 1_000), vec![1]);
+        assert!(adv.delegate(&s, &stats, &LayoutTemplate::dsm_emulated(&s), 1_000).is_empty());
+    }
+
+    #[test]
+    fn without_scans_leaves_out_only_the_named_scans() {
+        let stats = AccessStats::new(3);
+        stats.record_scan(0);
+        stats.record_scan(1);
+        stats.record_point_read(&[1, 2]);
+        let served = stats.without_scans(&[1]);
+        assert_eq!((served.scans(0), served.scans(1)), (1, 0));
+        assert_eq!((served.point_reads(1), served.point_reads(2)), (1, 1));
+        assert_eq!(served.co_access_snapshot(), stats.co_access_snapshot());
+        assert_eq!(stats.scans(1), 1, "the counters copied from are untouched");
     }
 
     #[test]

@@ -38,7 +38,11 @@ impl Default for CacheSpec {
 }
 
 /// Width of the storage unit that co-locates `attr` in a template group.
-fn group_stride(schema: &Schema, template: &LayoutTemplate, attr: AttrId) -> (usize, usize) {
+pub(crate) fn group_stride(
+    schema: &Schema,
+    template: &LayoutTemplate,
+    attr: AttrId,
+) -> (usize, usize) {
     // Returns (stride bytes between consecutive values of attr,
     //          useful bytes of attr per stride).
     for g in &template.groups {

@@ -374,6 +374,24 @@ impl Fragment {
         v.encode_into(ty, &mut self.data[off..off + w])
     }
 
+    /// Decode the fields of `row` whose attributes `take` selects, each
+    /// into `out[attr]`: one visit of this fragment for all of them.
+    pub(crate) fn decode_fields(
+        &self,
+        schema: &Schema,
+        row: RowId,
+        take: &dyn Fn(AttrId) -> bool,
+        out: &mut [Value],
+    ) -> Result<()> {
+        self.check_row(row)?;
+        for (idx, &attr) in self.spec.attrs.iter().enumerate().filter(|&(_, &a)| take(a)) {
+            let off = self.field_offset(row, idx);
+            let field = &self.data[off..off + self.widths[idx]];
+            out[attr as usize] = Value::decode(schema.ty(attr)?, field);
+        }
+        Ok(())
+    }
+
     /// Read the whole tuplet at `row` (values in spec attribute order).
     pub fn read_tuplet(&self, schema: &Schema, row: RowId) -> Result<Vec<Value>> {
         self.check_row(row)?;

@@ -368,13 +368,33 @@ impl Layout {
         self.fragments[fi].write_value(schema, row, attr, v)
     }
 
-    /// Read a full-schema record.
+    /// Read a full-schema record: each field decoded once, from the
+    /// fragment that holds it.
     pub fn read_record(&self, schema: &Schema, row: RowId) -> Result<Record> {
-        let mut out = Vec::with_capacity(schema.arity());
-        for a in schema.attr_ids() {
-            out.push(self.read_value(schema, row, a)?);
-        }
+        let mut out = vec![Value::Bool(false); schema.arity()];
+        self.decode_row(schema, row, &|_| true, &mut out)?;
         Ok(out)
+    }
+
+    /// Decode the fields of `row` whose attributes `take` selects, each
+    /// into `out[attr]`: one visit per fragment of the row's chunk (one per
+    /// vertical group, one per attribute of a thin group).
+    pub(crate) fn decode_row(
+        &self,
+        schema: &Schema,
+        row: RowId,
+        take: &dyn Fn(AttrId) -> bool,
+        out: &mut [Value],
+    ) -> Result<()> {
+        if row >= self.rows {
+            return Err(Error::UnknownRow(row));
+        }
+        let slots = self.template.slots_per_chunk();
+        let chunk = self.template.chunk_rows.map_or(0, |c| (row / c) as usize);
+        for f in &self.fragments[chunk * slots..(chunk + 1) * slots] {
+            f.decode_fields(schema, row, take, out)?;
+        }
+        Ok(())
     }
 
     /// Zero-copy views of `attr`'s fields, one per chunk, in row order.

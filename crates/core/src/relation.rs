@@ -149,11 +149,25 @@ impl Relation {
         self.layouts[li].read_value(&self.schema, row, attr)
     }
 
+    /// Read a full record: each layout that owns fields of `row` is visited
+    /// once, and each field decoded once, from the fragment that holds it.
     pub fn read_record(&self, row: RowId) -> Result<Record> {
-        let mut out = Vec::with_capacity(self.schema.arity());
-        for a in self.schema.attr_ids() {
-            out.push(self.read_value(row, a, AccessHint::RecordCentric)?);
-        }
+        let mut out = vec![Value::Bool(false); self.schema.arity()];
+        let li = match &self.scheme {
+            Scheme::Single => 0,
+            Scheme::Replication => self.pick_replica(AccessHint::RecordCentric),
+            Scheme::Delegation(policy) => {
+                let owners = policy.owners(row, self.schema.arity())?;
+                for (li, layout) in self.layouts.iter().enumerate() {
+                    if owners.contains(&li) {
+                        let take = |a: AttrId| owners[a as usize] == li;
+                        layout.decode_row(&self.schema, row, &take, &mut out)?;
+                    }
+                }
+                return Ok(out);
+            }
+        };
+        self.layouts[li].decode_row(&self.schema, row, &|_| true, &mut out)?;
         Ok(out)
     }
 

@@ -68,6 +68,31 @@ impl DelegationPolicy {
         self.rules.push(rule);
     }
 
+    /// The authoritative layout of each of `arity` attributes at `row`,
+    /// indexed by attribute: [`route`](Self::route) for a whole record at
+    /// once. Each rule covering the row claims the attributes no earlier
+    /// rule claimed.
+    pub(crate) fn owners(&self, row: RowId, arity: usize) -> Result<Vec<usize>> {
+        let mut owner = vec![usize::MAX; arity];
+        for rule in self.rules.iter().filter(|r| (r.row_from..r.row_to).contains(&row)) {
+            let mut claim = |a: usize| {
+                if owner[a] == usize::MAX {
+                    owner[a] = rule.layout;
+                }
+            };
+            match &rule.attrs {
+                None => (0..arity).for_each(&mut claim),
+                Some(attrs) => {
+                    attrs.iter().map(|&a| a as usize).filter(|&a| a < arity).for_each(&mut claim)
+                }
+            }
+        }
+        match owner.iter().position(|&l| l == usize::MAX) {
+            Some(attr) => Err(Error::NoDelegate { row, attr: attr as AttrId }),
+            None => Ok(owner),
+        }
+    }
+
     /// The authoritative layout for `(row, attr)`.
     pub fn route(&self, row: RowId, attr: AttrId) -> Result<usize> {
         self.rules

@@ -14,8 +14,8 @@
 //! another transaction, or committed after the updater's snapshot, aborts.
 
 use crate::sync::{Mutex, RwLock};
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -164,13 +164,19 @@ pub type CommittedWrites<K, V> = Vec<(K, Option<V>)>;
 #[derive(Debug)]
 pub struct MvStore<K, V> {
     mgr: Arc<TxnManager>,
-    chains: RwLock<HashMap<K, Vec<Version<V>>>>,
+    /// Version chains in key order, so the keys of a range (say, every
+    /// field of one row under a `(row, attr)` key) are one ordered read.
+    chains: RwLock<BTreeMap<K, Vec<Version<V>>>>,
     write_sets: Mutex<HashMap<TxnId, Vec<K>>>,
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> MvStore<K, V> {
+impl<K: Ord + Clone, V: Clone> MvStore<K, V> {
     pub fn new(mgr: Arc<TxnManager>) -> Self {
-        MvStore { mgr, chains: RwLock::new(HashMap::new()), write_sets: Mutex::new(HashMap::new()) }
+        MvStore {
+            mgr,
+            chains: RwLock::new(BTreeMap::new()),
+            write_sets: Mutex::new(HashMap::new()),
+        }
     }
 
     pub fn manager(&self) -> &Arc<TxnManager> {
@@ -397,11 +403,22 @@ impl<K: Hash + Eq + Clone, V: Clone> MvStore<K, V> {
     }
 
     /// Visit every key that [`get_as_of`](Self::get_as_of) would answer
-    /// at commit timestamp `ts`, with that value, in one pass under one
-    /// read of the version map (tombstoned keys are skipped).
+    /// at commit timestamp `ts`, with that value, in key order, in one pass
+    /// under one read of the version map (tombstoned keys are skipped).
     pub fn for_each_as_of(&self, ts: Timestamp, f: &mut dyn FnMut(&K, &V)) {
+        self.for_each_in_as_of(ts, .., f)
+    }
+
+    /// [`for_each_as_of`](Self::for_each_as_of) over the keys in `range`
+    /// only: one ordered range read of the version map.
+    pub fn for_each_in_as_of(
+        &self,
+        ts: Timestamp,
+        range: impl RangeBounds<K>,
+        f: &mut dyn FnMut(&K, &V),
+    ) {
         let chains = self.chains.read();
-        for (k, chain) in chains.iter() {
+        for (k, chain) in chains.range(range) {
             if let Some(v) = chain.iter().rev().find(|v| self.version_visible(v, TxnId::MAX, ts)) {
                 if let Some(val) = &v.value {
                     f(k, val);
@@ -616,12 +633,17 @@ mod tests {
         store.put(&gone, 8, "aborted".into()).unwrap();
         store.abort(&gone).unwrap();
         for &ts in &stamps {
+            // In key order, with no sort: the chains are an ordered map.
             let mut seen = Vec::new();
             store.for_each_as_of(ts, &mut |k, v| seen.push((*k, v.clone())));
-            seen.sort();
             let want: Vec<(u64, String)> =
                 (0..10).filter_map(|k| store.get_as_of(ts, &k).map(|v| (k, v))).collect();
             assert_eq!(seen, want, "as of {ts}");
+            // A range read visits exactly the range's share of them.
+            let mut ranged = Vec::new();
+            store.for_each_in_as_of(ts, 1..=8, &mut |k, v| ranged.push((*k, v.clone())));
+            let want: Vec<_> = want.into_iter().filter(|(k, _)| (1..=8).contains(k)).collect();
+            assert_eq!(ranged, want, "range as of {ts}");
         }
     }
 

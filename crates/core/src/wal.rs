@@ -92,6 +92,10 @@ pub enum LogRecord<'a> {
     /// A transaction commit boundary: all prior `Update`s of `txn` are
     /// atomic with it.
     Commit { txn: u64 },
+    /// An autocommit field update: a one-write transaction in one frame,
+    /// logged once the write is staged and before it commits. Replay redoes
+    /// it at once; a torn frame is an update that was never acknowledged.
+    AutocommitUpdate { rel: RelationId, row: RowId, attr: u16, value: Value },
 }
 
 // ---------------------------------------------------------------------
@@ -226,6 +230,7 @@ impl LogRecord<'_> {
             LogRecord::Insert { values, .. } => 17 + values.iter().map(value_bound).sum::<usize>(),
             LogRecord::Update { value, .. } => 23 + value_bound(value),
             LogRecord::Commit { .. } => 9,
+            LogRecord::AutocommitUpdate { value, .. } => 15 + value_bound(value),
         }
     }
 
@@ -261,6 +266,13 @@ impl LogRecord<'_> {
             LogRecord::Commit { txn } => {
                 out.push(3);
                 put_u64(out, *txn);
+            }
+            LogRecord::AutocommitUpdate { rel, row, attr, value } => {
+                out.push(4);
+                put_u32(out, *rel);
+                put_u64(out, *row);
+                out.extend_from_slice(&attr.to_le_bytes());
+                encode_value(out, value)?;
             }
         }
         Ok(())
@@ -301,6 +313,12 @@ impl LogRecord<'_> {
                 LogRecord::Update { rel, row, attr, value, txn }
             }
             3 => LogRecord::Commit { txn: c.u64()? },
+            4 => {
+                let rel = c.u32()?;
+                let row = c.u64()?;
+                let attr = u16::from_le_bytes(c.take(2)?.try_into().unwrap());
+                LogRecord::AutocommitUpdate { rel, row, attr, value: decode_value(&mut c)? }
+            }
             t => return Err(Error::Internal(format!("unknown log tag {t}"))),
         })
     }
@@ -627,8 +645,10 @@ mod tests {
     }
 
     /// One record of each kind, and the frame the bitwise-CRC encoder that
-    /// preceded the in-place one wrote for it (hex). Logs written by either
-    /// encoder replay under the other.
+    /// preceded the in-place one wrote for it (hex); the autocommit update,
+    /// which came later, is pinned to a frame built by hand from the format
+    /// (a CRC-32 of the payload from a reference implementation). Logs
+    /// written by either encoder replay under the other.
     fn golden_frames() -> Vec<(LogRecord<'static>, &'static str)> {
         let schema = Schema::of(&[
             ("flag", DataType::Bool),
@@ -663,6 +683,15 @@ mod tests {
                 "1c00000070ac01a002030000002900000000000000050009000000000000000502006162",
             ),
             (LogRecord::Commit { txn: 9 }, "090000004033cbc0030900000000000000"),
+            (
+                LogRecord::AutocommitUpdate {
+                    rel: 3,
+                    row: 41,
+                    attr: 3,
+                    value: Value::Float64(-0.5),
+                },
+                "18000000be812ae104030000002900000000000000030003000000000000e0bf",
+            ),
         ]
     }
 
@@ -688,7 +717,7 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        assert_eq!(report, ReplayReport { records: 4, torn_tail: false });
+        assert_eq!(report, ReplayReport { records: 5, torn_tail: false });
         assert_eq!(seen, golden_frames().into_iter().map(|(r, _)| r).collect::<Vec<_>>());
     }
 

@@ -14,7 +14,8 @@ use htapg_core::index::{BPlusTree, HashIndex};
 use htapg_core::prng::{check_cases, Prng};
 use htapg_core::txn::{MvStore, TxnManager};
 use htapg_core::{
-    DataType, GroupOrder, Layout, LayoutTemplate, Linearization, Schema, Value, VerticalGroup,
+    AccessHint, AttrId, DataType, DelegationPolicy, DelegationRule, GroupOrder, Layout,
+    LayoutTemplate, Linearization, Relation, RowId, Schema, Scheme, Value, VerticalGroup,
 };
 
 // ---------------------------------------------------------------------
@@ -131,7 +132,7 @@ fn any_layout_roundtrips_records() {
         let records: Vec<_> = (0..rng.gen_range(1usize..120)).map(|_| arb_record(rng)).collect();
         let s = test_schema();
         template.validate(&s).unwrap();
-        let mut layout = Layout::new(&s, template).unwrap();
+        let mut layout = Layout::new(&s, template.clone()).unwrap();
         for (i, rec) in records.iter().enumerate() {
             let row = layout.append(&s, rec).unwrap();
             assert_eq!(row, i as u64);
@@ -145,6 +146,45 @@ fn any_layout_roundtrips_records() {
             rows.extend(view.first_row..view.first_row + view.rows);
         }
         assert_eq!(rows, (0..records.len() as u64).collect::<Vec<_>>());
+
+        // A relation reads a record in one pass per layout: under the
+        // template alone, and with the template as the primary beside a
+        // column layout that owns a random subset of the attributes.
+        // Updates reach only the owning layout, so the other copy goes
+        // stale and only the owner's field is right.
+        let owned: Vec<AttrId> = s.attr_ids().filter(|_| rng.gen_bool(0.5)).collect();
+        let policy = DelegationPolicy::new(vec![
+            DelegationRule { attrs: Some(owned), row_from: 0, row_to: RowId::MAX, layout: 1 },
+            DelegationRule { attrs: None, row_from: 0, row_to: RowId::MAX, layout: 0 },
+        ]);
+        let layouts = vec![template.clone(), LayoutTemplate::dsm_emulated(&s)];
+        let relations = [
+            Relation::new(s.clone(), template).unwrap(),
+            Relation::with_layouts(s.clone(), layouts, Scheme::Delegation(policy)).unwrap(),
+        ];
+        for mut relation in relations {
+            let mut want = records.clone();
+            for rec in &records {
+                relation.insert(rec).unwrap();
+            }
+            for _ in 0..records.len() {
+                let row = rng.gen_range(0..records.len());
+                let attr = rng.gen_range(0usize..s.arity());
+                want[row][attr] = arb_record(rng).swap_remove(attr);
+                relation.update_field(row as RowId, attr as AttrId, &want[row][attr]).unwrap();
+            }
+            for (row, rec) in want.iter().enumerate() {
+                let row = row as RowId;
+                let per_field: Vec<Value> = s
+                    .attr_ids()
+                    .map(|a| relation.read_value(row, a, AccessHint::RecordCentric).unwrap())
+                    .collect();
+                assert_eq!(&per_field, rec, "row {row}");
+                assert_eq!(relation.read_record(row).unwrap(), per_field, "row {row}");
+            }
+            let end = records.len() as RowId;
+            assert_eq!(relation.read_record(end), Err(htapg_core::Error::UnknownRow(end)));
+        }
     });
 }
 

@@ -78,6 +78,8 @@ fn fixed_records() -> Vec<LogRecord<'static>> {
         LogRecord::Commit { txn: 9 },
         LogRecord::Update { rel: 0, row: 0, attr: 0, value: Value::Int64(i64::MIN), txn: 10 },
         LogRecord::Commit { txn: 10 },
+        LogRecord::AutocommitUpdate { rel: 0, row: 0, attr: 1, value: Value::Float64(7.5) },
+        LogRecord::AutocommitUpdate { rel: 0, row: 0, attr: 3, value: Value::Text("ab".into()) },
     ]
 }
 
@@ -120,8 +122,13 @@ fn random_records(rng: &mut Prng) -> Vec<LogRecord<'static>> {
         if rng.gen_bool(0.5) {
             let attr = rng.gen_range(0usize..arity) as u16;
             let value = random_value(rng, schema.attrs()[attr as usize].ty);
-            out.push(LogRecord::Update { rel: 0, row, attr, value, txn: row + 100 });
-            out.push(LogRecord::Commit { txn: row + 100 });
+            // An explicit transaction's two frames, or an autocommit's one.
+            if rng.gen_bool(0.5) {
+                out.push(LogRecord::Update { rel: 0, row, attr, value, txn: row + 100 });
+                out.push(LogRecord::Commit { txn: row + 100 });
+            } else {
+                out.push(LogRecord::AutocommitUpdate { rel: 0, row, attr, value });
+            }
         }
     }
     out

@@ -152,8 +152,9 @@ impl ReferenceEngine {
 
     /// Rebuild state from a log (crash recovery). Run on a freshly created
     /// engine; returns the replay report. Updates are redone only when
-    /// their transaction's `Commit` record survived — torn tails lose
-    /// exactly the unfinished suffix, never committed data.
+    /// their transaction's `Commit` record survived, and an autocommit
+    /// update when its own frame did — torn tails lose exactly the
+    /// unfinished suffix, never acknowledged data.
     pub fn recover_from<S: LogStorage>(&self, wal: &Wal<S>) -> Result<ReplayReport> {
         use std::collections::HashMap;
         self.logging.store(false, std::sync::atomic::Ordering::SeqCst);
@@ -192,6 +193,10 @@ impl ReferenceEngine {
                             self.txn_commit(rel, &t)?;
                         }
                     }
+                }
+                // A one-write transaction, redone as it was run.
+                LogRecord::AutocommitUpdate { rel, row, attr, value } => {
+                    self.update_field(rel, row, attr, &value)?;
                 }
             }
             Ok(())
@@ -233,7 +238,8 @@ impl ReferenceEngine {
         })
     }
 
-    /// Transactional field write (first-updater-wins on conflict).
+    /// Transactional field write (first-updater-wins on conflict), logged
+    /// as an `Update` of `txn` before it is staged.
     pub fn txn_update(
         &self,
         rel: RelationId,
@@ -241,6 +247,28 @@ impl ReferenceEngine {
         row: RowId,
         attr: AttrId,
         value: Value,
+    ) -> Result<()> {
+        self.stage(rel, txn, row, attr, value, |value| {
+            self.log(&LogRecord::Update { rel, row, attr, value: value.clone(), txn: txn.id })
+        })
+    }
+
+    /// Commit; returns the commit timestamp.
+    pub fn txn_commit(&self, rel: RelationId, txn: &Txn) -> Result<Timestamp> {
+        self.log(&LogRecord::Commit { txn: txn.id })?;
+        self.publish(rel, txn)
+    }
+
+    /// Check a field write of `txn`, hand it to `log`, then stage it in the
+    /// overlay (first-updater-wins on conflict).
+    fn stage(
+        &self,
+        rel: RelationId,
+        txn: &Txn,
+        row: RowId,
+        attr: AttrId,
+        value: Value,
+        log: impl FnOnce(&Value) -> Result<()>,
     ) -> Result<()> {
         self.rels.read(rel, |r| {
             if row >= r.relation.row_count() {
@@ -251,14 +279,14 @@ impl ReferenceEngine {
                 return Err(Error::TypeMismatch { expected: ty.name(), got: value.type_name() });
             }
             r.stats.record_update(attr);
-            self.log(&LogRecord::Update { rel, row, attr, value: value.clone(), txn: txn.id })?;
+            log(&value)?;
             r.overlay.put(txn, (row, attr), value)
         })
     }
 
-    /// Commit; returns the commit timestamp.
-    pub fn txn_commit(&self, rel: RelationId, txn: &Txn) -> Result<Timestamp> {
-        self.log(&LogRecord::Commit { txn: txn.id })?;
+    /// Make `txn`'s staged writes visible (the commit, after its log
+    /// record); returns the commit timestamp.
+    fn publish(&self, rel: RelationId, txn: &Txn) -> Result<Timestamp> {
         // Written columns' device replicas are stale now: bump the version
         // and ship the committed writes into the cache's per-column delta
         // logs, so resident replicas stay mergeable instead of being
@@ -453,7 +481,8 @@ impl RefRelation {
     /// of fixed-width little-endian fields (one per attribute, in order):
     /// the authoritative layouts' bytes with every overlay version visible
     /// at `ts` encoded over its row. The overlay is resolved once, under
-    /// one read of the version map, for every column; one walk over the
+    /// one read of the version map, for every column, in `(row, attr)`
+    /// order, so each column's versions arrive sorted by row; one walk over the
     /// rows ([`Relation::with_aligned_blocks`]) then emits contiguous
     /// columns in place around the patched rows and gathers strided ones a
     /// chunk at a time, cutting blocks where either layout's chunks end.
@@ -471,8 +500,19 @@ impl RefRelation {
                 versions[i].push((row, v.clone()));
             }
         });
-        versions.iter_mut().for_each(|v| v.sort_unstable_by_key(|&(row, _)| row));
         self.relation.with_aligned_blocks(attrs, &versions, visit)
+    }
+
+    /// Row `row` as of `ts`: the base record, each field decoded once from
+    /// the fragment that owns it, then every version of the row visible at
+    /// `ts` from one range read of the overlay. A field's value is the one
+    /// [`MvStore::get_as_of`] gives, else the base's.
+    fn record_as_of(&self, row: RowId, ts: Timestamp) -> Result<Record> {
+        let mut record = self.relation.read_record(row)?;
+        self.overlay.for_each_in_as_of(ts, (row, 0)..=(row, AttrId::MAX), &mut |&(_, a), v| {
+            record[a as usize] = v.clone();
+        });
+        Ok(record)
     }
 
     /// The column `attr` as of `ts`, as blocks (see
@@ -586,17 +626,9 @@ impl StorageEngine for ReferenceEngine {
 
     fn read_record(&self, rel: RelationId, row: RowId) -> Result<Record> {
         self.rels.read(rel, |r| {
-            let schema = r.relation.schema();
-            let attrs: Vec<AttrId> = schema.attr_ids().collect();
+            let attrs: Vec<AttrId> = r.relation.schema().attr_ids().collect();
             r.stats.record_point_read(&attrs);
-            let ts = self.mgr.now();
-            attrs
-                .iter()
-                .map(|&a| match r.overlay.get_as_of(ts, &(row, a)) {
-                    Some(v) => Ok(v),
-                    None => r.relation.read_value(row, a, AccessHint::RecordCentric),
-                })
-                .collect()
+            r.record_as_of(row, self.mgr.now())
         })
     }
 
@@ -614,16 +646,23 @@ impl StorageEngine for ReferenceEngine {
         })
     }
 
-    /// Auto-commit single-field update: a one-statement transaction.
-    /// First-updater-wins aborts are retried with a fresh snapshot — an
-    /// autocommit statement has no reads to invalidate, so retrying is
-    /// always serializable.
+    /// Auto-commit single-field update: a one-statement transaction, in
+    /// one log frame. The write is staged first, then logged, then
+    /// committed; a log error aborts it. First-updater-wins aborts are
+    /// retried with a fresh snapshot — an autocommit statement has no reads
+    /// to invalidate, so retrying is always serializable — and log nothing.
     fn update_field(&self, rel: RelationId, row: RowId, attr: AttrId, value: &Value) -> Result<()> {
         loop {
             let txn = self.begin();
-            match self.txn_update(rel, &txn, row, attr, value.clone()) {
+            match self.stage(rel, &txn, row, attr, value.clone(), |_| Ok(())) {
                 Ok(()) => {
-                    self.txn_commit(rel, &txn)?;
+                    let record =
+                        LogRecord::AutocommitUpdate { rel, row, attr, value: value.clone() };
+                    if let Err(e) = self.log(&record) {
+                        let _ = self.txn_abort(rel, &txn);
+                        return Err(e);
+                    }
+                    self.publish(rel, &txn)?;
                     return Ok(());
                 }
                 Err(Error::TxnConflict { .. }) => {
@@ -722,35 +761,28 @@ impl StorageEngine for ReferenceEngine {
     }
 
     /// Batch materialization: one registry read, one snapshot timestamp,
-    /// base rows visited in sorted order (sequential chunk walk), results
-    /// restored to request order.
+    /// base rows visited in sorted order (sequential chunk walk), each in
+    /// one pass with one overlay probe, results restored to request order.
     fn materialize_rows(&self, rel: RelationId, rows: &[RowId]) -> Result<Vec<Record>> {
         self.rels.read(rel, |r| {
-            let schema = r.relation.schema();
-            let attrs: Vec<AttrId> = schema.attr_ids().collect();
+            let attrs: Vec<AttrId> = r.relation.schema().attr_ids().collect();
             r.stats.record_point_read(&attrs);
             let ts = self.mgr.now();
             let mut order: Vec<usize> = (0..rows.len()).collect();
             order.sort_by_key(|&i| rows[i]);
             let mut out: Vec<Record> = vec![Vec::new(); rows.len()];
             for i in order {
-                let row = rows[i];
-                out[i] = attrs
-                    .iter()
-                    .map(|&a| match r.overlay.get_as_of(ts, &(row, a)) {
-                        Some(v) => Ok(v),
-                        None => r.relation.read_value(row, a, AccessHint::RecordCentric),
-                    })
-                    .collect::<Result<Record>>()?;
+                out[i] = r.record_as_of(rows[i], ts)?;
             }
             Ok(out)
         })
     }
 
     /// Maintenance: (1) merge committed overlay versions into the base
-    /// layouts and vacuum, (2) re-delegate scan-hot attributes and refresh
-    /// device replicas, (3) reorganize the primary layout when the advisor
-    /// predicts a win.
+    /// layouts and vacuum, (2) delegate the columns whose scans a thin
+    /// column saves more than it costs record reads, and refresh device
+    /// replicas, (3) reorganize the primary layout when the advisor
+    /// predicts a win for the accesses the primary serves.
     fn maintain(&self) -> Result<MaintenanceReport> {
         let _guard = self.maint_lock.write();
         let mut report = MaintenanceReport::default();
@@ -774,16 +806,13 @@ impl StorageEngine for ReferenceEngine {
                 report.versions_pruned += r.overlay.vacuum(horizon);
                 report.versions_pruned += r.overlay.prune_merged(horizon);
             }
-            // (2) re-delegate scan-dominated numeric attributes.
+            // (2) delegate the columns whose scans would stride past more
+            // bytes of the primary than record reads of them pay in extra
+            // cache lines.
             let schema = r.relation.schema().clone();
-            let hot: Vec<AttrId> = schema
-                .attr_ids()
-                .filter(|&a| {
-                    let s = r.stats.scans(a);
-                    let p = r.stats.point_reads(a);
-                    s + p > 4 && s as f64 / (s + p) as f64 >= 0.5
-                })
-                .collect();
+            let rows = r.relation.row_count();
+            let current = r.relation.layouts()[PRIMARY].template().clone();
+            let hot = self.advisor.delegate(&schema, &r.stats, &current, rows);
             if hot != r.delegated {
                 self.set_delegation(&mut r, hot)?;
                 report.layouts_reorganized += 1;
@@ -837,10 +866,10 @@ impl StorageEngine for ReferenceEngine {
                     Err(e) => return Err(e),
                 }
             }
-            // (3) primary-layout reorganization.
-            let rows = r.relation.row_count();
-            let current = r.relation.layouts()[PRIMARY].template().clone();
-            let rec = self.advisor.recommend(&schema, &r.stats, &current, rows.max(1));
+            // (3) primary-layout reorganization, from the accesses the
+            // primary serves: record reads and scans of the columns it owns.
+            let served = r.stats.without_scans(&r.delegated);
+            let rec = self.advisor.recommend(&schema, &served, &current, rows.max(1));
             if rec.template != current && rec.improvement() > self.improvement_threshold {
                 r.relation.reorganize_layout(PRIMARY, rec.template)?;
                 r.stats.decay(0.5);
@@ -1030,8 +1059,12 @@ mod tests {
         assert_eq!(e.delegated(rel).unwrap(), vec![1]);
         // Update through the delegated region, then shift to point reads.
         e.update_field(rel, 5, 1, &Value::Float64(777.0)).unwrap();
-        e.maintain().unwrap(); // merge into analytic layout (authoritative)
-        for i in 0..300 {
+        // Merge into the analytic layout (authoritative).
+        e.maintain().unwrap();
+        // The 30 scans each stopped striding past 200 rows x 32 B of the
+        // primary; the column goes back once record reads pay more than
+        // that in extra 64-B lines, past 3,000 of them.
+        for i in 0..4_000 {
             e.read_record(rel, i % 200).unwrap();
         }
         e.maintain().unwrap();
@@ -1039,6 +1072,185 @@ mod tests {
         // the hand-back synchronization.
         assert!(e.delegated(rel).unwrap().is_empty());
         assert_eq!(e.read_field(rel, 5, 1).unwrap(), Value::Float64(777.0));
+    }
+
+    /// Row `row` as the per-field composition reads it: each field's
+    /// overlay version as of now ([`MvStore::get_as_of`]), else the
+    /// authoritative layout's field.
+    fn per_field_record(e: &ReferenceEngine, rel: RelationId, row: RowId) -> Result<Record> {
+        e.rels.read(rel, |r| {
+            let ts = e.mgr.now();
+            r.relation
+                .schema()
+                .attr_ids()
+                .map(|a| match r.overlay.get_as_of(ts, &(row, a)) {
+                    Some(v) => Ok(v),
+                    None => r.relation.read_value(row, a, AccessHint::RecordCentric),
+                })
+                .collect()
+        })
+    }
+
+    /// `read_record` and `materialize_rows` (unsorted rows, one repeated)
+    /// agree with the per-field composition on every listed row, and both
+    /// report the first row past the end.
+    fn assert_record_reads(e: &ReferenceEngine, rel: RelationId, rows: &[RowId], state: &str) {
+        for &row in rows {
+            let want = per_field_record(e, rel, row).unwrap();
+            assert_eq!(e.read_record(rel, row).unwrap(), want, "row {row}, {state}");
+        }
+        let mut batch: Vec<RowId> = rows.iter().rev().copied().collect();
+        batch.push(rows[0]);
+        let got = e.materialize_rows(rel, &batch).unwrap();
+        for (&row, record) in batch.iter().zip(&got) {
+            assert_eq!(*record, per_field_record(e, rel, row).unwrap(), "row {row}, {state}");
+        }
+        let end = e.row_count(rel).unwrap();
+        assert_eq!(e.read_record(rel, end), Err(Error::UnknownRow(end)), "{state}");
+        assert_eq!(e.materialize_rows(rel, &[end, 0]), Err(Error::UnknownRow(end)), "{state}");
+    }
+
+    #[test]
+    fn record_reads_match_per_field_reads_in_every_layout_and_version_state() {
+        // Two primary chunks, the second partly filled.
+        let n = DEFAULT_CHUNK_ROWS as i64 + 300;
+        let (e, rel) = loaded(n);
+        let last = n as RowId - 1;
+        let edge = DEFAULT_CHUNK_ROWS;
+        let rows = [0, 7, 8, 9, 10, 11, 12, edge - 1, edge, last];
+        // Committed versions on both chunks, two on one field, on the first
+        // and the last attribute.
+        for (row, attr, v) in [(0, 1, 1.5), (edge, 1, 2.5), (last, 1, 3.5), (0, 1, 4.5)] {
+            e.update_field(rel, row, attr, &Value::Float64(v)).unwrap();
+        }
+        e.update_field(rel, edge - 1, 0, &Value::Int64(-4)).unwrap();
+        e.update_field(rel, edge - 1, 7, &Value::Int32(-7)).unwrap();
+        // A pending write, an aborted one over a committed version, and a
+        // committed tombstone over a committed version: all read the base
+        // or the committed value beneath.
+        let open = e.begin();
+        e.txn_update(rel, &open, 7, 1, Value::Float64(1e300)).unwrap();
+        e.update_field(rel, 8, 3, &Value::Int32(80)).unwrap();
+        let aborted = e.begin();
+        e.txn_update(rel, &aborted, 8, 3, Value::Int32(-80)).unwrap();
+        e.txn_abort(rel, &aborted).unwrap();
+        e.update_field(rel, 9, 2, &Value::Int32(90)).unwrap();
+        e.rels
+            .read(rel, |r| {
+                let t = e.begin();
+                r.overlay.delete(&t, (9, 2))?;
+                r.overlay.commit(&t).map(|_| ())
+            })
+            .unwrap();
+        assert_eq!(e.read_field(rel, 9, 2).unwrap(), rec(9)[2]);
+        assert_eq!(e.read_field(rel, 8, 3).unwrap(), Value::Int32(80));
+        assert_record_reads(&e, rel, &rows, "row-wise primary");
+
+        // Delegate two columns; the open transaction keeps their versions
+        // in the overlay, and new ones land over the analytic layout.
+        for _ in 0..30 {
+            htapg_exec::physical::touch_column(&e, rel, 1).unwrap();
+            htapg_exec::physical::touch_column(&e, rel, 3).unwrap();
+        }
+        e.maintain().unwrap();
+        assert_eq!(e.delegated(rel).unwrap(), vec![1, 3]);
+        e.update_field(rel, 10, 1, &Value::Float64(-10.0)).unwrap();
+        e.update_field(rel, 11, 3, &Value::Int32(110)).unwrap();
+        e.update_field(rel, 11, 5, &Value::Int32(111)).unwrap();
+        assert_record_reads(&e, rel, &rows, "delegated columns");
+        // Drained but for the tombstone, which no merge writes: the
+        // delegated columns' merged values live only in the analytic
+        // layout, and the primary's copies of them are stale.
+        e.txn_abort(rel, &open).unwrap();
+        e.maintain().unwrap();
+        assert_eq!(e.rels.read(rel, |r| Ok(r.overlay.version_count())).unwrap(), 1);
+        assert_eq!(e.delegated(rel).unwrap(), vec![1, 3]);
+        assert_record_reads(&e, rel, &rows, "delegated columns, drained overlay");
+
+        // The primary reorganized to thin columns, with fresh versions.
+        e.rels
+            .write(rel, |r| {
+                let thin = LayoutTemplate::dsm_emulated(r.relation.schema());
+                r.relation.reorganize_layout(PRIMARY, thin)
+            })
+            .unwrap();
+        e.update_field(rel, 12, 6, &Value::Int32(120)).unwrap();
+        e.update_field(rel, 12, 1, &Value::Float64(12.5)).unwrap();
+        e.update_field(rel, last, 0, &Value::Int64(-1)).unwrap();
+        assert_record_reads(&e, rel, &rows, "thin primary");
+    }
+
+    #[test]
+    fn htap_traffic_delegates_scanned_columns_beside_a_row_wise_primary() {
+        use htapg_core::plan::LogicalPlan;
+        use htapg_exec::physical;
+        use htapg_exec::threading::ThreadingPolicy;
+
+        const ROWS: u64 = 2_000;
+        let (key, value) = (2, 1);
+        let e = ReferenceEngine::new();
+        let rel = e.create_relation(schema()).unwrap();
+        for i in 0..ROWS as i64 {
+            let mut r = rec(i);
+            r[key as usize] = Value::Int32((i % 10) as i32);
+            e.insert(rel, &r).unwrap();
+        }
+        let plans = [LogicalPlan::sum(rel, value), LogicalPlan::group_sum(rel, key, value)];
+        let ledger = e.device().ledger().clone();
+        let mut rng = htapg_core::prng::Prng::seed_from_u64(0x4854_4150);
+        let mut placed = None;
+        for round in 0..5 {
+            // Per round: 20 scans of the value column and 10 of the key
+            // column, 2,010 record reads (100x the value column's scans),
+            // and 300 updates of the value column.
+            for _ in 0..10 {
+                for plan in &plans {
+                    physical::execute_adaptive(&e, plan, ThreadingPolicy::Single).unwrap();
+                }
+                for _ in 0..200 {
+                    e.read_record(rel, rng.gen_range(0..ROWS)).unwrap();
+                }
+                let batch: Vec<RowId> = (0..50).map(|_| rng.gen_range(0..ROWS)).collect();
+                e.materialize_rows(rel, &batch).unwrap();
+                for _ in 0..30 {
+                    let v = Value::Float64(rng.gen_range(-500.0..500.0));
+                    e.update_field(rel, rng.gen_range(0..ROWS), value, &v).unwrap();
+                }
+            }
+            // Planned answers over the delta-stale replica and the patched
+            // snapshot against the Volcano oracles.
+            let run = |plan| physical::execute_adaptive(&e, plan, ThreadingPolicy::Single).unwrap();
+            let sum = run(&plans[0]).output.as_sum().unwrap();
+            let oracle = physical::volcano_sum(&e, rel, value).unwrap();
+            assert_eq!(sum.to_bits(), oracle.to_bits(), "round {round}: sum {sum} vs {oracle}");
+            let bits =
+                |g: &[(i64, f64)]| g.iter().map(|&(k, v)| (k, v.to_bits())).collect::<Vec<_>>();
+            let groups = run(&plans[1]).output;
+            let oracle = physical::volcano_group_sum(&e, rel, key, value).unwrap();
+            assert_eq!(bits(groups.as_groups().unwrap()), bits(&oracle), "round {round}");
+
+            e.maintain().unwrap();
+            assert_eq!(e.delegated(rel).unwrap(), vec![value, key], "round {round}");
+            assert!(e.device_resident(rel).unwrap().contains(&value), "round {round}");
+            e.rels
+                .read(rel, |r| {
+                    let groups = &r.relation.layouts()[PRIMARY].template().groups;
+                    assert_eq!(groups.len(), 1, "round {round}: {groups:?}");
+                    assert_eq!(groups[0].order, htapg_core::GroupOrder::Nsm, "round {round}");
+                    Ok(())
+                })
+                .unwrap();
+            // After the first placement, the device receives delta pairs
+            // only: the value replica is merged, never packed again.
+            let now = ledger.snapshot();
+            if let Some(first) = &placed {
+                let moved = now.since(first);
+                assert!(moved.delta_bytes > 0, "round {round}: no deltas shipped");
+                assert_eq!(moved.bytes_to_device, moved.delta_bytes, "round {round}: a re-pack");
+            } else {
+                placed = Some(now);
+            }
+        }
     }
 
     #[test]

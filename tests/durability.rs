@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use htapg::core::engine::StorageEngine;
-use htapg::core::wal::{MemStorage, Wal};
-use htapg::core::Value;
+use htapg::core::wal::{LogRecord, MemStorage, Wal, WalSink};
+use htapg::core::{Error, Value};
 use htapg::engines::ReferenceEngine;
 use htapg::exec::physical;
 use htapg::workload::tpcc::{item_attr, Generator};
@@ -110,4 +110,81 @@ fn recovered_engine_keeps_working_and_logging() {
     engine3.recover_from(&wal).unwrap();
     assert_eq!(engine3.row_count(0).unwrap(), 40);
     assert_eq!(engine3.read_record(0, 39).unwrap(), gen.item(39));
+}
+
+#[test]
+fn autocommit_updates_log_one_frame_each_and_recover() {
+    let wal = Arc::new(Wal::new(MemStorage::new()));
+    let gen = Generator::new(73);
+    let engine = ReferenceEngine::new();
+    engine.attach_wal(wal.clone());
+    let rel = engine.create_relation(htapg::workload::tpcc::item_schema()).unwrap();
+    for i in 0..30 {
+        engine.insert(rel, &gen.item(i)).unwrap();
+    }
+    let before = wal.storage().lock().len();
+    engine.update_field(rel, 3, item_attr::I_PRICE, &Value::Float64(3.5)).unwrap();
+    // One 32-byte frame: an 8-byte header, the tag, rel, row, attr and a
+    // tagged f64.
+    assert_eq!(wal.storage().lock().len() - before, 32);
+    engine.update_field(rel, 4, item_attr::I_PRICE, &Value::Float64(4.5)).unwrap();
+    engine.update_field(rel, 3, item_attr::I_IM_ID, &Value::Int32(-3)).unwrap();
+    let mut updates = Vec::new();
+    wal.replay(|r| {
+        match r {
+            LogRecord::Update { .. } | LogRecord::Commit { .. } => panic!("two-frame update"),
+            LogRecord::AutocommitUpdate { row, attr, .. } => updates.push((row, attr)),
+            _ => {}
+        }
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(
+        updates,
+        vec![(3, item_attr::I_PRICE), (4, item_attr::I_PRICE), (3, item_attr::I_IM_ID)]
+    );
+
+    let recovered = ReferenceEngine::new();
+    recovered.recover_from(&wal).unwrap();
+    for row in [3, 4, 5] {
+        assert_eq!(recovered.read_record(rel, row).unwrap(), engine.read_record(rel, row).unwrap());
+    }
+    // A torn last frame is an update that was never acknowledged: only it
+    // is lost.
+    wal.storage().lock().tear_tail(3);
+    let torn = ReferenceEngine::new();
+    assert!(torn.recover_from(&wal).unwrap().torn_tail);
+    assert_eq!(torn.read_field(rel, 3, item_attr::I_PRICE).unwrap(), Value::Float64(3.5));
+    assert_eq!(torn.read_field(rel, 4, item_attr::I_PRICE).unwrap(), Value::Float64(4.5));
+    let im_id = gen.item(3)[item_attr::I_IM_ID as usize].clone();
+    assert_eq!(torn.read_field(rel, 3, item_attr::I_IM_ID).unwrap(), im_id);
+}
+
+/// A log that refuses every record.
+struct RefusingLog;
+
+impl WalSink for RefusingLog {
+    fn log(&self, _: &LogRecord) -> htapg::core::Result<()> {
+        Err(Error::Internal("log device gone".into()))
+    }
+}
+
+#[test]
+fn a_refused_autocommit_log_frame_aborts_the_update() {
+    let gen = Generator::new(79);
+    let engine = ReferenceEngine::new();
+    let rel = engine.create_relation(htapg::workload::tpcc::item_schema()).unwrap();
+    for i in 0..10 {
+        engine.insert(rel, &gen.item(i)).unwrap();
+    }
+    engine.attach_wal(Arc::new(RefusingLog));
+    let price = Value::Float64(-1.0);
+    assert!(engine.update_field(rel, 2, item_attr::I_PRICE, &price).is_err());
+    let old = gen.item(2)[item_attr::I_PRICE as usize].clone();
+    assert_eq!(engine.read_field(rel, 2, item_attr::I_PRICE).unwrap(), old);
+    // Nothing is left staged: the next writer of the field does not
+    // conflict with the refused one.
+    engine.attach_wal(Arc::new(Wal::new(MemStorage::new())));
+    engine.update_field(rel, 2, item_attr::I_PRICE, &price).unwrap();
+    assert_eq!(engine.read_field(rel, 2, item_attr::I_PRICE).unwrap(), price);
 }
