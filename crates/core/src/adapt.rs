@@ -54,11 +54,12 @@ impl AccessStats {
         }
     }
 
-    /// Record a record-centric read touching `attrs`.
-    pub fn record_point_read(&self, attrs: &[AttrId]) {
+    /// Record `rows` record-centric reads, each touching `attrs`: one pass
+    /// over the counters and the co-access matrix for the whole batch.
+    pub fn record_point_read(&self, attrs: &[AttrId], rows: u64) {
         for &a in attrs {
             if let Some(c) = self.point_reads.get(a as usize) {
-                c.fetch_add(1, Ordering::Relaxed);
+                c.fetch_add(rows, Ordering::Relaxed);
             }
         }
         if attrs.len() > 1 {
@@ -66,7 +67,7 @@ impl AccessStats {
             for (i, &a) in attrs.iter().enumerate() {
                 for &b in &attrs[i + 1..] {
                     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                    co[lo as usize][hi as usize] += 1;
+                    co[lo as usize][hi as usize] += rows;
                 }
             }
         }
@@ -89,6 +90,12 @@ impl AccessStats {
 
     pub fn updates(&self, attr: AttrId) -> u64 {
         self.updates[attr as usize].load(Ordering::Relaxed)
+    }
+
+    /// Record reads that touched both `a` and `b`.
+    pub fn co_reads(&self, a: AttrId, b: AttrId) -> u64 {
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        self.co_access.lock()[lo as usize][hi as usize]
     }
 
     pub fn total_scans(&self) -> u64 {
@@ -422,7 +429,7 @@ mod tests {
         let stats = AccessStats::new(s.arity());
         let all: Vec<AttrId> = s.attr_ids().collect();
         for _ in 0..1000 {
-            stats.record_point_read(&all);
+            stats.record_point_read(&all, 1);
         }
         let adv = Advisor::default();
         let rec = adv.recommend(&s, &stats, &LayoutTemplate::dsm_emulated(&s), 1_000_000);
@@ -439,7 +446,7 @@ mod tests {
         let record_attrs: Vec<AttrId> = s.attr_ids().filter(|&a| a != 1).collect();
         for _ in 0..500 {
             stats.record_scan(1);
-            stats.record_point_read(&record_attrs);
+            stats.record_point_read(&record_attrs, 1);
         }
         let adv = Advisor::default();
         let t = adv.cluster(&s, &stats);
@@ -458,7 +465,7 @@ mod tests {
         let stats = AccessStats::new(3);
         for _ in 0..100 {
             stats.record_scan(0);
-            stats.record_point_read(&[1, 2]);
+            stats.record_point_read(&[1, 2], 1);
         }
         stats.decay(0.5);
         assert_eq!(stats.scans(0), 50);
@@ -478,10 +485,10 @@ mod tests {
         let stats = AccessStats::new(s.arity());
         stats.record_scan(1);
         for _ in 0..624 {
-            stats.record_point_read(&all);
+            stats.record_point_read(&all, 1);
         }
         assert_eq!(adv.delegate(&s, &stats, &nsm, 1_000), vec![1]);
-        stats.record_point_read(&all);
+        stats.record_point_read(&all, 1);
         assert!(adv.delegate(&s, &stats, &nsm, 1_000).is_empty());
         // A column the primary already stores contiguously saves nothing.
         for _ in 0..100 {
@@ -496,7 +503,7 @@ mod tests {
         let stats = AccessStats::new(3);
         stats.record_scan(0);
         stats.record_scan(1);
-        stats.record_point_read(&[1, 2]);
+        stats.record_point_read(&[1, 2], 1);
         let served = stats.without_scans(&[1]);
         assert_eq!((served.scans(0), served.scans(1)), (1, 0));
         assert_eq!((served.point_reads(1), served.point_reads(2)), (1, 1));
@@ -514,8 +521,8 @@ mod tests {
                 stats.record_scan(i as AttrId);
             }
         }
-        stats.record_point_read(&[0, 3, 5]);
-        stats.record_point_read(&[2, 3]);
+        stats.record_point_read(&[0, 3, 5], 1);
+        stats.record_point_read(&[2, 3], 1);
         let t = Advisor::default().cluster(&s, &stats);
         t.validate(&s).unwrap();
     }

@@ -107,36 +107,42 @@ impl LayoutTemplate {
 
     /// Validate: groups must disjointly cover the schema; chunk size > 0.
     pub fn validate(&self, schema: &Schema) -> Result<()> {
-        if let Some(0) = self.chunk_rows {
-            return Err(Error::InvalidLayout("chunk size must be positive".into()));
-        }
         if self.groups.is_empty() {
             return Err(Error::InvalidLayout("layout has no vertical groups".into()));
         }
-        let mut covered = vec![false; schema.arity()];
-        for g in &self.groups {
-            if g.attrs.is_empty() {
-                return Err(Error::InvalidLayout("empty vertical group".into()));
-            }
-            for &a in &g.attrs {
-                let idx = a as usize;
-                if idx >= schema.arity() {
-                    return Err(Error::UnknownAttribute(a));
-                }
-                if covered[idx] {
-                    return Err(Error::InvalidLayout(format!(
-                        "attribute {a} appears in two vertical groups"
-                    )));
-                }
-                covered[idx] = true;
-            }
-        }
-        if let Some(missing) = covered.iter().position(|c| !c) {
+        let held = self.held(schema)?;
+        if let Some(missing) = held.iter().position(|h| !h) {
             return Err(Error::InvalidLayout(format!(
                 "attribute {missing} is not covered by any vertical group"
             )));
         }
         Ok(())
+    }
+
+    /// Validate a template that may hold any subset of the schema's
+    /// columns, none included: groups are non-empty, disjoint and name
+    /// attributes of `schema`; chunk size > 0. Returns, per attribute,
+    /// whether a group holds it.
+    fn held(&self, schema: &Schema) -> Result<Vec<bool>> {
+        if let Some(0) = self.chunk_rows {
+            return Err(Error::InvalidLayout("chunk size must be positive".into()));
+        }
+        let mut held = vec![false; schema.arity()];
+        for g in &self.groups {
+            if g.attrs.is_empty() {
+                return Err(Error::InvalidLayout("empty vertical group".into()));
+            }
+            for &a in &g.attrs {
+                let slot = held.get_mut(a as usize).ok_or(Error::UnknownAttribute(a))?;
+                if *slot {
+                    return Err(Error::InvalidLayout(format!(
+                        "attribute {a} appears in two vertical groups"
+                    )));
+                }
+                *slot = true;
+            }
+        }
+        Ok(held)
     }
 
     /// Total fragment slots per horizontal chunk.
@@ -184,7 +190,9 @@ impl LayoutTemplate {
             // paper's vocabulary folds into the DSM-fixed partial class.
             (false, true, true) => FragmentLinearization::VariableDsmFixedPartiallyNsmEmulated,
             (true, true, true) => FragmentLinearization::FatVariable,
-            (false, false, false) => unreachable!("validated template has groups"),
+            // A delegation layout holding no column yet: emulated DSM over
+            // no columns.
+            (false, false, false) => FragmentLinearization::ThinDsmEmulated,
         }
     }
 }
@@ -194,6 +202,12 @@ const INITIAL_CAPACITY: u64 = 1024;
 
 /// A materialized layout: fragments created on demand from a template as
 /// rows are appended.
+///
+/// A layout built with [`Layout::new`] holds every column of its schema. A
+/// delegation relation's layouts may hold a subset, none included (see
+/// [`crate::relation`]): such a layout still counts every row, so row ids
+/// stay aligned across the relation's layouts, but stores only the fields
+/// of its columns.
 #[derive(Debug, Clone)]
 pub struct Layout {
     template: LayoutTemplate,
@@ -201,8 +215,9 @@ pub struct Layout {
     /// occupy `[c * slots, (c+1) * slots)`. Unchunked layouts have exactly
     /// one chunk with growable fragments.
     fragments: Vec<Fragment>,
-    /// Slot index (within a chunk) covering each attribute.
-    attr_slot: Vec<usize>,
+    /// Slot index (within a chunk) covering each attribute, `None` for a
+    /// column the layout does not hold.
+    attr_slot: Vec<Option<usize>>,
     rows: u64,
     location: Location,
 }
@@ -214,25 +229,41 @@ impl Layout {
 
     pub fn new_at(schema: &Schema, template: LayoutTemplate, location: Location) -> Result<Layout> {
         template.validate(schema)?;
-        let mut attr_slot = vec![usize::MAX; schema.arity()];
+        Self::subset(schema, template, location)
+    }
+
+    /// A layout holding only the columns `template`'s groups name, possibly
+    /// none.
+    pub(crate) fn subset(
+        schema: &Schema,
+        template: LayoutTemplate,
+        location: Location,
+    ) -> Result<Layout> {
+        template.held(schema)?;
+        let mut attr_slot = vec![None; schema.arity()];
         let mut slot = 0usize;
         for g in &template.groups {
             match g.order {
                 GroupOrder::ThinPerAttr => {
                     for &a in &g.attrs {
-                        attr_slot[a as usize] = slot;
+                        attr_slot[a as usize] = Some(slot);
                         slot += 1;
                     }
                 }
                 _ => {
                     for &a in &g.attrs {
-                        attr_slot[a as usize] = slot;
+                        attr_slot[a as usize] = Some(slot);
                     }
                     slot += 1;
                 }
             }
         }
         Ok(Layout { template, fragments: Vec::new(), attr_slot, rows: 0, location })
+    }
+
+    /// Whether this layout stores the fields of `attr`.
+    pub fn holds(&self, attr: AttrId) -> bool {
+        self.attr_slot.get(attr as usize).is_some_and(Option::is_some)
     }
 
     pub fn template(&self) -> &LayoutTemplate {
@@ -288,7 +319,7 @@ impl Layout {
 
     /// Append a full-schema record; returns the assigned row id. The record
     /// is checked before any fragment changes, so a rejected record leaves
-    /// the layout as it was.
+    /// the layout as it was. Only the held columns' fields are stored.
     pub fn append(&mut self, schema: &Schema, record: &Record) -> Result<RowId> {
         schema.check_record(record)?;
         self.push_record(schema, record)
@@ -302,7 +333,7 @@ impl Layout {
         match self.template.chunk_rows {
             Some(chunk) => {
                 let chunk_idx = (row / chunk) as usize;
-                if chunk_idx == self.fragments.len() / slots {
+                if chunk_idx * slots == self.fragments.len() {
                     self.push_chunk(schema, chunk_idx as u64 * chunk, chunk)?;
                 }
             }
@@ -334,9 +365,10 @@ impl Layout {
         Ok(())
     }
 
-    /// Slot index (within a chunk) of the fragment covering `attr`.
+    /// Slot index (within a chunk) of the fragment covering `attr`; an
+    /// unknown attribute for a column the layout does not hold.
     fn slot(&self, attr: AttrId) -> Result<usize> {
-        self.attr_slot.get(attr as usize).copied().ok_or(Error::UnknownAttribute(attr))
+        self.attr_slot.get(attr as usize).copied().flatten().ok_or(Error::UnknownAttribute(attr))
     }
 
     fn locate(&self, row: RowId, attr: AttrId) -> Result<usize> {
@@ -369,8 +401,12 @@ impl Layout {
     }
 
     /// Read a full-schema record: each field decoded once, from the
-    /// fragment that holds it.
+    /// fragment that holds it. A layout that holds a subset of the columns
+    /// has no full record: an unknown attribute for the first one missing.
     pub fn read_record(&self, schema: &Schema, row: RowId) -> Result<Record> {
+        if let Some(missing) = schema.attr_ids().find(|&a| !self.holds(a)) {
+            return Err(Error::UnknownAttribute(missing));
+        }
         let mut out = vec![Value::Bool(false); schema.arity()];
         self.decode_row(schema, row, &|_| true, &mut out)?;
         Ok(out)
@@ -418,45 +454,91 @@ impl Layout {
     /// built, and filled by copying field bytes out of this layout.
     pub fn rebuild(&self, schema: &Schema, template: LayoutTemplate) -> Result<Layout> {
         let mut out = Layout::new_at(schema, template, self.location)?;
-        if self.rows > 0 {
-            match out.template.chunk_rows {
+        out.fill(schema, self.rows, &|_| self)?;
+        Ok(out)
+    }
+
+    /// This layout's rows with `attr` added as a thin column of its own,
+    /// its fields copied from `src`, a layout of the same rows.
+    pub(crate) fn with_column_from(
+        &self,
+        schema: &Schema,
+        attr: AttrId,
+        src: &Layout,
+    ) -> Result<Layout> {
+        self.check_rows(src, attr)?;
+        let mut template = self.template.clone();
+        template.groups.push(VerticalGroup::new(vec![attr], GroupOrder::ThinPerAttr));
+        let mut out = Layout::subset(schema, template, self.location)?;
+        out.fill(schema, self.rows, &|a| if a == attr { src } else { self })?;
+        Ok(out)
+    }
+
+    /// This layout's rows without the column `attr`; a group left empty is
+    /// dropped.
+    pub(crate) fn without_column(&self, schema: &Schema, attr: AttrId) -> Result<Layout> {
+        let mut template = self.template.clone();
+        template.groups.iter_mut().for_each(|g| g.attrs.retain(|&a| a != attr));
+        template.groups.retain(|g| !g.attrs.is_empty());
+        let mut out = Layout::subset(schema, template, self.location)?;
+        out.fill(schema, self.rows, &|_| self)?;
+        Ok(out)
+    }
+
+    /// Allocate `rows` rows of this empty layout at once, with the fragments
+    /// [`Layout::append`] would have built, and copy each column's fields
+    /// from `source(attr)`, a layout of `rows` rows.
+    fn fill<'s>(
+        &mut self,
+        schema: &Schema,
+        rows: u64,
+        source: &dyn Fn(AttrId) -> &'s Layout,
+    ) -> Result<()> {
+        if rows > 0 {
+            match self.template.chunk_rows {
                 Some(chunk) => {
-                    for first_row in (0..self.rows).step_by(chunk as usize) {
-                        out.push_chunk(schema, first_row, chunk)?;
+                    for first_row in (0..rows).step_by(chunk as usize) {
+                        self.push_chunk(schema, first_row, chunk)?;
                     }
                 }
                 // Appends double the capacity from a power of two.
                 None => {
-                    out.push_chunk(schema, 0, self.rows.next_power_of_two().max(INITIAL_CAPACITY))?
+                    self.push_chunk(schema, 0, rows.next_power_of_two().max(INITIAL_CAPACITY))?
                 }
             }
         }
-        out.rows = self.rows;
-        for f in &mut out.fragments {
+        self.rows = rows;
+        for f in &mut self.fragments {
             let first = f.spec().first_row;
-            f.set_len((self.rows - first).min(f.spec().capacity));
+            f.set_len((rows - first).min(f.spec().capacity));
             for i in 0..f.spec().attrs.len() {
                 let attr = f.spec().attrs[i];
-                self.copy_into(f, attr)?;
+                source(attr).copy_into(f, attr)?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Copy `attr`'s fields from layout `src`, which holds the same rows,
     /// as bytes. Re-delegation hands a column to its new authoritative
     /// layout this way.
     pub(crate) fn copy_column_from(&mut self, src: &Layout, attr: AttrId) -> Result<()> {
+        self.check_rows(src, attr)?;
+        let slot = self.slot(attr)?;
+        let slots = self.template.slots_per_chunk();
+        for f in self.fragments.iter_mut().skip(slot).step_by(slots) {
+            src.copy_into(f, attr)?;
+        }
+        Ok(())
+    }
+
+    /// A column copy from `src` needs the same rows as this layout.
+    fn check_rows(&self, src: &Layout, attr: AttrId) -> Result<()> {
         if src.rows != self.rows {
             return Err(Error::Internal(format!(
                 "copy of attr {attr} between layouts of {} and {} rows",
                 src.rows, self.rows
             )));
-        }
-        let slot = self.slot(attr)?;
-        let slots = self.template.slots_per_chunk();
-        for f in self.fragments.iter_mut().skip(slot).step_by(slots) {
-            src.copy_into(f, attr)?;
         }
         Ok(())
     }

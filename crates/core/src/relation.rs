@@ -5,16 +5,27 @@
 //! and picks the best layout per access pattern; delegation gives each
 //! region exactly one authoritative layout.
 //!
-//! Under delegation, inserts seed every layout (so row ids stay aligned
-//! across layouts, mirroring L-Store/Peloton's shared-tuplet references),
-//! but *updates* and *reads* only touch the authoritative layout — the
-//! non-authoritative copy of a delegated region is never consulted and may
-//! go stale, exactly the "restricted access" the paper describes.
+//! Under replication every layout holds every column. Under delegation a
+//! layout may hold only a subset of the columns, none included: it stores
+//! the fields of its columns and nothing else, so a row costs it the sum of
+//! their widths. Every layout counts every inserted row, so row ids stay
+//! aligned across layouts (mirroring L-Store/Peloton's shared-tuplet
+//! references), and each field of an insert is encoded into the layouts
+//! that hold its column. *Updates* and *reads* only touch the authoritative
+//! layout, which must hold the column: another layout's copy of a delegated
+//! region is never consulted and may go stale, exactly the "restricted
+//! access" the paper describes. Re-delegation copies a column into its new
+//! owner ([`Relation::copy_column`], which adds the column to a layout that
+//! lacks it), installs the policy ([`Relation::set_policy`]) and may then
+//! drop the column from its old owner ([`Relation::drop_column`]).
+
+use std::borrow::Cow;
 
 use crate::error::{Error, Result};
+use crate::fragment::Location;
 use crate::layout::{Layout, LayoutTemplate};
 use crate::schema::{AttrId, Record, RowId, Schema};
-use crate::scheme::{AccessHint, Scheme};
+use crate::scheme::{AccessHint, DelegationPolicy, Scheme};
 use crate::types::Value;
 use htapg_taxonomy::FragmentLinearization;
 
@@ -29,16 +40,21 @@ pub struct Relation {
     layouts: Vec<Layout>,
     scheme: Scheme,
     rows: u64,
+    /// The owning layout of each attribute, the same for every row, while
+    /// no delegation rule is row-bounded.
+    owners: Option<Vec<usize>>,
 }
 
 impl Relation {
     /// Single-layout relation.
     pub fn new(schema: Schema, template: LayoutTemplate) -> Result<Relation> {
-        let layout = Layout::new(&schema, template)?;
-        Ok(Relation { schema, layouts: vec![layout], scheme: Scheme::Single, rows: 0 })
+        Self::with_layouts(schema, vec![template], Scheme::Single)
     }
 
-    /// Multi-layout relation with an explicit scheme.
+    /// Multi-layout relation with an explicit scheme. Under delegation a
+    /// template may name a subset of the columns, and the policy must
+    /// route each column only to layouts that hold it; under the other
+    /// schemes every template covers the schema.
     pub fn with_layouts(
         schema: Schema,
         templates: Vec<LayoutTemplate>,
@@ -52,9 +68,16 @@ impl Relation {
         }
         let mut layouts = Vec::with_capacity(templates.len());
         for t in templates {
-            layouts.push(Layout::new(&schema, t)?);
+            layouts.push(match scheme {
+                Scheme::Delegation(_) => Layout::subset(&schema, t, Location::Host)?,
+                _ => Layout::new(&schema, t)?,
+            });
         }
-        Ok(Relation { schema, layouts, scheme, rows: 0 })
+        let mut relation = Relation { schema, layouts, scheme, rows: 0, owners: None };
+        if let Scheme::Delegation(policy) = relation.scheme.clone() {
+            relation.set_policy(policy)?;
+        }
+        Ok(relation)
     }
 
     pub fn schema(&self) -> &Schema {
@@ -65,11 +88,45 @@ impl Relation {
         &self.scheme
     }
 
-    /// Mutable access to the scheme — re-delegation installs a new policy
-    /// here. Callers are responsible for synchronizing data into the newly
-    /// authoritative layout first (see `htapg-engines`' reference engine).
-    pub fn scheme_mut(&mut self) -> &mut Scheme {
-        &mut self.scheme
+    /// Install a new policy on a delegation relation (re-delegation). Each
+    /// column it routes to a layout must be held there, with its current
+    /// fields: callers copy a column into its new owner first
+    /// ([`Relation::copy_column`]).
+    pub fn set_policy(&mut self, policy: DelegationPolicy) -> Result<()> {
+        if !matches!(self.scheme, Scheme::Delegation(_)) {
+            return Err(Error::InvalidLayout("only a delegation relation takes a policy".into()));
+        }
+        self.check_policy(&policy, |li, attr| self.layouts[li].holds(attr))?;
+        self.owners = policy.uniform_owners(self.schema.arity());
+        self.scheme = Scheme::Delegation(policy);
+        Ok(())
+    }
+
+    /// Check that `policy` routes each column only to a layout that holds
+    /// it by `holds(layout, attr)`. Routing is the same for every row
+    /// between two rule bounds, so the first row of each span decides.
+    fn check_policy(
+        &self,
+        policy: &DelegationPolicy,
+        holds: impl Fn(usize, AttrId) -> bool,
+    ) -> Result<()> {
+        let mut starts: Vec<RowId> =
+            policy.rules().iter().flat_map(|r| [r.row_from, r.row_to]).chain([0]).collect();
+        starts.sort_unstable();
+        starts.dedup();
+        for row in starts.into_iter().filter(|&row| row < RowId::MAX) {
+            for attr in self.schema.attr_ids() {
+                match policy.route(row, attr) {
+                    Ok(li) if li >= self.layouts.len() || !holds(li, attr) => {
+                        return Err(Error::InvalidLayout(format!(
+                            "attribute {attr} is delegated to layout {li}, which does not hold it"
+                        )));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Ok(())
     }
 
     pub fn layouts(&self) -> &[Layout] {
@@ -84,10 +141,11 @@ impl Relation {
         self.rows
     }
 
-    /// Append a record. Every layout receives the record so row ids stay
-    /// aligned; see the module docs for delegation semantics. The record is
-    /// checked once, before the first layout changes, so a rejected record
-    /// leaves every layout as it was.
+    /// Append a record. Every layout counts the row, so row ids stay
+    /// aligned, and stores the fields of the columns it holds; see the
+    /// module docs for delegation semantics. The record is checked once,
+    /// before the first layout changes, so a rejected record leaves every
+    /// layout as it was.
     pub fn insert(&mut self, record: &Record) -> Result<RowId> {
         self.schema.check_record(record)?;
         let mut assigned = None;
@@ -157,7 +215,10 @@ impl Relation {
             Scheme::Single => 0,
             Scheme::Replication => self.pick_replica(AccessHint::RecordCentric),
             Scheme::Delegation(policy) => {
-                let owners = policy.owners(row, self.schema.arity())?;
+                let owners = match &self.owners {
+                    Some(owners) => Cow::Borrowed(owners.as_slice()),
+                    None => Cow::Owned(policy.owners(row, self.schema.arity())?),
+                };
                 for (li, layout) in self.layouts.iter().enumerate() {
                     if owners.contains(&li) {
                         let take = |a: AttrId| owners[a as usize] == li;
@@ -287,18 +348,43 @@ impl Relation {
 
     /// Copy `attr`'s fields from layout `from` into layout `to` as bytes:
     /// re-delegation makes `to` authoritative for the column this way.
+    /// Under delegation, a layout that does not hold the column gains it as
+    /// a thin column of its own.
     pub fn copy_column(&mut self, attr: AttrId, from: usize, to: usize) -> Result<()> {
         let n = self.layouts.len();
         if from >= n || to >= n || from == to {
             return Err(Error::InvalidLayout(format!("no copy from layout {from} to {to}")));
+        }
+        if matches!(self.scheme, Scheme::Delegation(_)) && !self.layouts[to].holds(attr) {
+            let (src, dst) = (&self.layouts[from], &self.layouts[to]);
+            self.layouts[to] = dst.with_column_from(&self.schema, attr, src)?;
+            return Ok(());
         }
         let (lo, hi) = self.layouts.split_at_mut(from.max(to));
         let (src, dst) = if from < to { (&lo[from], &mut hi[0]) } else { (&hi[0], &mut lo[to]) };
         dst.copy_column_from(src, attr)
     }
 
-    /// Replace layout `idx` with a rebuild under `template` (responsive
-    /// reorganization).
+    /// Remove the column `attr` from layout `idx` of a delegation relation,
+    /// once the policy no longer routes any row of it there.
+    pub fn drop_column(&mut self, idx: usize, attr: AttrId) -> Result<()> {
+        let Scheme::Delegation(policy) = &self.scheme else {
+            return Err(Error::InvalidLayout("only a delegation layout drops columns".into()));
+        };
+        let layout = self
+            .layouts
+            .get(idx)
+            .ok_or_else(|| Error::InvalidLayout(format!("no layout {idx}")))?;
+        if !layout.holds(attr) {
+            return Err(Error::UnknownAttribute(attr));
+        }
+        self.check_policy(policy, |li, a| (li, a) != (idx, attr) && self.layouts[li].holds(a))?;
+        self.layouts[idx] = layout.without_column(&self.schema, attr)?;
+        Ok(())
+    }
+
+    /// Replace layout `idx` with a rebuild under `template`, which covers
+    /// the schema (responsive reorganization).
     pub fn reorganize_layout(&mut self, idx: usize, template: LayoutTemplate) -> Result<()> {
         let layout = self
             .layouts
@@ -463,6 +549,87 @@ mod tests {
         }
         assert!(r.copy_column(1, 0, 0).is_err());
         assert!(r.copy_column(1, 0, 2).is_err());
+    }
+
+    #[test]
+    fn delegation_layouts_hold_only_their_columns() {
+        let s = schema();
+        let thin = |attrs: &[AttrId]| {
+            let groups =
+                attrs.iter().map(|&a| VerticalGroup::new(vec![a], GroupOrder::ThinPerAttr));
+            LayoutTemplate::grouped(groups.collect(), None)
+        };
+        let delegate = |attrs: &[AttrId]| {
+            DelegationPolicy::new(vec![
+                DelegationRule {
+                    attrs: Some(attrs.to_vec()),
+                    row_from: 0,
+                    row_to: RowId::MAX,
+                    layout: 1,
+                },
+                DelegationRule { attrs: None, row_from: 0, row_to: RowId::MAX, layout: 0 },
+            ])
+        };
+        // Single and replicated layouts still cover the schema.
+        assert!(Relation::new(s.clone(), thin(&[1])).is_err());
+        let templates = vec![LayoutTemplate::nsm(&s), thin(&[1])];
+        assert!(Relation::with_layouts(s.clone(), templates.clone(), Scheme::Replication).is_err());
+        // A policy routes a column only to a layout that holds it, on every
+        // row a rule bounds.
+        let over = Scheme::Delegation(delegate(&[1, 2]));
+        assert!(Relation::with_layouts(s.clone(), templates.clone(), over).is_err());
+        let bounded = DelegationPolicy::new(vec![
+            DelegationRule { attrs: Some(vec![2]), row_from: 10, row_to: 20, layout: 1 },
+            DelegationRule { attrs: None, row_from: 0, row_to: RowId::MAX, layout: 0 },
+        ]);
+        let bounded = Scheme::Delegation(bounded);
+        assert!(Relation::with_layouts(s.clone(), templates.clone(), bounded).is_err());
+
+        let mut r =
+            Relation::with_layouts(s.clone(), templates, Scheme::Delegation(delegate(&[1])))
+                .unwrap();
+        let mut want: Vec<Record> = (0..10).map(rec).collect();
+        for record in &want {
+            r.insert(record).unwrap();
+        }
+        // Each layout counts every row and stores its columns' fields only.
+        let bytes = |r: &Relation| r.layouts().iter().map(Layout::used_bytes).collect::<Vec<_>>();
+        assert_eq!(bytes(&r), [10 * 22, 10 * 8]);
+        assert_eq!(r.layouts()[1].read_record(&s, 0), Err(Error::UnknownAttribute(0)));
+        // A rejected record leaves every layout as it was.
+        let raw = |r: &Relation| {
+            let frags = r.layouts().iter().flat_map(|l| l.fragments());
+            frags.map(|f| f.raw().to_vec()).collect::<Vec<_>>()
+        };
+        let before = raw(&r);
+        let mut long = rec(10);
+        long[2] = Value::Text("x".repeat(7));
+        assert_eq!(r.insert(&long), Err(Error::TextTooLong { max: 6, got: 7 }));
+        assert!(r.layouts().iter().all(|l| l.row_count() == 10));
+        assert_eq!((bytes(&r), raw(&r)), (vec![10 * 22, 10 * 8], before));
+
+        // Column 2 joins layout 1 with layout 0's fields.
+        r.update_field(3, 1, &Value::Int64(-3)).unwrap();
+        want[3][1] = Value::Int64(-3);
+        r.copy_column(2, 0, 1).unwrap();
+        r.set_policy(delegate(&[1, 2])).unwrap();
+        assert_eq!(bytes(&r), [10 * 22, 10 * (8 + 6)]);
+        r.update_field(4, 2, &Value::Text("new".into())).unwrap();
+        want[4][2] = Value::Text("new".into());
+        // Column 1 goes back to layout 0, and only then leaves layout 1.
+        assert!(r.drop_column(1, 1).is_err(), "column 1 is still delegated to layout 1");
+        r.copy_column(1, 1, 0).unwrap();
+        r.set_policy(delegate(&[2])).unwrap();
+        r.drop_column(1, 1).unwrap();
+        assert_eq!(bytes(&r), [10 * 22, 10 * 6]);
+        assert!(r.set_policy(delegate(&[1, 2])).is_err(), "layout 1 no longer holds column 1");
+        for (row, record) in want.iter().enumerate() {
+            assert_eq!(r.read_record(row as RowId).unwrap(), *record, "row {row}");
+        }
+        // Full-schema relations neither drop columns nor take policies.
+        let mut single = Relation::new(s.clone(), LayoutTemplate::nsm(&s)).unwrap();
+        assert!(single.drop_column(0, 1).is_err());
+        assert!(single.set_policy(delegate(&[1])).is_err());
     }
 
     #[test]

@@ -93,6 +93,14 @@ impl DelegationPolicy {
         }
     }
 
+    /// [`owners`](Self::owners) of every row at once: `Some` while no rule
+    /// is row-bounded, so every row routes alike, and every attribute has
+    /// an owner.
+    pub(crate) fn uniform_owners(&self, arity: usize) -> Option<Vec<usize>> {
+        let unbounded = self.rules.iter().all(|r| r.row_from == 0 && r.row_to == RowId::MAX);
+        unbounded.then(|| self.owners(0, arity).ok()).flatten()
+    }
+
     /// The authoritative layout for `(row, attr)`.
     pub fn route(&self, row: RowId, attr: AttrId) -> Result<usize> {
         self.rules

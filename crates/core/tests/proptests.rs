@@ -149,15 +149,22 @@ fn any_layout_roundtrips_records() {
 
         // A relation reads a record in one pass per layout: under the
         // template alone, and with the template as the primary beside a
-        // column layout that owns a random subset of the attributes.
-        // Updates reach only the owning layout, so the other copy goes
-        // stale and only the owner's field is right.
+        // column layout that owns a random subset of the attributes and
+        // holds either exactly those columns or every column. Updates reach
+        // only the owning layout, so another copy goes stale and only the
+        // owner's field is right.
         let owned: Vec<AttrId> = s.attr_ids().filter(|_| rng.gen_bool(0.5)).collect();
+        let columns = if rng.gen_bool(0.5) {
+            let thin = VerticalGroup::new(owned.clone(), GroupOrder::ThinPerAttr);
+            LayoutTemplate::grouped(if owned.is_empty() { vec![] } else { vec![thin] }, None)
+        } else {
+            LayoutTemplate::dsm_emulated(&s)
+        };
         let policy = DelegationPolicy::new(vec![
             DelegationRule { attrs: Some(owned), row_from: 0, row_to: RowId::MAX, layout: 1 },
             DelegationRule { attrs: None, row_from: 0, row_to: RowId::MAX, layout: 0 },
         ]);
-        let layouts = vec![template.clone(), LayoutTemplate::dsm_emulated(&s)];
+        let layouts = vec![template.clone(), columns];
         let relations = [
             Relation::new(s.clone(), template).unwrap(),
             Relation::with_layouts(s.clone(), layouts, Scheme::Delegation(policy)).unwrap(),
@@ -184,6 +191,14 @@ fn any_layout_roundtrips_records() {
             }
             let end = records.len() as RowId;
             assert_eq!(relation.read_record(end), Err(htapg_core::Error::UnknownRow(end)));
+            // Every layout counts every row and stores the fields of the
+            // columns it holds, no others.
+            for layout in relation.layouts() {
+                let held = s.attr_ids().filter(|&a| layout.holds(a));
+                let width: usize = held.map(|a| s.width(a).unwrap()).sum();
+                assert_eq!(layout.row_count(), records.len() as u64);
+                assert_eq!(layout.used_bytes(), records.len() * width);
+            }
         }
     });
 }

@@ -359,7 +359,7 @@ impl StorageEngine for Es2Engine {
                 return Err(Error::UnknownRow(row));
             }
             let attrs: Vec<AttrId> = r.schema.attr_ids().collect();
-            r.stats.record_point_read(&attrs);
+            r.stats.record_point_read(&attrs, 1);
             let partition = row / r.partition_rows;
             let mut rec = vec![Value::Bool(false); r.schema.arity()];
             for (gi, group_attrs) in r.groups.iter().enumerate() {
@@ -381,7 +381,7 @@ impl StorageEngine for Es2Engine {
             if row >= r.rows {
                 return Err(Error::UnknownRow(row));
             }
-            r.stats.record_point_read(&[attr]);
+            r.stats.record_point_read(&[attr], 1);
             let gi = *r.group_of.get(attr as usize).ok_or(Error::UnknownAttribute(attr))?;
             let partition = row / r.partition_rows;
             let (node, frag) = r

@@ -81,14 +81,14 @@ impl StorageEngine for HyriseEngine {
     fn read_record(&self, rel: RelationId, row: RowId) -> Result<Record> {
         self.rels.read(rel, |r| {
             let attrs: Vec<AttrId> = r.relation.schema().attr_ids().collect();
-            r.stats.record_point_read(&attrs);
+            r.stats.record_point_read(&attrs, 1);
             r.relation.read_record(row)
         })
     }
 
     fn read_field(&self, rel: RelationId, row: RowId, attr: AttrId) -> Result<Value> {
         self.rels.read(rel, |r| {
-            r.stats.record_point_read(&[attr]);
+            r.stats.record_point_read(&[attr], 1);
             r.relation.read_value(row, attr, AccessHint::RecordCentric)
         })
     }

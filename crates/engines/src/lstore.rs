@@ -329,9 +329,9 @@ impl StorageEngine for LStoreEngine {
         })
     }
 
-    /// Every column's latest values ([`Column::latest_blocks`]), aligned
+    /// Every column's latest values (`Column::latest_blocks`), aligned
     /// across columns whose base blocks cut the rows differently
-    /// ([`align_columns`]).
+    /// (`align_columns`).
     fn with_aligned_blocks(
         &self,
         rel: RelationId,

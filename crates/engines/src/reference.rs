@@ -13,7 +13,8 @@
 //! 5. *built-in multi layout handling* — every relation carries a
 //!    transactional primary layout and an analytic column layout;
 //! 6. *fragment scheme supports delegation* — scan-hot attributes are
-//!    exclusively owned by the analytic layout, the rest by the primary.
+//!    exclusively owned by the analytic layout, which holds only them, the
+//!    rest by the primary.
 //!
 //! On top sits an MVCC overlay ([`htapg_core::txn`]) so "long-running
 //! ad-hoc analytic queries" read consistent snapshots while "massive
@@ -399,21 +400,25 @@ impl ReferenceEngine {
 
     /// Change the delegated attribute set, synchronizing the newly
     /// authoritative layout from the previously authoritative one so no
-    /// region ever reads stale data.
-    fn set_delegation(&self, r: &mut RefRelation, delegated: Vec<AttrId>) -> Result<()> {
-        // Newly delegated attrs: analytic layout takes over — copy current
-        // authoritative (primary) fields in. Un-delegated attrs: primary
-        // takes back — copy analytic fields out.
+    /// region ever reads stale data. The analytic layout holds exactly the
+    /// delegated columns.
+    fn set_delegation(r: &mut RefRelation, delegated: Vec<AttrId>) -> Result<()> {
+        // Newly delegated attrs join the analytic layout with the primary's
+        // fields. Un-delegated attrs go back: the primary takes the analytic
+        // fields, then the analytic layout drops the column.
         for &a in delegated.iter().filter(|a| !r.delegated.contains(a)) {
             r.relation.copy_column(a, PRIMARY, ANALYTIC)?;
         }
-        for &a in r.delegated.iter().filter(|a| !delegated.contains(a)) {
+        let returned: Vec<AttrId> =
+            r.delegated.iter().copied().filter(|a| !delegated.contains(a)).collect();
+        for &a in &returned {
             r.relation.copy_column(a, ANALYTIC, PRIMARY)?;
         }
+        r.relation.set_policy(policy_for(&delegated))?;
+        for &a in &returned {
+            r.relation.drop_column(ANALYTIC, a)?;
+        }
         r.delegated = delegated;
-        // Install the new policy.
-        let policy = policy_for(&r.delegated);
-        *r.relation_scheme_mut() = Scheme::Delegation(policy);
         Ok(())
     }
 
@@ -542,13 +547,6 @@ impl RefRelation {
         })?;
         Ok(out)
     }
-
-    fn relation_scheme_mut(&mut self) -> &mut Scheme {
-        // Relation does not expose a scheme setter publicly; rebuild via a
-        // dedicated accessor on Relation would be cleaner, but replacing
-        // the scheme in place is exactly what re-delegation means.
-        self.relation.scheme_mut()
-    }
 }
 
 impl StorageEngine for ReferenceEngine {
@@ -583,7 +581,7 @@ impl StorageEngine for ReferenceEngine {
 
     fn create_relation(&self, schema: Schema) -> Result<RelationId> {
         // Primary: strong flexible (one fat NSM group, chunked); analytic:
-        // thin columns. Nothing delegated yet.
+        // thin columns, one per delegated column, so none yet.
         let primary = LayoutTemplate::grouped(
             vec![htapg_core::VerticalGroup::new(
                 schema.attr_ids().collect(),
@@ -591,7 +589,7 @@ impl StorageEngine for ReferenceEngine {
             )],
             Some(self.chunk_rows),
         );
-        let analytic = LayoutTemplate::dsm_emulated(&schema);
+        let analytic = LayoutTemplate::grouped(Vec::new(), None);
         let relation = Relation::with_layouts(
             schema.clone(),
             vec![primary, analytic],
@@ -627,14 +625,14 @@ impl StorageEngine for ReferenceEngine {
     fn read_record(&self, rel: RelationId, row: RowId) -> Result<Record> {
         self.rels.read(rel, |r| {
             let attrs: Vec<AttrId> = r.relation.schema().attr_ids().collect();
-            r.stats.record_point_read(&attrs);
+            r.stats.record_point_read(&attrs, 1);
             r.record_as_of(row, self.mgr.now())
         })
     }
 
     fn read_field(&self, rel: RelationId, row: RowId, attr: AttrId) -> Result<Value> {
         self.rels.read(rel, |r| {
-            r.stats.record_point_read(&[attr]);
+            r.stats.record_point_read(&[attr], 1);
             if row >= r.relation.row_count() {
                 return Err(Error::UnknownRow(row));
             }
@@ -766,7 +764,7 @@ impl StorageEngine for ReferenceEngine {
     fn materialize_rows(&self, rel: RelationId, rows: &[RowId]) -> Result<Vec<Record>> {
         self.rels.read(rel, |r| {
             let attrs: Vec<AttrId> = r.relation.schema().attr_ids().collect();
-            r.stats.record_point_read(&attrs);
+            r.stats.record_point_read(&attrs, rows.len() as u64);
             let ts = self.mgr.now();
             let mut order: Vec<usize> = (0..rows.len()).collect();
             order.sort_by_key(|&i| rows[i]);
@@ -814,7 +812,7 @@ impl StorageEngine for ReferenceEngine {
             let current = r.relation.layouts()[PRIMARY].template().clone();
             let hot = self.advisor.delegate(&schema, &r.stats, &current, rows);
             if hot != r.delegated {
-                self.set_delegation(&mut r, hot)?;
+                Self::set_delegation(&mut r, hot)?;
                 report.layouts_reorganized += 1;
             }
             // Evict replicas of columns no longer delegated (the device
@@ -1178,6 +1176,130 @@ mod tests {
         e.update_field(rel, 12, 1, &Value::Float64(12.5)).unwrap();
         e.update_field(rel, last, 0, &Value::Int64(-1)).unwrap();
         assert_record_reads(&e, rel, &rows, "thin primary");
+    }
+
+    #[test]
+    fn materialize_counts_a_record_read_per_row() {
+        let (e, rel) = loaded(200);
+        let batch: Vec<RowId> = (0..150).map(|i| i * 7 % 200).collect();
+        e.materialize_rows(rel, &batch).unwrap();
+        e.rels
+            .read(rel, |r| {
+                let arity = r.relation.schema().arity() as AttrId;
+                for a in 0..arity {
+                    assert_eq!(r.stats.point_reads(a), 150, "attr {a}");
+                    for b in a + 1..arity {
+                        assert_eq!(r.stats.co_reads(a, b), 150, "attrs {a}, {b}");
+                    }
+                }
+                Ok(())
+            })
+            .unwrap();
+    }
+
+    /// A planned sum of `value` and group-sum of `value` by `key` against
+    /// the Volcano oracles, by bits.
+    fn assert_planned_aggregates(
+        e: &ReferenceEngine,
+        rel: RelationId,
+        key: AttrId,
+        value: AttrId,
+        state: &str,
+    ) {
+        use htapg_core::plan::LogicalPlan;
+        use htapg_exec::physical;
+        use htapg_exec::threading::ThreadingPolicy;
+        let run = |plan| physical::execute_adaptive(e, &plan, ThreadingPolicy::Single).unwrap();
+        let sum = run(LogicalPlan::sum(rel, value)).output.as_sum().unwrap();
+        let oracle = physical::volcano_sum(e, rel, value).unwrap();
+        assert_eq!(sum.to_bits(), oracle.to_bits(), "{state}: sum {sum} vs {oracle}");
+        let bits = |g: &[(i64, f64)]| g.iter().map(|&(k, v)| (k, v.to_bits())).collect::<Vec<_>>();
+        let groups = run(LogicalPlan::group_sum(rel, key, value)).output;
+        let oracle = physical::volcano_group_sum(e, rel, key, value).unwrap();
+        assert_eq!(bits(groups.as_groups().unwrap()), bits(&oracle), "{state}: group-sum");
+    }
+
+    #[test]
+    fn analytic_layout_holds_only_the_delegated_columns() {
+        const ROWS: u64 = 500;
+        let (key, value) = (2, 1);
+        let e = ReferenceEngine::new();
+        let rel = e.create_relation(schema()).unwrap();
+        for i in 0..ROWS as i64 {
+            let mut r = rec(i);
+            r[key as usize] = Value::Int32((i % 7) as i32);
+            e.insert(rel, &r).unwrap();
+        }
+        // The columns the analytic layout holds, and its bytes.
+        let analytic = || {
+            e.rels
+                .read(rel, |r| {
+                    let layout = &r.relation.layouts()[ANALYTIC];
+                    let held = r.relation.schema().attr_ids().filter(|&a| layout.holds(a));
+                    Ok((held.collect::<Vec<_>>(), layout.used_bytes()))
+                })
+                .unwrap()
+        };
+        // Fresh counters, `scans` scans of both columns, one materialization
+        // of `reads` rows, then maintenance: a 40-B primary row strides 32 B
+        // past `value` and 36 B past `key` per row scanned, so four scans
+        // delegate both and one scan against 600 record reads returns them.
+        let drive = |scans: usize, reads: u64| {
+            e.rels
+                .read(rel, |r| {
+                    r.stats.reset();
+                    Ok(())
+                })
+                .unwrap();
+            for _ in 0..scans {
+                htapg_exec::physical::touch_column(&e, rel, value).unwrap();
+                htapg_exec::physical::touch_column(&e, rel, key).unwrap();
+            }
+            let batch: Vec<RowId> = (0..reads).map(|i| i * 13 % ROWS).collect();
+            e.materialize_rows(rel, &batch).unwrap();
+            e.maintain().unwrap();
+        };
+        let check = |state: &str| {
+            assert_record_reads(&e, rel, &[0, 1, 3, 4, 6, 7, 250, ROWS - 1], state);
+            assert_planned_aggregates(&e, rel, key, value, state);
+        };
+        let delegated_bytes = ROWS as usize * (8 + 4);
+
+        assert_eq!(analytic(), (vec![], 0), "nothing delegated");
+        check("nothing delegated");
+
+        drive(4, 0);
+        assert_eq!(e.delegated(rel).unwrap(), vec![value, key]);
+        assert_eq!(analytic(), (vec![value, key], delegated_bytes), "delegated");
+        check("delegated");
+        // Versions of both delegated columns (one moves a row between
+        // groups) and of a primary column, then merged into their owners.
+        e.update_field(rel, 3, value, &Value::Float64(-3.5)).unwrap();
+        e.update_field(rel, 4, key, &Value::Int32(6)).unwrap();
+        e.update_field(rel, 4, 5, &Value::Int32(-5)).unwrap();
+        check("delegated, versions unmerged");
+        drive(4, 0);
+        assert_eq!(e.rels.read(rel, |r| Ok(r.overlay.version_count())).unwrap(), 0);
+        assert_eq!(analytic(), (vec![value, key], delegated_bytes), "merged");
+        check("delegated, versions merged");
+
+        // Both columns go back: the primary takes the merged fields and the
+        // analytic layout drops them.
+        drive(1, 600);
+        assert!(e.delegated(rel).unwrap().is_empty());
+        assert_eq!(analytic(), (vec![], 0), "un-delegated");
+        assert_eq!(e.read_field(rel, 3, value).unwrap(), Value::Float64(-3.5));
+        assert_eq!(e.read_field(rel, 4, key).unwrap(), Value::Int32(6));
+        check("un-delegated");
+
+        // Re-delegated: the analytic layout takes the primary's fields,
+        // including one merged while the column was back in the primary.
+        e.update_field(rel, 6, value, &Value::Float64(6.25)).unwrap();
+        drive(4, 0);
+        assert_eq!(e.delegated(rel).unwrap(), vec![value, key]);
+        assert_eq!(analytic(), (vec![value, key], delegated_bytes), "re-delegated");
+        assert_eq!(e.read_field(rel, 6, value).unwrap(), Value::Float64(6.25));
+        check("re-delegated");
     }
 
     #[test]
